@@ -526,8 +526,12 @@ def run(argv=None) -> int:
         for preset in args.preset:
             ws.load(load_preset(preset))
         for path in args.workspace:
-            with open(path) as fh:
-                ws.load(json.load(fh))
+            try:
+                with open(path) as fh:
+                    data = json.load(fh)
+            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise WorkspaceError(f"cannot read workspace {path!r}: {exc}") from exc
+            ws.load(data)
         if args.command == "demo":
             result, certs, ok = _run_demo(args)
         else:

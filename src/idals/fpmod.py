@@ -685,7 +685,7 @@ def invert_iso(phi: ModuleMap) -> ModuleMap:
 
 
 # ---------------------------------------------------------------------------
-# chain colimits
+# chain colimit results
 
 
 @dataclass
@@ -697,60 +697,6 @@ class ChainColimitResult:
     truncated: bool
     saturated: bool = False
     saturated_transitions: list = field(default_factory=list)
-
-
-def chain_colimit(stage, n_max: int) -> ChainColimitResult:
-    """Evaluate a chain given by stage(n) -> (module_n, transition_n) where
-    transition_n maps stage n to stage n+1.
-
-    Stabilization policy: stage 0 is accepted only when the chain is literally
-    constant there (identity transitions on identical presentations); from
-    n = 1 on, two consecutive isomorphism transitions stabilize the chain at
-    n.  Otherwise the result is truncated at n_max.
-    """
-    if n_max < 1:
-        raise AlgebraError("n_max must be >= 1")
-    cache: dict = {}
-
-    def get(n):
-        if n not in cache:
-            cache[n] = stage(n)
-        return cache[n]
-
-    def module_at(n):
-        return get(n)[0]
-
-    def transition_at(n):
-        t = get(n)[1]
-        if t.source != module_at(n):
-            raise AlgebraError("transition source does not match its stage")
-        return t
-
-    iso_flags: dict = {}
-
-    def iso(n):
-        if n not in iso_flags:
-            iso_flags[n] = is_iso(transition_at(n))
-        return iso_flags[n]
-
-    stages = [module_at(0)]
-    transitions = []
-
-    def result(value, stabilized_at, truncated, upto):
-        for n in range(upto + 1):
-            if n >= len(stages):
-                stages.append(module_at(n))
-            if n < upto and n >= len(transitions):
-                transitions.append(transition_at(n))
-        return ChainColimitResult(stages, transitions, value, stabilized_at, truncated)
-
-    if n_max >= 1 and transition_at(0).is_literal_identity():
-        if n_max == 1 or transition_at(1).is_literal_identity():
-            return result(module_at(0), 0, False, min(2, n_max))
-    for n in range(1, n_max - 1):
-        if iso(n) and iso(n + 1):
-            return result(module_at(n), n, False, n + 2)
-    return result(module_at(n_max), None, True, n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,8 @@ from .idal import Idal, cover_check, idal_product
 from .localize import (
     HomChain,
     _canonical_stage_map,
+    _saturated_kernel,
+    _saturated_stage,
     base_change_map,
     base_change_module,
     localized_ring,
@@ -668,8 +670,7 @@ def _push_stage_element(chain: HomChain, vecmap: ModuleMap, idx_from: int,
     return m
 
 
-def _selfglue_reflect_value(J: Idal, M: PresentedModule, n_max: int):
-    r = reflect(J, M, n_max)
+def _check_selfglue_reflection(r, n_max: int):
     if r.chain.stabilized_at is None:
         raise StabilizationError(
             "selfglue overlap chain did not stabilize within n_max "
@@ -677,17 +678,17 @@ def _selfglue_reflect_value(J: Idal, M: PresentedModule, n_max: int):
     if r.chain.saturated:
         raise StabilizationError(
             "selfglue sections require an unsaturated stabilization")
-    return r
 
 
 def induced_on_reflections(J: Idal, fwd: ModuleMap, stage_a: int,
-                           r_src, r_tgt, chain_src: HomChain,
-                           chain_tgt: HomChain) -> ModuleMap:
+                           r_src, r_tgt) -> ModuleMap:
     """The map R(m_src) -> R(m_tgt) induced by a Deligne element
-    fwd : J^{(x)a} (x) m_src -> m_tgt (a plain map at stage 0)."""
+    fwd : J^{(x)a} (x) m_src -> m_tgt (a plain map at stage 0), read off the
+    hom chains of the two reflections."""
     n_src = r_src.chain.stabilized_at
     n_tgt = r_tgt.chain.stabilized_at
-    hom_src = chain_src.stage(n_src)
+    chain_tgt = r_tgt.hom_chain
+    hom_src = r_src.hom_chain.stage(n_src)
     hom_big = chain_tgt.stage(n_src + stage_a)
     ring = J.ring
     cols = []
@@ -717,14 +718,11 @@ def _selfglue_sections(G: GluedModule, degree_bound: int, n_max: int) -> Section
             table = {d: graded_dim(S, d) for d in range(-degree_bound, degree_bound + 1)}
             table = {d: v for d, v in table.items() if v}
         return SectionsResult("selfglue", None, table, S)
-    r1 = _selfglue_reflect_value(J, G.m1, n_max)
-    r2 = _selfglue_reflect_value(J, G.m2, n_max)
-    chain1 = HomChain(J, unit_module(J.ring), G.m1)
-    chain2 = HomChain(J, unit_module(J.ring), G.m2)
-    tau_hat_inv = induced_on_reflections(J, G.tau.bwd, G.tau.bwd_stage,
-                                         r2, r1, chain2, chain1)
-    b = tau_hat_inv.compose(r2.unit)
-    P, p1, p2 = pullback(r1.unit, b)
+    _check_selfglue_reflection(ra, n_max)
+    _check_selfglue_reflection(rb, n_max)
+    tau_hat_inv = induced_on_reflections(J, G.tau.bwd, G.tau.bwd_stage, rb, ra)
+    b = tau_hat_inv.compose(rb.unit)
+    P, p1, p2 = pullback(ra.unit, b)
     by_degree = None
     if P.grading is not None:
         try:
@@ -908,18 +906,6 @@ def _rho_matrix(I: Idal, J: Idal, N: int, use_first: bool):
     return ModuleMap(src, tgt, matrix[:tgt.gens] if tgt.gens else [], check=False)
 
 
-def _saturated_stage(chain: HomChain, n: int, budget: int):
-    from .localize import _saturated_kernel
-
-    ker = _saturated_kernel(chain, n, budget)
-    if ker is None:
-        raise StabilizationError("saturation did not settle at the common stage")
-    base = chain.stage(n).module
-    if not ker:
-        return base
-    return PresentedModule(base.ring, base.gens, list(base.relations) + list(ker), None)
-
-
 def roundtrip_check(A: PolyRing, I: Idal, J: Idal, M: PresentedModule,
                     n_max: int = 8, degree_bound: int = 6) -> RoundtripResult:
     """Whether M -> R_I(M) x_{R_{I(x)J}(M)} R_J(M) is an isomorphism.
@@ -940,12 +926,17 @@ def roundtrip_check(A: PolyRing, I: Idal, J: Idal, M: PresentedModule,
 
 def _roundtrip_exact(A, I, J, IJ, M, rI, rJ, rIJ, n_max) -> RoundtripResult:
     O = unit_module(A)
-    chainI, chainJ, chainIJ = HomChain(I, O, M), HomChain(J, O, M), HomChain(IJ, O, M)
+    chainI, chainJ, chainIJ = rI.hom_chain, rJ.hom_chain, rIJ.hom_chain
     N = max(rI.chain.stabilized_at, rJ.chain.stabilized_at, rIJ.chain.stabilized_at)
     budget = max(2, n_max - N)
-    VI = _saturated_stage(chainI, N, budget)
-    VJ = _saturated_stage(chainJ, N, budget)
-    VIJ = _saturated_stage(chainIJ, N, budget)
+
+    def saturated_at_N(chain):
+        ker = _saturated_kernel(chain, N, budget)
+        if ker is None:
+            raise StabilizationError("saturation did not settle at the common stage")
+        return _saturated_stage(chain, N, ker)
+
+    VI, VJ, VIJ = saturated_at_N(chainI), saturated_at_N(chainJ), saturated_at_N(chainIJ)
 
     def unit_to(chain, V, idal_obj):
         hom = chain.stage(N)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import AlgebraError, RingMismatchError, WellDefinednessError
+from .errors import AlgebraError, GradingError, RingMismatchError, WellDefinednessError
 from .fpmod import (
     ModuleMap,
     PresentedModule,
@@ -283,7 +283,7 @@ def idal_base_change(h: RingHom, e: Idal) -> Idal:
     cols = [tuple(h.apply(p) for p in col) for col in e.carrier.relations]
     try:
         carrier = PresentedModule(h.dst, e.carrier.gens, cols, e.carrier.grading)
-    except Exception:
+    except GradingError:
         carrier = PresentedModule(h.dst, e.carrier.gens, cols)
     m = ModuleMap(carrier, unit_module(h.dst),
                   [[h.apply(p) for p in row] for row in e.e.matrix], check=True)

@@ -40,10 +40,3 @@ def row_reduce(rows: list, field: BaseField):
 
 def rank(rows: list, field: BaseField) -> int:
     return len(row_reduce(rows, field)[0])
-
-
-def kernel_dim(rows: list, ncols: int, field: BaseField) -> int:
-    """Dimension of the solution space {v : rows . v = 0} in field^ncols."""
-    if not rows:
-        return ncols
-    return ncols - rank(rows, field)

@@ -3,19 +3,20 @@ colimit of hom modules, Deligne morphism spaces, the principal-localization
 oracle, the closed-complement quotient, and the comparison search.
 
 Chain stabilization policy (shared by reflect and deligne_hom): stage 0 is
-accepted only for literally constant chains; from n = 1 on, the scan first
-saturates each stage by the stable kernel of the forward composites (the
-chain of saturated stages is injective), then accepts two consecutive
-surjective transitions.  Saturation is what detects collapse to zero for
-nilpotent idals and for targets killed by the image ideal; with trivial
-kernels it degenerates to the plain two-consecutive-isomorphisms rule.
+accepted only when the idal map J.e is an isomorphism (then every transition
+is one); from n = 1 on, the scan first saturates each stage by the stable
+kernel of the forward composites (the chain of saturated stages is
+injective), then accepts two consecutive surjective transitions.  Saturation
+is what detects collapse to zero for nilpotent idals and for targets killed
+by the image ideal; with trivial kernels it degenerates to the plain
+two-consecutive-isomorphisms rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AlgebraError, LiftError, RingMismatchError
+from .errors import AlgebraError, GradingError, LiftError, RingMismatchError
 from .fpmod import (
     ChainColimitResult,
     HomModule,
@@ -125,15 +126,14 @@ def _submodule_canonical_gb(M: PresentedModule, extra_cols):
     return _module_gb(cols, M.ring, M.gens)
 
 
-def _saturated_kernel(chainlike, n: int, budget: int):
+def _saturated_kernel(chain: HomChain, n: int, budget: int):
     """Generators of the stable kernel of the forward composites out of
     stage n, or None if the kernel kept growing within the budget."""
-    stage_n = chainlike.stage(n).module if isinstance(chainlike, HomChain) else chainlike[0](n)
     comp = None
     prev_gb = None
     prev_cols = []
     for k in range(1, budget + 1):
-        t = chainlike.transition(n + k - 1)
+        t = chain.transition(n + k - 1)
         comp = t if comp is None else t.compose(comp)
         K, incl = kernel(comp)
         cols = [incl.column(j) for j in range(K.gens)]
@@ -144,14 +144,15 @@ def _saturated_kernel(chainlike, n: int, budget: int):
     return None
 
 
-@dataclass
-class _ScanOutcome:
-    result: ChainColimitResult
-    value_stage_index: int | None  # stage whose hom module presents the value
-    saturated_value: bool
+def _saturated_stage(chain: HomChain, n: int, ker_cols) -> PresentedModule:
+    """Stage n of the chain modulo the stable kernel columns (ungraded)."""
+    base = chain.stage(n).module
+    if not ker_cols:
+        return base
+    return PresentedModule(base.ring, base.gens, list(base.relations) + list(ker_cols), None)
 
 
-def _scan_hom_chain(chain: HomChain, n_max: int, saturate: bool = True) -> _ScanOutcome:
+def _scan_hom_chain(chain: HomChain, n_max: int) -> ChainColimitResult:
     if n_max < 1:
         raise AlgebraError("n_max must be >= 1")
 
@@ -168,8 +169,7 @@ def _scan_hom_chain(chain: HomChain, n_max: int, saturate: bool = True) -> _Scan
     if is_iso(chain.J.e):
         upto = min(2, n_max)
         stages, transitions = collect(upto, upto - 1)
-        res = ChainColimitResult(stages, transitions, module_at(0), 0, False)
-        return _ScanOutcome(res, 0, False)
+        return ChainColimitResult(stages, transitions, module_at(0), 0, False)
 
     sat_cache: dict = {}
 
@@ -177,14 +177,6 @@ def _scan_hom_chain(chain: HomChain, n_max: int, saturate: bool = True) -> _Scan
         if n not in sat_cache:
             sat_cache[n] = _saturated_kernel(chain, n, max(2, n_max - n))
         return sat_cache[n]
-
-    def saturated_module(n, ker_cols):
-        base = module_at(n)
-        if not ker_cols:
-            return base
-        return PresentedModule(base.ring, base.gens,
-                               list(base.relations) + list(ker_cols),
-                               None if base.grading is None else None)
 
     ker_cache: dict = {}
 
@@ -203,25 +195,18 @@ def _scan_hom_chain(chain: HomChain, n_max: int, saturate: bool = True) -> _Scan
         return coker_cache[n]
 
     for n in range(1, n_max - 1):
-        injective = transition_kernel_is_zero(n) and transition_kernel_is_zero(n + 1)
-        if not saturate or injective:
+        if transition_kernel_is_zero(n) and transition_kernel_is_zero(n + 1):
             # plain two-consecutive-isomorphisms rule (kernels already known)
-            if saturate and injective:
-                if transition_is_surjective(n) and transition_is_surjective(n + 1):
-                    stages, transitions = collect(n + 2, n + 1)
-                    res = ChainColimitResult(stages, transitions, module_at(n), n, False)
-                    return _ScanOutcome(res, n, False)
-            elif is_iso(chain.transition(n)) and is_iso(chain.transition(n + 1)):
+            if transition_is_surjective(n) and transition_is_surjective(n + 1):
                 stages, transitions = collect(n + 2, n + 1)
-                res = ChainColimitResult(stages, transitions, module_at(n), n, False)
-                return _ScanOutcome(res, n, False)
+                return ChainColimitResult(stages, transitions, module_at(n), n, False)
             continue
         kn, kn1, kn2 = saturated(n), saturated(n + 1), saturated(n + 2)
         if kn is None or kn1 is None or kn2 is None:
             continue
-        Vn = saturated_module(n, kn)
-        Vn1 = saturated_module(n + 1, kn1)
-        Vn2 = saturated_module(n + 2, kn2)
+        Vn = _saturated_stage(chain, n, kn)
+        Vn1 = _saturated_stage(chain, n + 1, kn1)
+        Vn2 = _saturated_stage(chain, n + 2, kn2)
         tn = ModuleMap(Vn, Vn1, chain.transition(n).matrix, check=False)
         tn1 = ModuleMap(Vn1, Vn2, chain.transition(n + 1).matrix, check=False)
         c1, _ = cokernel(tn)
@@ -229,14 +214,12 @@ def _scan_hom_chain(chain: HomChain, n_max: int, saturate: bool = True) -> _Scan
         if c1.is_zero_module() and c2.is_zero_module():
             any_sat = bool(kn or kn1 or kn2)
             stages, transitions = collect(n + 2, n + 1)
-            res = ChainColimitResult(stages, transitions, Vn, n, False,
-                                     saturated=any_sat,
-                                     saturated_transitions=[tn, tn1] if any_sat else [])
-            return _ScanOutcome(res, n, any_sat)
+            return ChainColimitResult(stages, transitions, Vn, n, False,
+                                      saturated=any_sat,
+                                      saturated_transitions=[tn, tn1] if any_sat else [])
 
     stages, transitions = collect(n_max, n_max - 1)
-    res = ChainColimitResult(stages, transitions, module_at(n_max), None, True)
-    return _ScanOutcome(res, n_max, False)
+    return ChainColimitResult(stages, transitions, module_at(n_max), None, True)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +232,7 @@ class ReflectorResult:
     idal: Idal
     chain: ChainColimitResult
     unit: ModuleMap
+    hom_chain: HomChain   # the chain the scan read; its stages stay cached
 
     @property
     def value(self) -> PresentedModule:
@@ -259,21 +243,19 @@ class ReflectorResult:
         return self.chain.stabilized_at is not None
 
 
-def reflect(J: Idal, M: PresentedModule, n_max: int = 8,
-            saturate: bool = True) -> ReflectorResult:
+def reflect(J: Idal, M: PresentedModule, n_max: int = 8) -> ReflectorResult:
     """The reflection of M into the modules believing J, computed as the
     stabilizing chain colimit of HOM(J^{(x)n}, M)."""
     if J.ring != M.ring:
         raise RingMismatchError("idal and module over different rings")
     chain = HomChain(J, unit_module(J.ring), M)
-    outcome = _scan_hom_chain(chain, n_max, saturate)
-    idx = outcome.value_stage_index
-    hom = chain.stage(idx)
+    res = _scan_hom_chain(chain, n_max)
+    idx = n_max if res.stabilized_at is None else res.stabilized_at
     # the value is the stage hom module or its saturated quotient; either way
     # it has the same generators, so the canonical matrix is the unit
-    unit_to_stage = _canonical_stage_map(J, M, hom, idx)
-    unit = ModuleMap(M, outcome.result.value, unit_to_stage.matrix, check=False)
-    return ReflectorResult(M, J, outcome.result, unit)
+    unit_to_stage = _canonical_stage_map(J, M, chain.stage(idx), idx)
+    unit = ModuleMap(M, res.value, unit_to_stage.matrix, check=False)
+    return ReflectorResult(M, J, res, unit, chain)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +268,7 @@ class DeligneHomResult:
     source: PresentedModule
     target: PresentedModule
     chain: ChainColimitResult
-    stage_homs: list
+    hom_chain: HomChain   # the chain the scan read; its stages stay cached
 
     @property
     def value(self) -> PresentedModule:
@@ -300,19 +282,16 @@ class DeligneHomResult:
         """The map J^{(x)n*} (x) M -> N encoded by an element of the value."""
         if self.chain.stabilized_at is None:
             raise AlgebraError("chain did not stabilize; no interpretation")
-        return self.stage_homs[self.chain.stabilized_at].interpret(coeffs)
+        return self.hom_chain.stage(self.chain.stabilized_at).interpret(coeffs)
 
 
-def deligne_hom(J: Idal, M: PresentedModule, N: PresentedModule, n_max: int = 8,
-                saturate: bool = True) -> DeligneHomResult:
+def deligne_hom(J: Idal, M: PresentedModule, N: PresentedModule,
+                n_max: int = 8) -> DeligneHomResult:
     """Stages Hom(J^{(x)n} (x) M, N) with transitions precomposing the idal
     power transitions; the stabilized value presents the morphisms between
     the localizations of M and N."""
     chain = HomChain(J, M, N)
-    outcome = _scan_hom_chain(chain, n_max, saturate)
-    upto = len(outcome.result.stages)
-    stage_homs = [chain.stage(i) for i in range(upto)]
-    return DeligneHomResult(J, M, N, outcome.result, stage_homs)
+    return DeligneHomResult(J, M, N, _scan_hom_chain(chain, n_max), chain)
 
 
 def deligne_window_dims(J: Idal, M: PresentedModule, N: PresentedModule,
@@ -363,7 +342,7 @@ def base_change_module(M: PresentedModule, hom: RingHom) -> PresentedModule:
     cols = [tuple(hom.apply(p) for p in col) for col in M.relations]
     try:
         return PresentedModule(hom.dst, M.gens, cols, M.grading)
-    except Exception:
+    except GradingError:
         return PresentedModule(hom.dst, M.gens, cols, None)
 
 

@@ -749,31 +749,6 @@ def _buchberger(vecs: list, ring: PolyRing, rank: int, keyf=None, track: bool = 
     for j in range(len(G)):
         push_pairs_with(j)
 
-    def reduce_full(vec, trackvec):
-        work = dict(vec)
-        tr = dict(trackvec) if trackvec is not None else None
-        remainder: dict = {}
-        while work:
-            t = max(work, key=keyf)
-            pos, exps = t
-            c = work[t]
-            hit = None
-            for d in G:
-                if d.pos == pos and mono_divides(d.exps, exps):
-                    hit = d
-                    break
-            if hit is None:
-                remainder[t] = c
-                del work[t]
-                continue
-            factor = field.div(c, hit.lc)
-            shift = mono_div(exps, hit.exps)
-            _vec_sub_inplace(work, _vec_scale_shift(hit.vec, factor, shift, field), field)
-            if tr is not None:
-                neg = field.neg(factor)
-                _track_combine(tr, hit.track, neg, shift, field)
-        return remainder, tr
-
     while pairs:
         *_, i, j = heapq.heappop(pairs)
         if (i, j) in done_pairs:
@@ -799,15 +774,19 @@ def _buchberger(vecs: list, ring: PolyRing, rank: int, keyf=None, track: bool = 
         si, sj = mono_div(lcm, gi.exps), mono_div(lcm, gj.exps)
         spoly = _vec_scale_shift(gi.vec, field.one(), si, field)
         _vec_sub_inplace(spoly, _vec_scale_shift(gj.vec, field.one(), sj, field), field)
-        strack = None
+        red, cof = _vec_reduce(spoly, G, ring, rank, keyf, track_len=len(G) if track else 0)
+        if not red:
+            continue
+        rtrack = None
         if track:
-            strack = {}
-            _track_combine(strack, gi.track, field.one(), si, field)
-            _track_combine(strack, gj.track, field.neg(field.one()), sj, field)
-        red, rtrack = reduce_full(spoly, strack)
-        if red:
-            G.append(monic(_prepare(red, ring, keyf, rtrack)))
-            push_pairs_with(len(G) - 1)
+            rtrack = {}
+            _track_combine(rtrack, gi.track, field.one(), si, field)
+            _track_combine(rtrack, gj.track, field.neg(field.one()), sj, field)
+            for d, cterms in zip(G, cof):
+                for shift, c in cterms.items():
+                    _track_combine(rtrack, d.track, field.neg(c), shift, field)
+        G.append(monic(_prepare(red, ring, keyf, rtrack)))
+        push_pairs_with(len(G) - 1)
 
     # minimal basis: drop elements whose leading term is divisible by another's
     keep = []

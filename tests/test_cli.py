@@ -142,6 +142,21 @@ def test_unresolved_name_exits_one(capsys):
     assert code == 1 and report["result"]["error"] == "WorkspaceError"
 
 
+def test_missing_workspace_file_exits_one(capsys, tmp_path):
+    path = str(tmp_path / "nonexistent.json")
+    code, report = invoke(capsys, "sections", "O", "--workspace", path)
+    assert code == 1 and report["result"]["error"] == "WorkspaceError"
+    assert path in report["result"]["message"]
+
+
+def test_malformed_workspace_json_exits_one(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    for content in (b"{bad", b"\xff\xfe{"):
+        path.write_bytes(content)
+        code, report = invoke(capsys, "sections", "O", "--workspace", str(path))
+        assert code == 1 and report["result"]["error"] == "WorkspaceError"
+
+
 def test_flag_out_of_range(capsys):
     code, report = invoke(capsys, "believes", "I", "O", "--n-max", "0",
                           "--preset", "double-origin-line")

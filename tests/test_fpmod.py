@@ -7,7 +7,6 @@ from idals import (
     ModuleMap,
     PolyRing,
     PresentedModule,
-    chain_colimit,
     cokernel,
     direct_sum,
     free_module,
@@ -243,42 +242,6 @@ class TestIsIso:
         g = invert_iso(f)
         assert g.compose(f).equals(ModuleMap.identity(unit_module(R2)))
         assert f.compose(g).equals(ModuleMap.identity(M))
-
-
-class TestChainColimit:
-    def test_constant_identity_chain(self, R1):
-        O = unit_module(R1)
-
-        def stage(n):
-            return O, ModuleMap.identity(O)
-
-        res = chain_colimit(stage, 6)
-        assert res.stabilized_at == 0 and not res.truncated
-
-    def test_multiplication_chain_truncates(self, R1):
-        O = unit_module(R1)
-        x = ModuleMap(O, O, [["x"]])
-
-        def stage(n):
-            return O, x
-
-        res = chain_colimit(stage, 5)
-        assert res.truncated and res.stabilized_at is None
-        assert len(res.stages) == 6
-
-    def test_stabilization_soundness(self, R1):
-        O = unit_module(R1)
-        k = PresentedModule(R1, 1, [("x",)])
-        proj = ModuleMap(O, k, [["1"]])
-
-        def stage(n):
-            if n == 0:
-                return O, proj
-            return k, ModuleMap.identity(k)
-
-        res = chain_colimit(stage, 6)
-        assert res.stabilized_at == 1
-        assert is_iso(res.transitions[1]) and is_iso(res.transitions[2])
 
 
 class TestGradedDim:

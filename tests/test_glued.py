@@ -54,7 +54,6 @@ from idals.glued import (
     induced_on_reflections,
     standard_dual_datum,
 )
-from idals.localize import HomChain
 
 from conftest import random_graded_module_1var
 
@@ -251,15 +250,12 @@ class TestRoundtrip:
                            ModuleMap.zero(B_piece, zero_module(R1)))
         p1m = ModuleMap(M, A_piece, [["1", "0"]], check=False)
         p2m = ModuleMap(M, B_piece, [["0", "1"]], check=False)
-        O = unit_module(R1)
         for idal_obj, piece, proj in ((I, A_piece, p1m), (J, B_piece, p2m)):
             rM = reflect(idal_obj, M, 8)
             rP = reflect(idal_obj, piece, 8)
-            chainM = HomChain(idal_obj, O, M)
-            chainP = HomChain(idal_obj, O, piece)
             fwd = ModuleMap(tensor(idal_obj.carrier_power(0), M), piece,
                             proj.matrix, check=False)
-            induced = induced_on_reflections(idal_obj, fwd, 0, rM, rP, chainM, chainP)
+            induced = induced_on_reflections(idal_obj, fwd, 0, rM, rP)
             assert is_iso(induced)
 
 

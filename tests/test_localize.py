@@ -80,6 +80,7 @@ class TestReflect:
     def test_principal_on_free_truncates(self, R1, Ix):
         res = reflect(Ix, unit_module(R1), 6)
         assert res.chain.truncated and res.chain.stabilized_at is None
+        assert len(res.chain.stages) == 7
 
     def test_stabilized_value_believes(self, R2, Jxy):
         res = reflect(Jxy, unit_module(R2), 5)
@@ -98,7 +99,7 @@ class TestReflect:
         M = unit_module(R2)
         res = reflect(Jxy, M, 5)
         n = res.chain.stabilized_at
-        chain = HomChain(Jxy, unit_module(R2), M)
+        chain = res.hom_chain
         comp = canonical_to_hom(Jxy, M)
         comp = ModuleMap(M, chain.stage(1).module, comp.matrix, check=False)
         for k in range(1, n):
@@ -111,6 +112,19 @@ class TestReflect:
         assert res.chain.stabilized_at is not None and res.chain.saturated
         assert believes(Ix, res.value)
         assert not res.value.is_zero_module()
+
+    def test_hom_chain_is_the_scanned_chain(self, R1, R2, Ix, Jxy):
+        # the chain a reflection returns presents the same stages as a
+        # freshly built chain for the same data
+        cases = [(Jxy, unit_module(R2), 5),
+                 (Ix, PresentedModule(R1, 2, [("x", "0"), ("0", "x-1")]), 8)]
+        for J, M, n_max in cases:
+            res = reflect(J, M, n_max)
+            fresh = HomChain(J, unit_module(J.ring), M)
+            assert res.hom_chain.J is J and res.hom_chain.target is M
+            for n in range(len(res.chain.stages)):
+                assert res.hom_chain.stage(n).module is res.chain.stages[n]
+                assert res.hom_chain.stage(n).module == fresh.stage(n).module
 
 
 class TestDeligneHom:
