@@ -86,12 +86,19 @@ class Workspace:
         self._glued_specs: dict = {}
 
     def load(self, data: dict):
+        if not isinstance(data, dict):
+            raise WorkspaceError(f"a workspace must be a JSON object, not {type(data).__name__}")
         for section in ("rings", "modules", "maps", "idals", "schemes", "glued"):
             names = data.get(section, {})
+            if not isinstance(names, dict):
+                raise WorkspaceError(f"workspace section {section!r} must be a JSON object "
+                                     f"mapping names to objects")
             store = getattr(self, section if section != "glued" else "_glued_specs")
-            for name in names:
+            for name, spec in names.items():
                 if name in store:
                     raise WorkspaceError(f"duplicate name {name!r} in {section}")
+                if not isinstance(spec, dict):
+                    raise WorkspaceError(f"{section} entry {name!r} must be a JSON object")
         for name, spec in data.get("rings", {}).items():
             try:
                 self.rings[name] = PolyRing.from_json(spec)
@@ -140,37 +147,32 @@ class Workspace:
         for name, spec in data.get("glued", {}).items():
             self._glued_specs[name] = spec
 
+    @staticmethod
+    def _lookup(store: dict, kind: str, name):
+        # names read from a workspace file may be any JSON value
+        if not isinstance(name, str) or name not in store:
+            raise WorkspaceError(f"unresolved {kind} name {name!r}")
+        return store[name]
+
     def _ring(self, name):
-        if name not in self.rings:
-            raise WorkspaceError(f"unresolved ring name {name!r}")
-        return self.rings[name]
+        return self._lookup(self.rings, "ring", name)
 
     def module(self, name):
-        if name not in self.modules:
-            raise WorkspaceError(f"unresolved module name {name!r}")
-        return self.modules[name]
+        return self._lookup(self.modules, "module", name)
 
     def map(self, name):
-        if name not in self.maps:
-            raise WorkspaceError(f"unresolved map name {name!r}")
-        return self.maps[name]
+        return self._lookup(self.maps, "map", name)
 
     def idal(self, name):
-        if name in self.idals:
-            return self.idals[name]
-        if name in self.maps:
+        if isinstance(name, str) and name not in self.idals and name in self.maps:
             return Idal.from_map(self.maps[name])
-        raise WorkspaceError(f"unresolved idal name {name!r}")
+        return self._lookup(self.idals, "idal", name)
 
     def scheme(self, name):
-        if name not in self.schemes:
-            raise WorkspaceError(f"unresolved scheme name {name!r}")
-        return self.schemes[name]
+        return self._lookup(self.schemes, "scheme", name)
 
     def glued_spec(self, name):
-        if name not in self._glued_specs:
-            raise WorkspaceError(f"unresolved glued module name {name!r}")
-        return self._glued_specs[name]
+        return self._lookup(self._glued_specs, "glued module", name)
 
     def glued_module(self, name) -> GluedModule:
         if name not in self.glued:
@@ -178,21 +180,24 @@ class Workspace:
         return self.glued[name]
 
     def _build_glued(self, spec) -> GluedModule:
-        scheme = self.scheme(spec["scheme"])
-        m1 = self.module(spec["m1"])
-        m2 = self.module(spec["m2"])
+        scheme = self.scheme(spec.get("scheme"))
+        m1 = self.module(spec.get("m1"))
+        m2 = self.module(spec.get("m2"))
         tau = spec.get("tau")
         if scheme.kind == "selfglue":
             if not isinstance(tau, dict):
                 raise WorkspaceError("selfglue glued modules take a staged tau object")
             from .fpmod import tensor
             J = scheme.idal
-            fwd_src = tensor(J.carrier_power(int(tau["fwd_stage"])), m1)
-            bwd_src = tensor(J.carrier_power(int(tau["bwd_stage"])), m2)
-            fwd = ModuleMap(fwd_src, m2, tau["fwd"], check=True)
-            bwd = ModuleMap(bwd_src, m1, tau["bwd"], check=True)
-            data = SelfGlueTau(int(tau["fwd_stage"]), fwd, int(tau["bwd_stage"]), bwd)
-            return GluedModule(scheme, m1, m2, data)
+            try:
+                fwd_stage, bwd_stage = int(tau["fwd_stage"]), int(tau["bwd_stage"])
+                fwd_src = tensor(J.carrier_power(fwd_stage), m1)
+                bwd_src = tensor(J.carrier_power(bwd_stage), m2)
+                fwd = ModuleMap(fwd_src, m2, tau["fwd"], check=True)
+                bwd = ModuleMap(bwd_src, m1, tau["bwd"], check=True)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise WorkspaceError(f"bad staged tau: {exc}") from exc
+            return GluedModule(scheme, m1, m2, SelfGlueTau(fwd_stage, fwd, bwd_stage, bwd))
         return GluedModule(scheme, m1, m2, tau, spec.get("tau_inv"))
 
 

@@ -50,7 +50,6 @@ from .idal import Idal, cover_check, idal_product
 from .localize import (
     HomChain,
     _canonical_stage_map,
-    _saturated_kernel,
     _saturated_stage,
     base_change_map,
     base_change_module,
@@ -931,7 +930,7 @@ def _roundtrip_exact(A, I, J, IJ, M, rI, rJ, rIJ, n_max) -> RoundtripResult:
     budget = max(2, n_max - N)
 
     def saturated_at_N(chain):
-        ker = _saturated_kernel(chain, N, budget)
+        ker = chain.saturated_kernel(N, budget)
         if ker is None:
             raise StabilizationError("saturation did not settle at the common stage")
         return _saturated_stage(chain, N, ker)

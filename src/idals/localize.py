@@ -90,6 +90,7 @@ class HomChain:
         self._sources: dict = {}
         self._stages: dict = {}
         self._transitions: dict = {}
+        self._saturated: dict = {}
 
     def source_at(self, n: int) -> PresentedModule:
         if n not in self._sources:
@@ -117,6 +118,12 @@ class HomChain:
                       for r in range(Ht.module.gens)]
             self._transitions[n] = ModuleMap(Hs.module, Ht.module, matrix, check=False)
         return self._transitions[n]
+
+    def saturated_kernel(self, n: int, budget: int):
+        """`_saturated_kernel(self, n, budget)`, computed once per chain."""
+        if (n, budget) not in self._saturated:
+            self._saturated[(n, budget)] = _saturated_kernel(self, n, budget)
+        return self._saturated[(n, budget)]
 
 
 def _submodule_canonical_gb(M: PresentedModule, extra_cols):
@@ -171,12 +178,8 @@ def _scan_hom_chain(chain: HomChain, n_max: int) -> ChainColimitResult:
         stages, transitions = collect(upto, upto - 1)
         return ChainColimitResult(stages, transitions, module_at(0), 0, False)
 
-    sat_cache: dict = {}
-
     def saturated(n):
-        if n not in sat_cache:
-            sat_cache[n] = _saturated_kernel(chain, n, max(2, n_max - n))
-        return sat_cache[n]
+        return chain.saturated_kernel(n, max(2, n_max - n))
 
     ker_cache: dict = {}
 

@@ -15,9 +15,10 @@ quotient generators, placed in every position, to the divisor sets.
 
 from __future__ import annotations
 
-import heapq
 import re
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, le, neg, sub
 
 from .errors import (
     AlgebraError,
@@ -186,7 +187,7 @@ class PolyRing:
     """
 
     __slots__ = ("field", "variables", "order", "weights", "quotient_gb",
-                 "_key", "_var_index", "_free", "_one_member_cache")
+                 "_key", "_var_index", "_free", "_signature")
 
     def __init__(self, field: BaseField, variables, order: str = "grevlex",
                  quotient=(), weights=None):
@@ -200,7 +201,7 @@ class PolyRing:
             raise AlgebraError("weights length must match variable count")
         self._key = make_order_key(order)
         self._var_index = {v: i for i, v in enumerate(self.variables)}
-        self._one_member_cache = None
+        self._signature = None
         quotient = tuple(quotient)
         if not quotient:
             self.quotient_gb = ()
@@ -288,11 +289,17 @@ class PolyRing:
     # -- identity ------------------------------------------------------------
 
     def signature(self):
-        return (self.field.p, self.variables, self.order, self.weights,
+        """Identity of the ring; rings never change after construction, so it
+        is rendered once."""
+        if self._signature is None:
+            self._signature = (
+                self.field.p, self.variables, self.order, self.weights,
                 tuple(sorted(str(Poly(self._free, dict(q))) for q in self.quotient_gb)))
+        return self._signature
 
     def __eq__(self, other):
-        return isinstance(other, PolyRing) and self.signature() == other.signature()
+        return other is self or (isinstance(other, PolyRing)
+                                 and self.signature() == other.signature())
 
     def __hash__(self):
         return hash(self.signature())
@@ -488,6 +495,10 @@ def _poly_str(p: Poly) -> str:
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[()+\-*/^])")
 
+# Parentheses and unary minus signs inside a factor each recurse once; the
+# bound keeps the recursive parser well inside Python's recursion limit.
+MAX_NESTING = 100
+
 
 def _tokenize(text: str):
     tokens, pos = [], 0
@@ -506,6 +517,7 @@ def _parse_poly(text: str, ring: PolyRing) -> dict:
     coefficient forms `num`, `num/den`, `(k mod p)`."""
     tokens = _tokenize(text)
     idx = [0]
+    depth = [0]
 
     def peek():
         return tokens[idx[0]]
@@ -555,6 +567,14 @@ def _parse_poly(text: str, ring: PolyRing) -> dict:
         return base
 
     def parse_atom() -> Poly:
+        depth[0] += 1
+        if depth[0] > MAX_NESTING:
+            raise AlgebraError(f"polynomial nested deeper than {MAX_NESTING} levels")
+        node = parse_atom_body()
+        depth[0] -= 1
+        return node
+
+    def parse_atom_body() -> Poly:
         tok = advance()
         if tok == "-":
             return -parse_atom()
@@ -604,31 +624,47 @@ def _vec_to_poly_terms(vec: dict) -> dict:
 
 
 def _vkey(ring: PolyRing, elim_rank: int | None = None):
-    key = ring._key
+    """Key of a term (pos, exps) that sorts terms from the largest down.
+
+    The module order is position-over-term, position 0 largest, then the
+    ring's monomial order.  With elim_rank, terms in positions below
+    elim_rank come before all others (the elimination order of
+    `_syzygy_vecs`).  Smallest key = largest term, so `_vec_reduce` can keep
+    terms in a min-heap by this key.
+    """
+    if ring.order == "grevlex":
+        def key(t):
+            e = t[1]
+            return (t[0], -sum(e), e[::-1])
+    elif ring.order == "grlex":
+        def key(t):
+            e = t[1]
+            return (t[0], -sum(e), tuple(map(neg, e)))
+    else:
+        def key(t):
+            return (t[0], tuple(map(neg, t[1])))
     if elim_rank is None:
-        return lambda t: (-t[0],) + tuple(key(t[1]))
-    # elimination key: original positions (< elim_rank) dominate tag positions
-    def ekey(t):
-        return ((1 if t[0] < elim_rank else 0), -t[0]) + tuple(key(t[1]))
-    return ekey
+        return key
 
-
-def _vec_lt(vec: dict, keyf):
-    return max(vec, key=keyf)
+    def elim_key(t):
+        return (-1 if t[0] < elim_rank else 0, key(t))
+    return elim_key
 
 
 class _Prepared:
-    """A divisor with cached leading-term data."""
+    """A divisor with cached leading-term data; `tail` holds the other terms
+    as (pos, exps, coeff)."""
 
-    __slots__ = ("vec", "lt", "lc", "pos", "exps", "sugar", "track")
+    __slots__ = ("vec", "lt", "lc", "pos", "exps", "sugar", "track", "tail")
 
     def __init__(self, vec, keyf, ring, track=None):
         self.vec = vec
-        self.lt = _vec_lt(vec, keyf)
-        self.lc = vec[self.lt]
-        self.pos, self.exps = self.lt
+        self.lt = lt = min(vec, key=keyf)
+        self.lc = vec[lt]
+        self.pos, self.exps = lt
         self.sugar = max(sum(e) for (_, e) in vec)
         self.track = track
+        self.tail = [(p, e, c) for (p, e), c in vec.items() if (p, e) != lt]
 
 
 def _prepare(vec, ring, keyf=None, track=None) -> _Prepared:
@@ -649,42 +685,72 @@ def _vec_sub_inplace(target: dict, other: dict, field):
 
 
 def _vec_reduce(vec: dict, divisors: list, ring: PolyRing, rank: int,
-                keyf=None, track_len: int = 0):
+                keyf=None, track_len: int = 0, memo: dict | None = None):
     """Full normal form of vec by the prepared divisors.
 
     Returns (remainder, cofactors) where cofactors is a list of term dicts,
     one per divisor, when track_len > 0 (only the first track_len divisors
     are tracked); otherwise cofactors is None.
+
+    The leading term is popped from a heap of (key, term); a term that
+    cancels leaves its entry behind, and the entry is skipped when popped.
+    Each step reduces by the first divisor whose leading term divides.
+    `memo` maps terms to keys; callers reducing many vectors under one key
+    function pass the same dict to compute each key once.
     """
     field = ring.field
+    p = field.p
     keyf = keyf or _vkey(ring)
+    if memo is None:
+        memo = {}
     work = dict(vec)
+    heap = []
+    for t in work:
+        k = memo.get(t)
+        if k is None:
+            k = memo[t] = keyf(t)
+        heap.append((k, t))
+    heapify(heap)
     remainder: dict = {}
     cof = [dict() for _ in range(track_len)] if track_len else None
-    while work:
-        t = max(work, key=keyf)
-        pos, exps = t
-        c = work[t]
-        hit = None
-        for i, d in enumerate(divisors):
-            if d.pos == pos and mono_divides(d.exps, exps):
-                hit = (i, d)
-                break
-        if hit is None:
-            remainder[t] = c
-            del work[t]
+    while heap:
+        t = heappop(heap)[1]
+        c = work.pop(t, None)
+        if c is None:
             continue
-        i, d = hit
-        factor = field.div(c, d.lc)
-        shift = mono_div(exps, d.exps)
-        _vec_sub_inplace(work, _vec_scale_shift(d.vec, factor, shift, field), field)
-        if cof is not None and i < track_len:
-            prev = cof[i].get(shift, field.zero())
-            s = field.add(prev, factor)
-            if s:
-                cof[i][shift] = s
+        pos, exps = t
+        for i, d in enumerate(divisors):
+            if d.pos == pos and all(map(le, d.exps, exps)):
+                break
+        else:
+            remainder[t] = c
+            continue
+        factor = c if d.lc == 1 else field.div(c, d.lc)
+        shift = tuple(map(sub, exps, d.exps))
+        for dpos, de, dc in d.tail:
+            nt = (dpos, tuple(map(add, de, shift)))
+            old = work.get(nt)
+            if old is None:
+                s = -dc * factor % p if p else -dc * factor
+                if s:
+                    work[nt] = s
+                    k = memo.get(nt)
+                    if k is None:
+                        k = memo[nt] = keyf(nt)
+                    heappush(heap, (k, nt))
             else:
-                cof[i].pop(shift, None)
+                s = (old - dc * factor) % p if p else old - dc * factor
+                if s:
+                    work[nt] = s
+                else:
+                    del work[nt]
+        if i < track_len:
+            ci = cof[i]
+            s = field.add(ci.get(shift, field.zero()), factor)
+            if s:
+                ci[shift] = s
+            else:
+                ci.pop(shift, None)
     return remainder, cof
 
 
@@ -708,6 +774,7 @@ def _buchberger(vecs: list, ring: PolyRing, rank: int, keyf=None, track: bool = 
     """
     field = ring.field
     keyf = keyf or _vkey(ring)
+    memo: dict = {}   # term -> keyf(term), shared by every reduction below
 
     G: list[_Prepared] = []
     for i, v in enumerate(vecs):
@@ -744,13 +811,13 @@ def _buchberger(vecs: list, ring: PolyRing, rank: int, keyf=None, track: bool = 
             gi = G[i]
             if gi.pos != gj.pos:
                 continue
-            heapq.heappush(pairs, (*pair_key(i, j), i, j))
+            heappush(pairs, (*pair_key(i, j), i, j))
 
     for j in range(len(G)):
         push_pairs_with(j)
 
     while pairs:
-        *_, i, j = heapq.heappop(pairs)
+        *_, i, j = heappop(pairs)
         if (i, j) in done_pairs:
             continue
         done_pairs.add((i, j))
@@ -774,7 +841,8 @@ def _buchberger(vecs: list, ring: PolyRing, rank: int, keyf=None, track: bool = 
         si, sj = mono_div(lcm, gi.exps), mono_div(lcm, gj.exps)
         spoly = _vec_scale_shift(gi.vec, field.one(), si, field)
         _vec_sub_inplace(spoly, _vec_scale_shift(gj.vec, field.one(), sj, field), field)
-        red, cof = _vec_reduce(spoly, G, ring, rank, keyf, track_len=len(G) if track else 0)
+        red, cof = _vec_reduce(spoly, G, ring, rank, keyf,
+                               track_len=len(G) if track else 0, memo=memo)
         if not red:
             continue
         rtrack = None
@@ -811,7 +879,7 @@ def _buchberger(vecs: list, ring: PolyRing, rank: int, keyf=None, track: bool = 
     for idx, g in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1:]
         rem, cof = _vec_reduce(g.vec, others, ring, rank, keyf,
-                               track_len=len(others) if track else 0)
+                               track_len=len(others) if track else 0, memo=memo)
         tr = None
         if track:
             tr = dict(g.track)
@@ -821,7 +889,7 @@ def _buchberger(vecs: list, ring: PolyRing, rank: int, keyf=None, track: bool = 
         if rem:
             reduced.append(monic(_prepare(rem, ring, keyf, tr)))
 
-    reduced.sort(key=lambda g: keyf(g.lt), reverse=True)
+    reduced.sort(key=lambda g: keyf(g.lt))
     if track:
         return [g.vec for g in reduced], [g.track for g in reduced]
     return [g.vec for g in reduced]

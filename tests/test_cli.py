@@ -157,6 +157,37 @@ def test_malformed_workspace_json_exits_one(capsys, tmp_path):
         assert code == 1 and report["result"]["error"] == "WorkspaceError"
 
 
+@pytest.mark.parametrize("data", [
+    [1],
+    {"modules": 5},
+    {"rings": {"A": 5}},
+    {"rings": {"A": {"field": "QQ", "variables": ["x"]}}, "modules": {"M": {"ring": [1]}}},
+])
+def test_workspace_of_wrong_shape_exits_one(capsys, tmp_path, data):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(data))
+    code, report = invoke(capsys, "sections", "O", "--workspace", str(path))
+    assert code == 1 and report["result"]["error"] == "WorkspaceError"
+
+
+def test_bad_staged_tau_exits_one(capsys, tmp_path):
+    spec = dict(load_preset("double-origin-line")["glued"]["sky_both"])
+    spec["tau"] = {"fwd_stage": "a"}
+    path = tmp_path / "tau.json"
+    path.write_text(json.dumps({"glued": {"G": spec}}))
+    code, report = invoke(capsys, "sections", "G", "--workspace", str(path),
+                          "--preset", "double-origin-line")
+    assert code == 1 and report["result"]["error"] == "WorkspaceError"
+
+
+def test_deeply_nested_polynomial_exits_one(capsys):
+    nested = "(" * 3000 + "x" + ")" * 3000
+    for arg in (nested, "x*" + "-" * 3000 + "x"):
+        code, report = invoke(capsys, "localize", arg, "O", "--preset", "double-origin-line")
+        assert code == 1 and report["result"]["error"] == "AlgebraError"
+        assert "nested" in report["result"]["message"]
+
+
 def test_flag_out_of_range(capsys):
     code, report = invoke(capsys, "believes", "I", "O", "--n-max", "0",
                           "--preset", "double-origin-line")

@@ -256,3 +256,12 @@ class TestMonomialEnumeration:
     def test_quotient_truncation(self):
         Q = PolyRing(QQ, ["x"], quotient=["x^3"])
         assert [len(monomials_of_degree(Q, d)) for d in range(5)] == [1, 1, 1, 0, 0]
+
+
+def test_parser_nesting_is_bounded(R1):
+    from idals.polyring import MAX_NESTING
+
+    depth = MAX_NESTING - 1
+    assert R1.poly("(" * depth + "x" + ")" * depth) == R1.var("x")
+    with pytest.raises(AlgebraError, match="nested"):
+        R1.poly("(" * MAX_NESTING + "x" + ")" * MAX_NESTING)
