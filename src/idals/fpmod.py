@@ -100,10 +100,6 @@ class PresentedModule:
         return all(column_degree(self.ring, col, grading) is not None
                    for col in self.relations)
 
-    def regrade(self, grading) -> "PresentedModule":
-        """Same presentation with an explicitly supplied grading (or None)."""
-        return PresentedModule(self.ring, self.gens, self.relations, grading)
-
     @property
     def is_graded(self) -> bool:
         return self.grading is not None
@@ -267,13 +263,6 @@ class ModuleMap:
         return all(self.target.contains_column(self.column(j))
                    for j in range(self.source.gens))
 
-    def is_literal_identity(self) -> bool:
-        if self.source.presentation_key() != self.target.presentation_key():
-            return False
-        one, zero = self.ring.one(), self.ring.zero()
-        return all(self.matrix[i][j] == (one if i == j else zero)
-                   for i in range(self.target.gens) for j in range(self.source.gens))
-
     def is_homogeneous(self) -> bool:
         """Degree-0 homogeneity with respect to both gradings."""
         if self.source.grading is None or self.target.grading is None:
@@ -371,6 +360,28 @@ def cokernel(phi: ModuleMap):
     return C, proj
 
 
+def _block_sum(ring: PolyRing, modules, grading=None) -> PresentedModule:
+    """The direct sum of `modules` as one presentation: generators in blocks,
+    one per summand in order, each summand's relations inside its block.
+
+    `grading` defaults to the summands' gradings side by side when they all
+    have one.
+    """
+    if grading is None and all(m.grading is not None for m in modules):
+        grading = tuple(d for m in modules for d in m.grading)
+    total = sum(m.gens for m in modules)
+    zero = ring.zero()
+    rels = []
+    offset = 0
+    for m in modules:
+        for col in m.relations:
+            full = [zero] * total
+            full[offset:offset + m.gens] = col
+            rels.append(tuple(full))
+        offset += m.gens
+    return PresentedModule(ring, total, rels, grading)
+
+
 def direct_sum(modules):
     """(S, inclusions, projections)."""
     if not modules:
@@ -379,31 +390,18 @@ def direct_sum(modules):
     for m in modules:
         if m.ring != ring:
             raise RingMismatchError("direct sum over different rings")
-    offsets = []
-    total = 0
-    for m in modules:
-        offsets.append(total)
-        total += m.gens
-    rels = []
-    for idx, m in enumerate(modules):
-        for col in m.relations:
-            full = [ring.zero()] * total
-            for i, p in enumerate(col):
-                full[offsets[idx] + i] = p
-            rels.append(tuple(full))
-    grading = None
-    if all(m.grading is not None for m in modules):
-        grading = tuple(d for m in modules for d in m.grading)
-    S = PresentedModule(ring, total, rels, grading)
+    S = _block_sum(ring, modules)
     incls, projs = [], []
     zero, one = ring.zero(), ring.one()
-    for idx, m in enumerate(modules):
-        mat_in = [[one if (i == offsets[idx] + j) else zero for j in range(m.gens)]
-                  for i in range(total)]
+    offset = 0
+    for m in modules:
+        mat_in = [[one if (i == offset + j) else zero for j in range(m.gens)]
+                  for i in range(S.gens)]
         incls.append(ModuleMap(m, S, mat_in, check=False))
-        mat_pr = [[one if (offsets[idx] + i == j) else zero for j in range(total)]
+        mat_pr = [[one if (offset + i == j) else zero for j in range(S.gens)]
                   for i in range(m.gens)]
         projs.append(ModuleMap(S, m, mat_pr, check=False))
+        offset += m.gens
     return S, incls, projs
 
 
@@ -525,17 +523,11 @@ class HomModule:
         if M.grading is not None and N.grading is not None:
             ambient_degrees = tuple(N.grading[r] - M.grading[i]
                                     for i in range(M.gens) for r in range(N.gens))
-        copies = [N] * M.gens
-        if M.gens:
-            amb, _, _ = direct_sum(copies)
-            amb = amb.regrade(ambient_degrees) if ambient_degrees is not None else amb
-        else:
-            amb = zero_module(self.ring)
+        amb = _block_sum(self.ring, [N] * M.gens, ambient_degrees)
         self.ambient = amb
         s = len(M.relations)
-        if s and M.gens:
-            tgt_copies = [N] * s
-            tgt_amb, _, _ = direct_sum(tgt_copies)
+        if s:
+            tgt_amb = _block_sum(self.ring, [N] * s)
             rows = []
             for c in range(s):
                 for r in range(N.gens):
@@ -557,7 +549,7 @@ class HomModule:
         coeffs = tuple(self.ring.poly(c) for c in coeffs)
         if len(coeffs) != self.module.gens:
             raise AlgebraError("hom element length mismatch")
-        flat = self.incl.apply_column(coeffs) if self.module.gens else ()
+        flat = self.incl.apply_column(coeffs)
         matrix = [[self.ring.zero()] * self.source.gens for _ in range(self.target.gens)]
         for i in range(self.source.gens):
             for r in range(self.target.gens):

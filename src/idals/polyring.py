@@ -499,6 +499,10 @@ _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[()+\-*/^])")
 # bound keeps the recursive parser well inside Python's recursion limit.
 MAX_NESTING = 100
 
+# `^` expands its base by repeated multiplication, so its cost grows faster
+# than the exponent: parsing `(x+1)^1000` over QQ takes about 3 s.
+MAX_EXPONENT = 100
+
 
 def _tokenize(text: str):
     tokens, pos = [], 0
@@ -563,6 +567,10 @@ def _parse_poly(text: str, ring: PolyRing) -> dict:
             exp = advance()
             if exp is None or not exp.isdigit():
                 raise AlgebraError("exponent must be a non-negative integer literal")
+            # compare lengths first: int() refuses literals of over 4300 digits
+            if (len(exp.lstrip("0")) > len(str(MAX_EXPONENT))
+                    or int(exp) > MAX_EXPONENT):
+                raise AlgebraError(f"exponent larger than {MAX_EXPONENT}")
             return base ** int(exp)
         return base
 
@@ -688,9 +696,9 @@ def _vec_reduce(vec: dict, divisors: list, ring: PolyRing, rank: int,
                 keyf=None, track_len: int = 0, memo: dict | None = None):
     """Full normal form of vec by the prepared divisors.
 
-    Returns (remainder, cofactors) where cofactors is a list of term dicts,
-    one per divisor, when track_len > 0 (only the first track_len divisors
-    are tracked); otherwise cofactors is None.
+    Returns (remainder, cofactors) where cofactors is a list of track_len
+    term dicts, one for each of the first track_len divisors (empty when
+    track_len is 0).
 
     The leading term is popped from a heap of (key, term); a term that
     cancels leaves its entry behind, and the entry is skipped when popped.
@@ -712,7 +720,7 @@ def _vec_reduce(vec: dict, divisors: list, ring: PolyRing, rank: int,
         heap.append((k, t))
     heapify(heap)
     remainder: dict = {}
-    cof = [dict() for _ in range(track_len)] if track_len else None
+    cof = [dict() for _ in range(track_len)]
     while heap:
         t = heappop(heap)[1]
         c = work.pop(t, None)
@@ -883,7 +891,7 @@ def _buchberger(vecs: list, ring: PolyRing, rank: int, keyf=None, track: bool = 
         tr = None
         if track:
             tr = dict(g.track)
-            for d, cterms in zip(others, cof or []):
+            for d, cterms in zip(others, cof):
                 for shift, c in cterms.items():
                     _track_combine(tr, d.track, field.neg(c), shift, field)
         if rem:

@@ -188,6 +188,13 @@ def test_deeply_nested_polynomial_exits_one(capsys):
         assert "nested" in report["result"]["message"]
 
 
+def test_large_exponent_exits_one(capsys):
+    for arg in ("(x+1)^3000", "x^" + "9" * 5000):
+        code, report = invoke(capsys, "localize", arg, "O", "--preset", "double-origin-line")
+        assert code == 1 and report["result"]["error"] == "AlgebraError"
+        assert "exponent" in report["result"]["message"]
+
+
 def test_flag_out_of_range(capsys):
     code, report = invoke(capsys, "believes", "I", "O", "--n-max", "0",
                           "--preset", "double-origin-line")

@@ -24,7 +24,7 @@ from idals import (
     unit_module,
     zero_module,
 )
-from idals.errors import GradingError, UngradedError, WellDefinednessError
+from idals.errors import GradingError, LiftError, UngradedError, WellDefinednessError
 from idals.fpmod import tensor_permutation
 
 from conftest import random_homogeneous_module, random_module, random_poly
@@ -155,6 +155,15 @@ class TestHom:
         H = hom_module(xy_ideal_module, unit_module(R2))
         assert H.module.gens == 1 and not H.module.relations
         assert [[str(x) for x in row] for row in H.generator_map(0).matrix] == [["x", "y"]]
+
+    def test_zero_hom_module(self, R1):
+        M, N = PresentedModule(R1, 1, [("x",)]), unit_module(R1)
+        H = hom_module(M, N)
+        assert H.module.gens == 0
+        assert H.interpret(()).equals(ModuleMap.zero(M, N))
+        assert H.express(ModuleMap.zero(M, N)) == ()
+        with pytest.raises(LiftError):
+            H.express(ModuleMap(M, N, [["1"]], check=False))
 
     def test_express_interpret_roundtrip(self, R2, xy_ideal_module):
         H = hom_module(xy_ideal_module, unit_module(R2))

@@ -114,7 +114,10 @@ class TestProductAndPowers:
     def test_power_identity_transition(self, R1):
         I = idal_from_ideal(["x"], R1)
         _, t = idal_power(I, 2, 2)
-        assert t.is_literal_identity()
+        assert t.source.presentation_key() == t.target.presentation_key()
+        n = t.source.gens
+        assert [[str(x) for x in row] for row in t.matrix] == [
+            ["1" if i == j else "0" for j in range(n)] for i in range(n)]
 
     def test_scalar_power_transition(self, R1):
         I = idal_from_ideal(["x"], R1)

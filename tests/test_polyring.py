@@ -17,7 +17,7 @@ from idals import (
     syzygies,
 )
 from idals.errors import AlgebraError, VariableMismatchError
-from idals.polyring import mono_divides, mono_lcm, monomials_of_degree
+from idals.polyring import SubmoduleLifter, mono_divides, mono_lcm, monomials_of_degree
 
 from conftest import random_poly
 
@@ -265,3 +265,37 @@ def test_parser_nesting_is_bounded(R1):
     assert R1.poly("(" * depth + "x" + ")" * depth) == R1.var("x")
     with pytest.raises(AlgebraError, match="nested"):
         R1.poly("(" * MAX_NESTING + "x" + ")" * MAX_NESTING)
+
+
+def test_parser_exponent_is_bounded(R1):
+    from idals.polyring import MAX_EXPONENT
+
+    assert R1.poly(f"x^{MAX_EXPONENT}") == R1.var("x") ** MAX_EXPONENT
+    assert R1.poly(f"x^000{MAX_EXPONENT}") == R1.var("x") ** MAX_EXPONENT
+    for text in (f"(x+1)^{MAX_EXPONENT + 1}", "x**3000", "x^" + "9" * 5000):
+        with pytest.raises(AlgebraError, match="exponent"):
+            R1.poly(text)
+
+
+class TestNoDivisors:
+    """Cofactor tracking when nothing is tracked: zero lifts to no cofactors,
+    anything else is its own remainder."""
+
+    @pytest.mark.parametrize("columns", [[], [{}], [{}, {}]])
+    def test_lifter_without_generators(self, R2, columns):
+        lifter = SubmoduleLifter(R2, columns, 1)
+        assert lifter.lift({}) == [{} for _ in columns]
+        assert lifter.lift(FreeVector(R2, ["x + 1"]).to_vec()) is None
+
+    @pytest.mark.parametrize("basis_len", [0, 2])
+    def test_divide_by_zero_basis(self, R2, basis_len):
+        basis = [FreeVector(R2, ["0", "0"])] * basis_len
+        for v in (FreeVector(R2, ["0", "0"]), FreeVector(R2, ["x*y", "2"])):
+            rem, cof = divide_with_cofactors(v, basis)
+            assert rem == v
+            assert len(cof) == basis_len and all(c.is_zero() for c in cof)
+
+    def test_divide_by_zero_basis_over_quotient(self):
+        Q = PolyRing(QQ, ["x"], quotient=["x^2"])
+        rem, cof = divide_with_cofactors(FreeVector(Q, ["x^3 + x"]), [])
+        assert rem == FreeVector(Q, ["x"]) and cof == []
