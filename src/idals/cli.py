@@ -22,6 +22,7 @@ from .errors import (
 from .fpmod import (
     ModuleMap,
     PresentedModule,
+    free_module,
     graded_dim,
     is_iso,
     iso_failure_certificate,
@@ -38,7 +39,6 @@ from .idal import (
     nilpotency_check,
 )
 from .localize import (
-    believes,
     canonical_to_hom,
     deligne_hom,
     idal_comparison_search,
@@ -60,7 +60,7 @@ from .glued import (
     roundtrip_check,
     tensor_glued,
 )
-from .polyring import Poly, PolyRing, SubmoduleLifter
+from .polyring import PolyRing
 
 
 COMMANDS = (
@@ -266,9 +266,8 @@ def _cmd_cover_check(ws, args):
     gens = [p for p in I.image_generators() + J.image_generators() if not p.is_zero()]
     if ok and gens:
         ring = I.ring
-        lifter = SubmoduleLifter(ring, [{(0, e): c for e, c in g.terms.items()} for g in gens], 1)
-        cof = lifter.lift({(0, (0,) * ring.nvars): ring.field.one()})
-        cert["one_as_combination"] = [str(Poly(ring, ring.reduce_terms(c))) for c in cof]
+        combine = ModuleMap(free_module(ring, len(gens)), unit_module(ring), [gens], check=False)
+        cert["one_as_combination"] = [str(c) for c in combine.lift((ring.one(),))]
     elif not ok:
         from .polyring import groebner
         cert["reduced_basis"] = [str(g) for g in groebner(gens, I.ring)] if gens else []
@@ -441,7 +440,6 @@ def _run_demo(args):
                 {}, True)
     if name == "doubleorigin2":
         from .polyring import QQ
-        from .fpmod import free_module
         from .glued import doubleorigin2_datum_check
         R = PolyRing(QQ, ["T1", "T2"])
         J1 = idal_from_ideal(["T1", "T2"], R)

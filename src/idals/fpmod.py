@@ -12,8 +12,6 @@ relation columns stay homogeneous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import (
     AlgebraError,
     GradingError,
@@ -26,7 +24,6 @@ from . import linalg
 from .polyring import (
     Poly,
     PolyRing,
-    RingHom,
     SubmoduleLifter,
     _module_gb,
     _prepare,
@@ -119,6 +116,31 @@ class PresentedModule:
     def contains_column(self, col) -> bool:
         return not self.reduce_vec(_column_vec(col))
 
+    def normal_form(self, col):
+        """The column reduced modulo the relations: equal for two columns
+        exactly when they are equal in the module."""
+        # rel_gb holds the quotient generators in every position, so the
+        # remainder is already in the ring's normal form
+        cols = [dict() for _ in range(self.gens)]
+        for (pos, e), c in self.reduce_vec(_column_vec(col)).items():
+            cols[pos][e] = c
+        return tuple(Poly(self.ring, t) for t in cols)
+
+    def coordinates(self, columns):
+        """Dense base-field rows, one per column, of the columns' normal
+        forms, over the union of their (position, monomial) supports."""
+        reduced = [self.reduce_vec(_column_vec(c)) for c in columns]
+        support = sorted({k for r in reduced for k in r})
+        zero = self.ring.field.zero()
+        return [[r.get(k, zero) for k in support] for r in reduced]
+
+    def span_key(self, extra_cols):
+        """A value that is equal for two column lists over this module's
+        generators exactly when the relations plus the columns span the same
+        submodule (their reduced Groebner basis, which is unique)."""
+        cols = [_column_vec(c) for c in self.relations] + [_column_vec(c) for c in extra_cols]
+        return _module_gb(cols, self.ring, self.gens)
+
     def is_zero_module(self) -> bool:
         if self.gens == 0:
             return True
@@ -195,6 +217,7 @@ class ModuleMap:
                 f"matrix must be {target.gens} x {source.gens}, got "
                 f"{len(rows)} x {len(rows[0]) if rows else 0}")
         self.matrix = rows
+        self._lifter = None
         if check:
             for col in source.relations:
                 if not target.contains_column(self.apply_column(col)):
@@ -219,6 +242,20 @@ class ModuleMap:
 
     def columns(self):
         return [self.column(j) for j in range(self.source.gens)]
+
+    def lift(self, col):
+        """A source column c with self(c) equal to col modulo the target
+        relations, or None when col is not in the image."""
+        if self._lifter is None:
+            # maps never change, so the tracked basis is built once per map
+            cols = [_column_vec(c) for c in self.columns()]
+            cols += [_column_vec(c) for c in self.target.relations]
+            self._lifter = SubmoduleLifter(self.ring, cols, self.target.gens)
+        cof = self._lifter.lift(_column_vec(col))
+        if cof is None:
+            return None
+        return tuple(Poly(self.ring, self.ring.reduce_terms(cof[j]))
+                     for j in range(self.source.gens))
 
     # -- algebra ---------------------------------------------------------------
 
@@ -314,8 +351,7 @@ def kernel(phi: ModuleMap):
     gens_vecs = []
     for s in syz:
         proj = {(p, e): c for (p, e), c in s.items() if p < src.gens}
-        col = _vec_column(ring, src.gens, proj)
-        col = _vec_column(ring, src.gens, src.reduce_vec(_column_vec(col)))
+        col = src.normal_form(_vec_column(ring, src.gens, proj))
         if any(not p.is_zero() for p in col):
             gens_vecs.append(col)
     # deduplicate reduced generators, deterministically
@@ -542,7 +578,6 @@ class HomModule:
             K, incl = amb, ModuleMap.identity(amb)
         self.module = K
         self.incl = incl
-        self._lifter = None
 
     def interpret(self, coeffs) -> ModuleMap:
         """The map M -> N encoded by an element of the hom module."""
@@ -578,17 +613,10 @@ class HomModule:
                 e = [self.ring.zero()] * self.module.gens
                 e[k] = self.ring.one()
                 return tuple(e)
-        if self._lifter is None:
-            cols = [_column_vec(self.incl.column(k)) for k in range(self.module.gens)]
-            cols += [_column_vec(c) for c in self.ambient.relations]
-            self._lifter = SubmoduleLifter(self.ring, cols, self.ambient.gens)
-        cof = self._lifter.lift(_column_vec(flat))
-        if cof is None:
+        coords = self.incl.lift(flat)
+        if coords is None:
             raise LiftError("map does not lie in the hom module")
-        out = []
-        for k in range(self.module.gens):
-            out.append(Poly(self.ring, self.ring.reduce_terms(cof[k])))
-        return tuple(out)
+        return coords
 
 
 def hom_module(M: PresentedModule, N: PresentedModule) -> HomModule:
@@ -658,37 +686,19 @@ def iso_failure_certificate(phi: ModuleMap):
 def invert_iso(phi: ModuleMap) -> ModuleMap:
     """Two-sided inverse of an isomorphism (raises LiftError otherwise)."""
     ring = phi.ring
-    cols = [_column_vec(phi.column(j)) for j in range(phi.source.gens)]
-    cols += [_column_vec(c) for c in phi.target.relations]
-    lifter = SubmoduleLifter(ring, cols, phi.target.gens)
     matrix = [[ring.zero()] * phi.target.gens for _ in range(phi.source.gens)]
     for k in range(phi.target.gens):
         e = [ring.zero()] * phi.target.gens
         e[k] = ring.one()
-        cof = lifter.lift(_column_vec(tuple(e)))
-        if cof is None:
+        col = phi.lift(tuple(e))
+        if col is None:
             raise LiftError("map is not surjective; no inverse")
         for j in range(phi.source.gens):
-            matrix[j][k] = Poly(ring, ring.reduce_terms(cof[j]))
+            matrix[j][k] = col[j]
     psi = ModuleMap(phi.target, phi.source, matrix)
     if not psi.compose(phi).equals(ModuleMap.identity(phi.source)):
         raise LiftError("right inverse is not a left inverse; map is not injective")
     return psi
-
-
-# ---------------------------------------------------------------------------
-# chain colimit results
-
-
-@dataclass
-class ChainColimitResult:
-    stages: list
-    transitions: list
-    value: PresentedModule
-    stabilized_at: int | None
-    truncated: bool
-    saturated: bool = False
-    saturated_transitions: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from . import linalg
 from .fpmod import (
     ModuleMap,
     PresentedModule,
-    _column_vec,
+    _block_sum,
     column_degree,
     cokernel,
     direct_sum,
@@ -42,9 +42,7 @@ from .fpmod import (
     pullback,
     tensor,
     tensor_map,
-    tensor_power,
     unit_module,
-    zero_module,
 )
 from .idal import Idal, cover_check, idal_product
 from .localize import (
@@ -56,7 +54,7 @@ from .localize import (
     localized_ring,
     reflect,
 )
-from .polyring import Poly, PolyRing, QQ, RingHom, SubmoduleLifter, monomials_of_degree
+from .polyring import Poly, PolyRing, QQ, RingHom, monomials_of_degree
 
 
 def _rebind(m: ModuleMap, source: PresentedModule, target: PresentedModule) -> ModuleMap:
@@ -477,19 +475,16 @@ def _hom_overlap_map(G, H, hom_src, hom_tgt, hom_src_hom: RingHom, hom_tgt_hom: 
     incl_bc = base_change_map(hom_tgt.incl, hom_tgt_hom, tgt_mod,
                               base_change_module(hom_tgt.ambient, hom_tgt_hom))
     ring = tgt_mod.ring
-    cols = [_column_vec(incl_bc.column(k)) for k in range(tgt_mod.gens)]
-    cols += [_column_vec(c) for c in incl_bc.target.relations]
-    lifter = SubmoduleLifter(ring, cols, incl_bc.target.gens)
     matrix = [[ring.zero()] * src_mod.gens for _ in range(tgt_mod.gens)]
     for k in range(src_mod.gens):
         conj = post.compose(carry(k)).compose(pre)
         flat = tuple(conj.matrix[r][i]
                      for i in range(tgt_source.gens) for r in range(tgt_target.gens))
-        cof = lifter.lift(_column_vec(flat))
-        if cof is None:
+        coords = incl_bc.lift(flat)
+        if coords is None:
             raise AlgebraError("hom base change failed to lift (overlap hom mismatch)")
         for r in range(tgt_mod.gens):
-            matrix[r][k] = Poly(ring, ring.reduce_terms(cof[r]))
+            matrix[r][k] = coords[r]
     return matrix
 
 
@@ -558,19 +553,9 @@ def _window_candidates(M: PresentedModule, bound: int):
     return out
 
 
-def _coords_rows(module: PresentedModule, columns):
-    """Dense NF coordinates of columns modulo the module's relations."""
-    reduced = [module.reduce_vec(_column_vec(c)) for c in columns]
-    support = sorted({k for r in reduced for k in r})
-    field = module.ring.field
-    zero = field.zero()
-    rows = [[r.get(k, zero) for k in support] for r in reduced]
-    return rows, support
-
-
 def _self_rank(module: PresentedModule, columns) -> int:
-    rows, _ = _coords_rows(module, columns)
-    return linalg.rank(rows, module.ring.field) if rows and rows[0] else 0
+    """Base-field rank of the columns' images in the module."""
+    return linalg.rank(module.coordinates(columns), module.ring.field)
 
 
 def global_sections(G: GluedModule, degree_bound: int = 6, n_max: int = 8) -> SectionsResult:
@@ -598,13 +583,10 @@ def global_sections(G: GluedModule, degree_bound: int = 6, n_max: int = 8) -> Se
         col = [ov.U1.zero()] * m2.gens
         col[i] = p
         cols2.append(tuple(G.tau.apply_column(tuple(col))))
-    null1 = len(cands1) - _self_rank(m1, [c for c in _module_candidate_columns(m1, cands1)])
-    null2 = len(cands2) - _self_rank(m2, [c for c in _module_candidate_columns(m2, cands2)])
+    null1 = len(cands1) - _self_rank(m1, _module_candidate_columns(m1, cands1))
+    null2 = len(cands2) - _self_rank(m2, _module_candidate_columns(m2, cands2))
     all_cols = cols1 + cols2
-    rows, _ = _coords_rows(G.m1_overlap, all_cols)
-    ncands = len(all_cols)
-    rk = linalg.rank(rows, ov.U1.field) if rows and rows[0] else 0
-    total = ncands - rk - null1 - null2
+    total = len(all_cols) - _self_rank(G.m1_overlap, all_cols) - null1 - null2
     by_degree = _sections_degree_table(G, cands1, cands2, cols1, cols2, degree_bound)
     return SectionsResult("affine", total, by_degree, None)
 
@@ -643,9 +625,7 @@ def _sections_degree_table(G, cands1, cands2, cols1, cols2, bound):
         c2, l2 = groups[d][1]
         n1 = len(c1) - _self_rank(G.m1, _module_candidate_columns(G.m1, c1)) if c1 else 0
         n2 = len(c2) - _self_rank(G.m2, _module_candidate_columns(G.m2, c2)) if c2 else 0
-        rows, _ = _coords_rows(mov, l1 + l2)
-        rk = linalg.rank(rows, mov.ring.field) if rows and rows[0] else 0
-        dim = len(l1) + len(l2) - rk - n1 - n2
+        dim = len(l1) + len(l2) - _self_rank(mov, l1 + l2) - n1 - n2
         if dim:
             table[d] = dim
     return table
@@ -711,7 +691,7 @@ def _selfglue_sections(G: GluedModule, degree_bound: int, n_max: int) -> Section
     if (ra.stabilized and rb.stabilized
             and ra.value.is_zero_module() and rb.value.is_zero_module()):
         # both pieces die on the overlap: sections are the plain direct sum
-        S, _, _ = direct_sum([G.m1, G.m2])
+        S = _block_sum(J.ring, [G.m1, G.m2])
         table = None
         if S.grading is not None:
             table = {d: graded_dim(S, d) for d in range(-degree_bound, degree_bound + 1)}
@@ -772,11 +752,11 @@ def invertible_check(G: GluedModule) -> bool:
 
 
 def _unit_scalar_inverse(ring: PolyRing, u: Poly) -> Poly:
-    lifter = SubmoduleLifter(ring, [{(0, e): c for e, c in u.terms.items()}], 1)
-    cof = lifter.lift({(0, (0,) * ring.nvars): ring.field.one()})
-    if cof is None:
+    O = unit_module(ring)
+    inv = ModuleMap(O, O, [[u]], check=False).lift((ring.one(),))
+    if inv is None:
         raise AlgebraError("overlap scalar is not a unit")
-    return Poly(ring, ring.reduce_terms(cof[0]))
+    return inv[0]
 
 
 def inverse_of(G: GluedModule) -> GluedModule:
@@ -964,29 +944,16 @@ def _roundtrip_exact(A, I, J, IJ, M, rI, rJ, rIJ, n_max) -> RoundtripResult:
     if not a.compose(uI).equals(uIJ) or not b.compose(uJ).equals(uIJ):
         raise AlgebraError("internal: comparison maps do not commute with units")
     P, p1, p2 = pullback(a, b)
-    S, incls, _ = direct_sum([VI, VJ])
-    stacked = [[uI.matrix[i][j] for j in range(M.gens)] for i in range(VI.gens)] + \
-              [[uJ.matrix[i][j] for j in range(M.gens)] for i in range(VJ.gens)]
-    # lift the stacked unit through the pullback inclusion
-    incl_cols = []
-    for k in range(P.gens):
-        col = [A.zero()] * S.gens
-        for i in range(VI.gens):
-            col[i] = p1.matrix[i][k]
-        for i in range(VJ.gens):
-            col[VI.gens + i] = p2.matrix[i][k]
-        incl_cols.append(tuple(col))
-    lifter = SubmoduleLifter(A, [_column_vec(c) for c in incl_cols]
-                             + [_column_vec(c) for c in S.relations], S.gens)
+    # lift the stacked unit M -> VI (+) VJ through the pullback inclusion
+    incl = ModuleMap(P, _block_sum(A, [VI, VJ]), p1.matrix + p2.matrix, check=False)
     matrix = [[A.zero()] * M.gens for _ in range(P.gens)]
     for j in range(M.gens):
-        target_col = tuple(stacked[i][j] for i in range(S.gens))
-        cof = lifter.lift(_column_vec(target_col))
-        if cof is None:
+        col = incl.lift(uI.column(j) + uJ.column(j))
+        if col is None:
             return RoundtripResult(False, "exact",
                                    {"reason": "unit does not factor through the pullback"})
         for k in range(P.gens):
-            matrix[k][j] = Poly(A, A.reduce_terms(cof[k]))
+            matrix[k][j] = col[k]
     phi = ModuleMap(M, P, matrix, check=False)
     ok = is_iso(phi)
     return RoundtripResult(ok, "exact", {"common_stage": N})
@@ -1031,15 +998,12 @@ def _roundtrip_windowed(A, I, J, M, bound) -> RoundtripResult:
     # dimension of the windowed pullback inside Mf (+) Mg
     fg_cols = [tuple(to_fg_from_f.apply(p) for p in c) for c in colsF] + \
               [tuple(to_fg_from_g.apply(p) for p in c) for c in colsG]
-    rows, _ = _coords_rows(Mfg, fg_cols)
-    rk = linalg.rank(rows, A.field) if rows and rows[0] else 0
-    dimW = len(fg_cols) - rk - nullF - nullG
+    dimW = len(fg_cols) - _self_rank(Mfg, fg_cols) - nullF - nullG
 
     # rank and injectivity of the windowed image of M in Mf (+) Mg
-    rowsF, _ = _coords_rows(Mf, [tuple(hf.apply(p) for p in c) for c in colsM])
-    rowsG, _ = _coords_rows(Mg, [tuple(hg.apply(p) for p in c) for c in colsM])
-    joined = [rf + rg for rf, rg in zip(rowsF, rowsG)] if colsM else []
-    rk_img = linalg.rank(joined, A.field) if joined and joined[0] else 0
+    rowsF = Mf.coordinates([tuple(hf.apply(p) for p in c) for c in colsM])
+    rowsG = Mg.coordinates([tuple(hg.apply(p) for p in c) for c in colsM])
+    rk_img = linalg.rank([rf + rg for rf, rg in zip(rowsF, rowsG)], A.field)
     injective = (len(colsM) - rk_img) == nullM
     ok = injective and (rk_img == dimW)
     return RoundtripResult(ok, "windowed",
@@ -1127,12 +1091,7 @@ def _affine_extension_power(G: GluedModule, gen_index: int, n_max: int):
     h1 = ov.f2_image_in_U1
     for k in range(n_max + 1):
         scaled = tuple(p * (h1 ** k) for p in base)
-        reduced = G.m2_overlap.reduce_vec(_column_vec(scaled))
-        cols = [dict() for _ in range(G.m2.gens)]
-        for (pos, e), c in reduced.items():
-            cols[pos][e] = c
-        u2_cols = [Poly(ov.U1, t) for t in cols]
-        images = [ov.to2.apply(p) for p in u2_cols]
+        images = [ov.to2.apply(p) for p in G.m2_overlap.normal_form(scaled)]
         inv_index = ov.U2.variables.index(ov.inv2)
         if all(all(e[inv_index] == 0 for e in p.terms) for p in images):
             a2_cols = []
@@ -1239,9 +1198,7 @@ def _stack_chart_maps(maps, target: PresentedModule) -> ModuleMap:
             for j in range(m.source.gens):
                 matrix[i][off + j] = m.matrix[i][j]
         off += m.source.gens
-    from .fpmod import direct_sum as _ds
-    S, _, _ = _ds([m.source for m in maps])
-    return ModuleMap(S, target, matrix, check=False)
+    return ModuleMap(_block_sum(ring, [m.source for m in maps]), target, matrix, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -1337,15 +1294,10 @@ def doubleorigin2_datum_check(J1: Idal, J2: Idal, p: ModuleMap) -> CheckReport:
     # p surjective
     C, _ = cokernel(p)
     clauses["surjective"] = C.is_zero_module()
-    # kernel of p equals the span of (y, -x)
+    # kernel of p equals the span of (y, -x) in the free module O^2
     K, incl = kernel(p)
-    target_col = (y, -x)
-    in_kernel = prod.carrier.contains_column(p.apply_column(target_col))
-    span_ok = True
-    lifter = SubmoduleLifter(ring, [_column_vec(target_col)], 2)
-    for j in range(K.gens):
-        if not lifter.contains(_column_vec(incl.column(j))):
-            span_ok = False
-            break
+    syzygy = ModuleMap(unit_module(ring), free_module(ring, 2), [[y], [-x]], check=False)
+    in_kernel = prod.carrier.contains_column(p.apply_column(syzygy.column(0)))
+    span_ok = all(syzygy.lift(incl.column(j)) is not None for j in range(K.gens))
     clauses["kernel_generated_by_syzygy"] = bool(in_kernel and span_ok)
     return CheckReport(clauses)

@@ -14,16 +14,13 @@ two-consecutive-isomorphisms rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import AlgebraError, GradingError, LiftError, RingMismatchError
 from .fpmod import (
-    ChainColimitResult,
     HomModule,
     ModuleMap,
     PresentedModule,
-    _column_vec,
-    _module_gb,
     cokernel,
     hom_module,
     is_iso,
@@ -33,7 +30,7 @@ from .fpmod import (
     unit_module,
 )
 from .idal import Idal, idal_product
-from .polyring import Poly, PolyRing, RingHom, SubmoduleLifter
+from .polyring import Poly, PolyRing, RingHom
 
 
 # ---------------------------------------------------------------------------
@@ -126,28 +123,21 @@ class HomChain:
         return self._saturated[(n, budget)]
 
 
-def _submodule_canonical_gb(M: PresentedModule, extra_cols):
-    """Canonical reduced GB of (relations of M + extra columns); the reduced
-    basis is unique, so equality of spans is equality of these lists."""
-    cols = [_column_vec(c) for c in M.relations] + [_column_vec(c) for c in extra_cols]
-    return _module_gb(cols, M.ring, M.gens)
-
-
 def _saturated_kernel(chain: HomChain, n: int, budget: int):
     """Generators of the stable kernel of the forward composites out of
     stage n, or None if the kernel kept growing within the budget."""
     comp = None
-    prev_gb = None
+    prev_key = None
     prev_cols = []
     for k in range(1, budget + 1):
         t = chain.transition(n + k - 1)
         comp = t if comp is None else t.compose(comp)
         K, incl = kernel(comp)
         cols = [incl.column(j) for j in range(K.gens)]
-        gb = _submodule_canonical_gb(comp.source, cols)
-        if prev_gb is not None and gb == prev_gb:
+        key = comp.source.span_key(cols)
+        if prev_key is not None and key == prev_key:
             return prev_cols
-        prev_gb, prev_cols = gb, cols
+        prev_key, prev_cols = key, cols
     return None
 
 
@@ -157,6 +147,20 @@ def _saturated_stage(chain: HomChain, n: int, ker_cols) -> PresentedModule:
     if not ker_cols:
         return base
     return PresentedModule(base.ring, base.gens, list(base.relations) + list(ker_cols), None)
+
+
+@dataclass
+class ChainColimitResult:
+    """What `_scan_hom_chain` read and decided: the stages and transitions up
+    to where it stopped, the colimit value, and which rule fired."""
+
+    stages: list
+    transitions: list
+    value: PresentedModule
+    stabilized_at: int | None
+    truncated: bool
+    saturated: bool = False
+    saturated_transitions: list = field(default_factory=list)
 
 
 def _scan_hom_chain(chain: HomChain, n_max: int) -> ChainColimitResult:
@@ -392,8 +396,7 @@ def idal_comparison_search(I: Idal, J: Idal, n_max: int = 8):
         raise RingMismatchError("comparison of idals over different rings")
     if n_max < 1:
         raise AlgebraError("n_max must be >= 1")
-    ring = I.ring
-    O = unit_module(ring)
+    O = unit_module(I.ring)
     for n in range(1, n_max + 1):
         Jn = J.power_idal(n)
         source = Jn.carrier
@@ -403,17 +406,15 @@ def idal_comparison_search(I: Idal, J: Idal, n_max: int = 8):
             u = H_O.express(Jn.e)
         except LiftError as exc:
             raise LiftError(f"power map not in its own hom module (internal): {exc}")
-        post_cols = []
-        for k in range(H_I.module.gens):
-            post_cols.append(H_O.express(I.e.compose(H_I.generator_map(k))))
-        cols = [_column_vec(c) for c in
-                [tuple(col[r] for r in range(H_O.module.gens)) for col in post_cols]]
-        cols += [_column_vec(c) for c in H_O.module.relations]
-        lifter = SubmoduleLifter(ring, cols, H_O.module.gens)
-        cof = lifter.lift(_column_vec(tuple(u)))
-        if cof is None:
+        # postcomposition with e_I as a map of hom modules H_I -> H_O
+        post_cols = [H_O.express(I.e.compose(H_I.generator_map(k)))
+                     for k in range(H_I.module.gens)]
+        post = ModuleMap(H_I.module, H_O.module,
+                         [[col[r] for col in post_cols] for r in range(H_O.module.gens)],
+                         check=False)
+        coeffs = post.lift(u)
+        if coeffs is None:
             continue
-        coeffs = [Poly(ring, ring.reduce_terms(cof[k])) for k in range(H_I.module.gens)]
         lift_map = H_I.interpret(coeffs)
         from .idal import IdalMorphism
         morphism = IdalMorphism(Jn, I, lift_map)

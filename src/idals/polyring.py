@@ -91,13 +91,16 @@ class BaseField:
         text = text.strip()
         m = re.fullmatch(r"\(\s*(-?\d+)\s+mod\s+(\d+)\s*\)", text)
         if m:
-            if not self.p or int(m.group(2)) != self.p:
+            if not self.p or _int_literal(m.group(2)) != self.p:
                 raise AlgebraError(f"coefficient {text!r} does not match field {self}")
-            return int(m.group(1)) % self.p
+            return _int_literal(m.group(1)) % self.p
         if "/" in text:
             num, den = text.split("/")
-            return self.of(Fraction(int(num), int(den)))
-        return self.of(int(text))
+            den = _int_literal(den)
+            if not den:
+                raise AlgebraError(f"coefficient {text!r} divides by zero")
+            return self.of(Fraction(_int_literal(num), den))
+        return self.of(_int_literal(text))
 
     def coeff_str(self, c) -> str:
         if self.p:
@@ -124,6 +127,18 @@ class BaseField:
 
 
 QQ = BaseField(0)
+
+
+def _int_literal(text: str) -> int:
+    """int(text), raising AlgebraError where int() refuses the literal: a
+    malformed one, or one of more digits than Python converts to an int
+    (4300 unless `sys.set_int_max_str_digits` says otherwise)."""
+    try:
+        return int(text)
+    except ValueError:
+        shown = text if len(text) <= 24 else f"{text[:12]}...{text[-12:]}"
+        raise AlgebraError(f"cannot read integer literal {shown!r} "
+                           f"({len(text)} characters)") from None
 
 
 def GF(p: int) -> BaseField:
@@ -555,8 +570,10 @@ def _parse_poly(text: str, ring: PolyRing) -> dict:
                 den = advance()
                 if den is None or not den.isdigit():
                     raise AlgebraError("division only by integer literals")
-                node = node.scale(ring.field.of(Fraction(1, int(den))) if ring.field.is_rational
-                                  else ring.field.inv(int(den) % ring.field.p))
+                d = ring.field.of(_int_literal(den))
+                if not d:
+                    raise AlgebraError(f"division by {den}, which is zero in {ring.field}")
+                node = node.scale(ring.field.inv(d))
             else:
                 return node
 
@@ -590,9 +607,9 @@ def _parse_poly(text: str, ring: PolyRing) -> dict:
             # either a parenthesized expression or the `(k mod p)` form
             if (tokens[idx[0]] is not None and tokens[idx[0]].lstrip("-").isdigit()
                     and tokens[idx[0] + 1] == "mod"):
-                k = int(advance())
+                k = _int_literal(advance())
                 advance()
-                p = int(advance())
+                p = _int_literal(advance())
                 if advance() != ")":
                     raise AlgebraError("unclosed (k mod p) coefficient")
                 if not ring.field.p or ring.field.p != p:
@@ -605,7 +622,7 @@ def _parse_poly(text: str, ring: PolyRing) -> dict:
         if tok is None:
             raise AlgebraError("unexpected end of polynomial")
         if tok.isdigit():
-            return ring.constant(int(tok))
+            return ring.constant(_int_literal(tok))
         if tok in ring._var_index:
             return ring.var(tok)
         raise VariableMismatchError(f"unknown symbol {tok!r} for ring {ring!r}")

@@ -195,6 +195,13 @@ def test_large_exponent_exits_one(capsys):
         assert "exponent" in report["result"]["message"]
 
 
+def test_long_integer_literal_exits_one(capsys):
+    long = "9" * 5000
+    for arg in (f"{long}*x", f"x/{'7' * 5000}", "x/0"):
+        code, report = invoke(capsys, "localize", arg, "O", "--preset", "double-origin-line")
+        assert code == 1 and report["result"]["error"] == "AlgebraError"
+
+
 def test_flag_out_of_range(capsys):
     code, report = invoke(capsys, "believes", "I", "O", "--n-max", "0",
                           "--preset", "double-origin-line")
@@ -263,3 +270,98 @@ def test_sections_selfglue_skyscraper(capsys):
                           "--preset", "double-origin-line")
     assert code == 0
     assert report["result"]["module"]["gens"] == 2
+
+
+# ---------------------------------------------------------------------------
+# certificates re-verified without the code that produced them: sympy for
+# the algebra, the preset file for the inputs
+
+
+def _sympy():
+    return pytest.importorskip("sympy")
+
+
+def _dol_generators(name):
+    """Ideal generators of a double-origin-line idal, read from the preset;
+    idal_from_ideal keeps them as the entries of the idal map."""
+    return load_preset("double-origin-line")["idals"][name]["ideal_generators"]
+
+
+def _sym(text):
+    sp = _sympy()
+    return sp.expand(sp.sympify(text.replace("^", "**"), locals={"x": sp.Symbol("x")}))
+
+
+def test_cover_certificate_sums_to_one(capsys):
+    code, report = invoke(capsys, "cover-check", "I", "J", "--preset", "double-origin-line")
+    assert code == 0
+    coeffs = report["certificates"]["one_as_combination"]
+    gens = _dol_generators("I") + _dol_generators("J")
+    assert len(coeffs) == len(gens)
+    assert _sym(" + ".join(f"({c})*({g})" for c, g in zip(coeffs, gens))) == 1
+
+
+def test_non_cover_certificate_is_the_reduced_basis(capsys):
+    sp = _sympy()
+    code, report = invoke(capsys, "cover-check", "I", "I", "--preset", "double-origin-line")
+    assert code == 2
+    basis = [_sym(g) for g in report["certificates"]["reduced_basis"]]
+    x = sp.Symbol("x")
+    expected = sp.groebner([_sym(g) for g in _dol_generators("I") * 2], x, order="grevlex")
+    assert basis == list(expected.exprs)
+    assert basis != [1]
+
+
+def test_idal_failure_witness_is_left_minus_right(capsys):
+    code, report = invoke(capsys, "check-idal", "e10", "--preset", "double-origin-line")
+    assert code == 2
+    witness = report["certificates"]["witness"]
+    preset = load_preset("double-origin-line")
+    e = preset["maps"]["e10"]["matrix"][0]
+    carrier = preset["modules"][preset["maps"]["e10"]["source"]]
+    assert carrier["relations"] == []        # nonzero means nonzero modulo the carrier
+    i, j = (k - 1 for k in witness["generator_pair"])
+    # e (x) I sends generator (i, j) to e_i g_j, I (x) e sends it to e_j g_i
+    left = [_sym(e[i]) if r == j else 0 for r in range(len(e))]
+    right = [_sym(e[j]) if r == i else 0 for r in range(len(e))]
+    difference = [_sym(p) for p in witness["difference"]]
+    assert difference == [a - b for a, b in zip(left, right)]
+    assert any(p != 0 for p in difference)
+
+
+def test_believes_certificate_generator_is_not_in_the_image(capsys):
+    sp = _sympy()
+    from idals import canonical_to_hom
+
+    code, report = invoke(capsys, "believes", "I", "O", "--preset", "double-origin-line")
+    assert code == 2
+    failure = report["certificates"]["iso_failure"]
+    assert failure["kind"] == "cokernel_generator"
+    ws = Workspace()
+    ws.load(load_preset("double-origin-line"))
+    c = canonical_to_hom(ws.idal("I"), ws.module("O"))
+    assert c.target.gens == 1                 # membership is ideal membership
+    image = [_sym(str(p)) for p in c.matrix[0]] + [_sym(str(r[0])) for r in c.target.relations]
+    x = sp.Symbol("x")
+    assert failure["index"] == 0
+    assert not sp.groebner(image, x, order="grevlex").contains(sp.Integer(1))
+
+
+@pytest.mark.parametrize("names,power", [(("I", "Isq"), 1), (("Isq", "I"), 2)])
+def test_comparison_lift_makes_the_triangle_commute(capsys, names, power):
+    import itertools
+
+    code, report = invoke(capsys, "compare-idals", *names, "--n-max", "2",
+                          "--preset", "double-origin-line")
+    assert code == 0 and report["result"]["power"] == power
+    lift = [[_sym(p) for p in row] for row in report["result"]["lift"]["matrix"]]
+    e_target = [_sym(g) for g in _dol_generators(names[0])]
+    e_source = [_sym(g) for g in _dol_generators(names[1])]
+    # the idal map of J^{(x)n} sends generator (i_1, ..., i_n), row-major, to
+    # the product of the e_J entries
+    e_power = [_sym(" * ".join(f"({e_source[i]})" for i in idx))
+               for idx in itertools.product(range(len(e_source)), repeat=power)]
+    assert len(lift) == len(e_target) and all(len(row) == len(e_power) for row in lift)
+    for j, expected in enumerate(e_power):
+        assert _sym(" + ".join(f"({e_target[k]})*({lift[k][j]})"
+                               for k in range(len(e_target)))) == expected

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from idals import (
+    GF,
     QQ,
     ModuleMap,
     PolyRing,
@@ -25,7 +26,9 @@ from idals import (
     zero_module,
 )
 from idals.errors import GradingError, LiftError, UngradedError, WellDefinednessError
-from idals.fpmod import tensor_permutation
+from idals import linalg
+from idals.fpmod import _column_vec, _vec_column, tensor_permutation
+from idals.polyring import Poly, SubmoduleLifter, _module_gb
 
 from conftest import random_homogeneous_module, random_module, random_poly
 
@@ -286,3 +289,205 @@ class TestWellDefinedness:
         a = ModuleMap(k, k, [["1"]])
         b = ModuleMap(k, k, [["x+1"]])
         assert a.equals(b)
+
+
+# ---------------------------------------------------------------------------
+# lifts, normal forms, coordinates and span keys against the engine
+
+
+def _engine_lift(phi, col):
+    """The lift as the callers of `ModuleMap.lift` used to build it: a tracked
+    basis of the map columns followed by the target relations."""
+    ring = phi.ring
+    cols = [_column_vec(c) for c in phi.columns()] + \
+           [_column_vec(c) for c in phi.target.relations]
+    cof = SubmoduleLifter(ring, cols, phi.target.gens).lift(_column_vec(col))
+    if cof is None:
+        return None
+    return tuple(Poly(ring, ring.reduce_terms(cof[j])) for j in range(phi.source.gens))
+
+
+def _engine_remainder(M, col):
+    """The remainder of col by a tracked basis of M's relations; normal forms
+    are unique, so it is the normal form whichever basis reduces it."""
+    lifter = SubmoduleLifter(M.ring, [_column_vec(c) for c in M.relations], M.gens)
+    rem, _ = lifter.reduce(_column_vec(col))
+    return rem
+
+
+def _random_column(ring, rng, gens, deg=2):
+    return tuple(random_poly(ring, rng, deg) for _ in range(gens))
+
+
+def _homogeneous_column(ring, rng, shifts, d):
+    """A random homogeneous column of degree d over generators of `shifts`."""
+    from idals.polyring import monomials_of_degree
+
+    col = []
+    for a in shifts:
+        p = ring.zero()
+        for m in monomials_of_degree(ring, d - a):
+            c = rng.choice([0, 1, -1, 2])
+            if c:
+                p = p + ring.monomial(m, c)
+        col.append(p)
+    return tuple(col)
+
+
+def _image_column(phi, rng):
+    """phi of a random source column plus a random multiple of each target
+    relation: a column in the image modulo the target relations."""
+    ring = phi.ring
+    col = phi.apply_column(_random_column(ring, rng, phi.source.gens, 1))
+    for rel in phi.target.relations:
+        c = random_poly(ring, rng, 1)
+        col = tuple(a + c * b for a, b in zip(col, rel))
+    return col
+
+
+LIFT_RINGS = {
+    "QQ": PolyRing(QQ, ["x", "y"]),
+    "GF7": PolyRing(GF(7), ["x", "y"]),
+    "quotient": PolyRing(QQ, ["x", "y"], quotient=["x^2 - y^3"]),
+    "graded-quotient": PolyRing(QQ, ["x", "y"], quotient=["x*y"]),
+}
+
+
+def _seeded_map(ring, rng, graded):
+    """A map from a free module (of rank 0 to 3) to a random module."""
+    if graded:
+        N = random_homogeneous_module(ring, rng)
+        k = rng.randint(0, 3)
+        degrees = [rng.randint(1, 2) for _ in range(k)]
+        cols = [_homogeneous_column(ring, rng, N.grading, d) for d in degrees]
+        src = free_module(ring, k, degrees)
+    else:
+        N = random_module(ring, rng)
+        k = rng.randint(0, 3)
+        cols = [_random_column(ring, rng, N.gens) for _ in range(k)]
+        src = free_module(ring, k)
+    matrix = [[cols[j][i] for j in range(k)] for i in range(N.gens)]
+    return ModuleMap(src, N, matrix, check=False)
+
+
+class TestLiftNormalForm:
+    # x^2 - y^3 is not homogeneous, so that ring has no graded case
+    @pytest.mark.parametrize("ring_name,graded", [
+        (name, graded) for name in sorted(LIFT_RINGS) for graded in (False, True)
+        if not (graded and name == "quotient")])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lift_matches_engine(self, ring_name, graded, seed):
+        ring = LIFT_RINGS[ring_name]
+        rng = random.Random(1000 * seed + len(ring_name))
+        phi = _seeded_map(ring, rng, graded)
+        assert phi.is_homogeneous() or not graded
+        cols = [_image_column(phi, rng) for _ in range(3)]
+        cols += [_random_column(ring, rng, phi.target.gens) for _ in range(3)]
+        for col in cols:
+            got = phi.lift(col)
+            assert got == _engine_lift(phi, col)
+            if got is not None:
+                back = phi.apply_column(got)
+                assert phi.target.contains_column(tuple(a - b for a, b in zip(back, col)))
+        for col in cols[:3]:
+            assert phi.lift(col) is not None
+
+    @pytest.mark.parametrize("ring_name", sorted(LIFT_RINGS))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kernel_inclusion_lifts(self, ring_name, seed):
+        # a source with relations: the inclusion of a kernel
+        ring = LIFT_RINGS[ring_name]
+        rng = random.Random(seed)
+        K, incl = kernel(_seeded_map(ring, rng, False))
+        for _ in range(3):
+            col = _image_column(incl, rng)
+            got = incl.lift(col)
+            assert got is not None and got == _engine_lift(incl, col)
+            back = incl.apply_column(got)
+            assert incl.target.contains_column(tuple(a - b for a, b in zip(back, col)))
+
+    def test_zero_generator_source(self, R2):
+        N = PresentedModule(R2, 2, [("x", "y")])
+        phi = ModuleMap(zero_module(R2), N, [[], []], check=False)
+        assert phi.lift((R2.poly("x*y"), R2.poly("y^2"))) == ()
+        assert phi.lift((R2.zero(), R2.zero())) == ()
+        assert phi.lift((R2.one(), R2.zero())) is None
+        assert _engine_lift(phi, (R2.one(), R2.zero())) is None
+
+    def test_column_outside_the_image(self, R2):
+        phi = ModuleMap(free_module(R2, 1), unit_module(R2), [["x"]])
+        assert phi.lift((R2.poly("x*y + x"),)) == (R2.poly("y + 1"),)
+        for text in ("1", "y", "x + y"):
+            assert phi.lift((R2.poly(text),)) is None
+            assert _engine_lift(phi, (R2.poly(text),)) is None
+
+    def test_iso_inverse_through_lift(self, R2):
+        phi = ModuleMap(free_module(R2, 2), free_module(R2, 2), [["1", "x"], ["0", "1"]])
+        psi = invert_iso(phi)
+        assert phi.compose(psi).equals(ModuleMap.identity(phi.target))
+        assert [[str(p) for p in row] for row in psi.matrix] == [["1", "-x"], ["0", "1"]]
+
+    @pytest.mark.parametrize("ring_name", sorted(LIFT_RINGS))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_normal_form_matches_engine(self, ring_name, seed):
+        ring = LIFT_RINGS[ring_name]
+        rng = random.Random(seed + 77)
+        M = random_module(ring, rng, gens_max=3, cols_max=3)
+        cols = [_random_column(ring, rng, M.gens, 3) for _ in range(4)]
+        for col in cols:
+            nf = M.normal_form(col)
+            assert nf == _vec_column(ring, M.gens, M.reduce_vec(_column_vec(col)))
+            assert _column_vec(nf) == _engine_remainder(M, col)
+            assert all(p == ring.poly(p) for p in nf)      # in the ring's normal form
+            assert M.contains_column(tuple(a - b for a, b in zip(col, nf)))
+            assert M.normal_form(nf) == nf
+            for rel in M.relations:
+                shifted = tuple(a + ring.poly("x - y") * b for a, b in zip(col, rel))
+                assert M.normal_form(shifted) == nf
+
+    @pytest.mark.parametrize("ring_name", sorted(LIFT_RINGS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_coordinates_match_engine(self, ring_name, seed):
+        ring = LIFT_RINGS[ring_name]
+        rng = random.Random(seed + 555)
+        M = random_module(ring, rng, gens_max=3, cols_max=3)
+        cols = [_random_column(ring, rng, M.gens, 2) for _ in range(5)]
+        remainders = [_engine_remainder(M, c) for c in cols]
+        support = sorted({k for r in remainders for k in r})
+        zero = ring.field.zero()
+        expected = [[r.get(k, zero) for k in support] for r in remainders]
+        assert M.coordinates(cols) == expected
+        assert M.coordinates([]) == []
+
+    def test_coordinates_rank_counts_independent_columns(self, R1):
+        M = PresentedModule(R1, 1, [("x^2",)])
+        cols = [(R1.poly(t),) for t in ("1", "x", "x + 1", "x^2", "x^3 + 2")]
+        rows = M.coordinates(cols)
+        assert len(rows) == 5 and all(len(r) == 2 for r in rows)
+        assert linalg.rank(rows, R1.field) == 2
+
+    @pytest.mark.parametrize("ring_name", sorted(LIFT_RINGS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_span_key_matches_engine(self, ring_name, seed):
+        ring = LIFT_RINGS[ring_name]
+        rng = random.Random(seed + 31)
+        M = random_module(ring, rng, gens_max=2, cols_max=2)
+        extra = [_random_column(ring, rng, M.gens) for _ in range(2)]
+        rel_vecs = [_column_vec(c) for c in M.relations]
+        assert M.span_key(extra) == _module_gb(
+            rel_vecs + [_column_vec(c) for c in extra], ring, M.gens)
+        assert M.span_key([]) == _module_gb(rel_vecs, ring, M.gens)
+        # adding a combination of what is already there keeps the span
+        combo = tuple(ring.poly("y") * a - b for a, b in zip(extra[0], extra[1]))
+        assert M.span_key(extra + [combo]) == M.span_key(extra)
+        assert M.span_key(list(reversed(extra))) == M.span_key(extra)
+
+    def test_span_key_separates_spans(self, R2):
+        M = PresentedModule(R2, 1, [("x^2",)])
+
+        def key(*texts):
+            return M.span_key([(R2.poly(t),) for t in texts])
+
+        assert key("x") != key()
+        assert key("x^3") == key("x^2 + x^4") == key()
+        assert key("x", "y") == key("x + y", "y")

@@ -1,0 +1,54 @@
+"""Only polyring and fpmod know the raw-vector format `{(pos, exps): coeff}`:
+the layers above them lift, reduce and compare columns through
+`ModuleMap.lift` and `PresentedModule.normal_form` / `coordinates` /
+`span_key`, never through the engine's helpers."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "idals"
+
+UPPER_LAYERS = ("idal", "localize", "glued", "cli")
+
+ENGINE_NAMES = {"_column_vec", "_vec_column", "_module_gb", "_syzygy_vecs",
+                "_vec_reduce", "_prepare", "SubmoduleLifter"}
+
+
+def engine_uses(path):
+    """(line, what) for every import or reference of an engine helper and
+    every `.reduce_vec(...)` call in the file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, f"imports {a.name}") for a in node.names
+                      if a.name in ENGINE_NAMES]
+        elif isinstance(node, ast.Name) and node.id in ENGINE_NAMES:
+            found.append((node.lineno, f"uses {node.id}"))
+        elif isinstance(node, ast.Attribute) and node.attr in ENGINE_NAMES:
+            found.append((node.lineno, f"uses .{node.attr}"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "reduce_vec"):
+            found.append((node.lineno, "calls .reduce_vec("))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("layer", UPPER_LAYERS)
+def test_layer_does_not_touch_the_raw_vector_engine(layer):
+    path = SRC / f"{layer}.py"
+    assert engine_uses(path) == [], f"{path.name} reaches into the Groebner engine"
+
+
+def test_guard_sees_what_it_forbids(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from .fpmod import _column_vec\n"
+        "from . import polyring\n"
+        "def f(M, c):\n"
+        "    polyring.SubmoduleLifter(M.ring, [], 1)\n"
+        "    return M.reduce_vec(c)\n")
+    assert [what for _, what in engine_uses(sample)] == [
+        "imports _column_vec", "uses .SubmoduleLifter", "calls .reduce_vec("]
+    assert engine_uses(SRC / "fpmod.py")       # the engine's own layer is exempt

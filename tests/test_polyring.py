@@ -277,6 +277,36 @@ def test_parser_exponent_is_bounded(R1):
             R1.poly(text)
 
 
+def test_parser_long_integer_literals_are_algebra_errors(R1):
+    # int() refuses decimal literals of over 4300 digits
+    long = "9" * 5000
+    F5 = PolyRing(GF(5), ["x"])
+    for ring, text in ((R1, f"{long}*x"), (R1, f"x/{long}"), (R1, f"x + {long}"),
+                       (F5, f"({long} mod 5)*x"), (F5, f"(2 mod {long})")):
+        with pytest.raises(AlgebraError, match="integer literal"):
+            ring.poly(text)
+    assert R1.poly("9" * 4000 + "*x") == R1.var("x").scale(QQ.of(int("9" * 4000)))
+
+
+def test_parser_rejects_division_by_zero(R1):
+    F5 = PolyRing(GF(5), ["x"])
+    for ring, text in ((R1, "x/0"), (R1, "x/000"), (F5, "x/5"), (F5, "x/10")):
+        with pytest.raises(AlgebraError, match="division"):
+            ring.poly(text)
+    assert F5.poly("x/3") == F5.poly("2*x")
+
+
+def test_parse_coeff_long_literals_are_algebra_errors():
+    long = "7" * 5000
+    for field, text in ((QQ, long), (QQ, f"1/{long}"), (QQ, f"{long}/3"),
+                        (GF(5), f"({long} mod 5)"), (GF(5), f"(1 mod {long})")):
+        with pytest.raises(AlgebraError, match="integer literal"):
+            field.parse_coeff(text)
+    with pytest.raises(AlgebraError, match="divides by zero"):
+        QQ.parse_coeff("1/0")
+    assert QQ.parse_coeff("2/4") == QQ.of("1/2")
+
+
 class TestNoDivisors:
     """Cofactor tracking when nothing is tracked: zero lifts to no cofactors,
     anything else is its own remainder."""
