@@ -187,14 +187,11 @@ class Workspace:
         if scheme.kind == "selfglue":
             if not isinstance(tau, dict):
                 raise WorkspaceError("selfglue glued modules take a staged tau object")
-            from .fpmod import tensor
             J = scheme.idal
             try:
                 fwd_stage, bwd_stage = int(tau["fwd_stage"]), int(tau["bwd_stage"])
-                fwd_src = tensor(J.carrier_power(fwd_stage), m1)
-                bwd_src = tensor(J.carrier_power(bwd_stage), m2)
-                fwd = ModuleMap(fwd_src, m2, tau["fwd"], check=True)
-                bwd = ModuleMap(bwd_src, m1, tau["bwd"], check=True)
+                fwd = ModuleMap(J.stage_source(fwd_stage, m1), m2, tau["fwd"], check=True)
+                bwd = ModuleMap(J.stage_source(bwd_stage, m2), m1, tau["bwd"], check=True)
             except (KeyError, TypeError, ValueError) as exc:
                 raise WorkspaceError(f"bad staged tau: {exc}") from exc
             return GluedModule(scheme, m1, m2, SelfGlueTau(fwd_stage, fwd, bwd_stage, bwd))

@@ -12,6 +12,8 @@ relation columns stay homogeneous.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import (
     AlgebraError,
     GradingError,
@@ -96,10 +98,6 @@ class PresentedModule:
     def _homogeneous_for(self, grading) -> bool:
         return all(column_degree(self.ring, col, grading) is not None
                    for col in self.relations)
-
-    @property
-    def is_graded(self) -> bool:
-        return self.grading is not None
 
     def rel_gb(self):
         if self._rel_gb is None:
@@ -312,9 +310,7 @@ class ModuleMap:
 
     @staticmethod
     def identity(M: PresentedModule) -> "ModuleMap":
-        one, zero = M.ring.one(), M.ring.zero()
-        return ModuleMap(M, M, [[one if i == j else zero for j in range(M.gens)]
-                                for i in range(M.gens)], check=False)
+        return ModuleMap(M, M, _identity_matrix(M.ring, M.gens), check=False)
 
     @staticmethod
     def zero(source: PresentedModule, target: PresentedModule) -> "ModuleMap":
@@ -471,19 +467,40 @@ def tensor(M: PresentedModule, N: PresentedModule) -> PresentedModule:
     return PresentedModule(ring, g, rels, grading)
 
 
+def _identity_matrix(ring: PolyRing, n: int):
+    one, zero = ring.one(), ring.zero()
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def _kron(ring: PolyRing, a, b):
+    """Kronecker product of two Poly matrices: entry
+    (i1 * rows(b) + i2, j1 * cols(b) + j2) is a[i1][j1] * b[i2][j2].
+
+    Zero entries are skipped and unit entries are taken as the other
+    factor, so a product with an identity or a 0/1 matrix multiplies nothing.
+    """
+    zero, one = ring.zero(), ring.one().terms
+    cb = len(b[0]) if b else 0
+    b_one = [[y.terms == one for y in row] for row in b]
+    out = []
+    for arow in a:
+        for brow, brow_one in zip(b, b_one):
+            row = [zero] * (len(arow) * cb)
+            for j1, x in enumerate(arow):
+                if not x.terms:
+                    continue
+                x_one, base = x.terms == one, j1 * cb
+                for j2, y in enumerate(brow):
+                    if y.terms:
+                        row[base + j2] = y if x_one else (x if brow_one[j2] else x * y)
+            out.append(row)
+    return out
+
+
 def tensor_map(phi: ModuleMap, psi: ModuleMap) -> ModuleMap:
     """Kronecker product acting on the row-major tensor generators."""
-    src = tensor(phi.source, psi.source)
-    tgt = tensor(phi.target, psi.target)
-    rows = []
-    for i1 in range(phi.target.gens):
-        for i2 in range(psi.target.gens):
-            row = []
-            for j1 in range(phi.source.gens):
-                for j2 in range(psi.source.gens):
-                    row.append(phi.matrix[i1][j1] * psi.matrix[i2][j2])
-            rows.append(row)
-    return ModuleMap(src, tgt, rows, check=False)
+    return ModuleMap(tensor(phi.source, psi.source), tensor(phi.target, psi.target),
+                     _kron(phi.ring, phi.matrix, psi.matrix), check=False)
 
 
 def tensor_power(M: PresentedModule, n: int) -> PresentedModule:
@@ -526,7 +543,6 @@ def tensor_permutation(factors, perm) -> ModuleMap:
             out = out * d + i
         return out
 
-    import itertools
     zero, one = ring.zero(), ring.one()
     matrix = [[zero] * src.gens for _ in range(tgt.gens)]
     for idx in itertools.product(*[range(d) for d in dims]):

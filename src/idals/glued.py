@@ -30,6 +30,8 @@ from .fpmod import (
     ModuleMap,
     PresentedModule,
     _block_sum,
+    _identity_matrix,
+    _kron,
     column_degree,
     cokernel,
     direct_sum,
@@ -40,8 +42,10 @@ from .fpmod import (
     invert_iso,
     kernel,
     pullback,
+    symtrivial_check,
     tensor,
     tensor_map,
+    tensor_permutation,
     unit_module,
 )
 from .idal import Idal, cover_check, idal_product
@@ -55,15 +59,6 @@ from .localize import (
     reflect,
 )
 from .polyring import Poly, PolyRing, QQ, RingHom, monomials_of_degree
-
-
-def _rebind(m: ModuleMap, source: PresentedModule, target: PresentedModule) -> ModuleMap:
-    """Reinterpret a matrix between equal-generator presentations; used where
-    strict associativity/flattening makes presentations agree up to relation
-    order."""
-    if len(m.matrix) != target.gens or (m.matrix and len(m.matrix[0]) != source.gens):
-        raise AlgebraError("rebind shape mismatch")
-    return ModuleMap(source, target, m.matrix, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -227,21 +222,11 @@ class GluedModule:
         t = self.tau
         a, b = t.fwd_stage, t.bwd_stage
         # bwd . (J^b (x) fwd) must equal the collapse J^{a+b} (x) m1 -> m1
-        left = t.bwd.compose(_rebind(
-            tensor_map(ModuleMap.identity(J.carrier_power(b)), t.fwd),
-            tensor(J.carrier_power(a + b), self.m1), t.bwd.source))
-        collapse1 = _rebind(
-            tensor_map(J.power_transition(a + b, 0), ModuleMap.identity(self.m1)),
-            left.source, self.m1)
-        if not left.equals(collapse1):
+        left = J.then(t.bwd, b, t.fwd, a, self.m1)
+        if not left.equals(J.collapse(self.m1, a + b, 0)):
             raise TauNotInvertibleError("selfglue overlap elements are not mutually inverse")
-        right = t.fwd.compose(_rebind(
-            tensor_map(ModuleMap.identity(J.carrier_power(a)), t.bwd),
-            tensor(J.carrier_power(a + b), self.m2), t.fwd.source))
-        collapse2 = _rebind(
-            tensor_map(J.power_transition(a + b, 0), ModuleMap.identity(self.m2)),
-            right.source, self.m2)
-        if not right.equals(collapse2):
+        right = J.then(t.fwd, a, t.bwd, b, self.m2)
+        if not right.equals(J.collapse(self.m2, a + b, 0)):
             raise TauNotInvertibleError("selfglue overlap elements are not mutually inverse")
 
     def serialize(self):
@@ -273,9 +258,9 @@ def o_glued(scheme: TwoChartScheme) -> GluedModule:
         one = [["1"]]
         return GluedModule(scheme, O1, O2, one, one)
     J = scheme.idal
-    fwd = _rebind(tensor_map(J.power_transition(0, 0), ModuleMap.identity(O1)),
-                  tensor(J.carrier_power(0), O1), O2)
-    bwd = _rebind(fwd, tensor(J.carrier_power(0), O2), O1)
+    one = [[scheme.chart1.one()]]
+    fwd = ModuleMap(J.stage_source(0, O1), O2, one, check=False)
+    bwd = ModuleMap(J.stage_source(0, O2), O1, one, check=False)
     return GluedModule(scheme, O1, O2, SelfGlueTau(0, fwd, 0, bwd))
 
 
@@ -303,14 +288,8 @@ class GluedMap:
         J = G.scheme.idal
         a, b = G.tau.fwd_stage, H.tau.fwd_stage
         N = max(a, b)
-        lhs = self.c2.compose(G.tau.fwd).compose(_rebind(
-            tensor_map(J.power_transition(N, a), ModuleMap.identity(G.m1)),
-            tensor(J.carrier_power(N), G.m1), G.tau.fwd.source))
-        inner = _rebind(tensor_map(ModuleMap.identity(J.carrier_power(b)), self.c1),
-                        tensor(J.carrier_power(b), G.m1), H.tau.fwd.source)
-        rhs = H.tau.fwd.compose(inner).compose(_rebind(
-            tensor_map(J.power_transition(N, b), ModuleMap.identity(G.m1)),
-            tensor(J.carrier_power(N), G.m1), inner.source))
+        lhs = J.restage(self.c2.compose(G.tau.fwd), G.m1, a, N)
+        rhs = J.restage(J.then(H.tau.fwd, b, self.c1, 0, G.m1), G.m1, b, N)
         return lhs.equals(rhs)
 
     def compose(self, other: "GluedMap") -> "GluedMap":
@@ -373,17 +352,14 @@ def direct_sum_glued(summands):
 def _blockdiag_selfglue(scheme, sources, targets, staged_maps, N, S_src, S_tgt) -> ModuleMap:
     """Block diagonal of Deligne elements, each pushed to the common stage N."""
     J = scheme.idal
-    ring = scheme.chart1
-    src = tensor(J.carrier_power(N), S_src)
-    zero = ring.zero()
+    src = J.stage_source(N, S_src)
+    zero = scheme.chart1.zero()
     matrix = [[zero] * src.gens for _ in range(S_tgt.gens)]
     gN = J.carrier_power(N).gens
     src_off = 0
     tgt_off = 0
     for (stage, m), piece_src, piece_tgt in zip(staged_maps, sources, targets):
-        pushed = m.compose(_rebind(
-            tensor_map(J.power_transition(N, stage), ModuleMap.identity(piece_src)),
-            tensor(J.carrier_power(N), piece_src), m.source))
+        pushed = J.restage(m, piece_src, stage, N)
         for r in range(piece_tgt.gens):
             for t in range(gN):
                 for j in range(piece_src.gens):
@@ -408,31 +384,27 @@ def tensor_glued(G: GluedModule, H: GluedModule) -> GluedModule:
         tau = tensor_map(G.tau, H.tau)
         tau_inv = tensor_map(G.tau_inv, H.tau_inv)
         return GluedModule(scheme, T1, T2, tau.matrix, tau_inv.matrix, validate=False)
-    J = scheme.idal
-    fwd = _selfglue_tensor_element(scheme, G.tau.fwd_stage, G.tau.fwd, G.m1, G.m2,
-                                   H.tau.fwd_stage, H.tau.fwd, H.m1, H.m2)
-    bwd = _selfglue_tensor_element(scheme, G.tau.bwd_stage, G.tau.bwd, G.m2, G.m1,
-                                   H.tau.bwd_stage, H.tau.bwd, H.m2, H.m1)
+    fwd = _selfglue_tensor_element(scheme, G.tau.fwd_stage, G.tau.fwd, G.m1,
+                                   H.tau.fwd_stage, H.tau.fwd, H.m1, T1, T2)
+    bwd = _selfglue_tensor_element(scheme, G.tau.bwd_stage, G.tau.bwd, G.m2,
+                                   H.tau.bwd_stage, H.tau.bwd, H.m2, T2, T1)
     return GluedModule(scheme, T1, T2,
                        SelfGlueTau(G.tau.fwd_stage + H.tau.fwd_stage, fwd,
                                    G.tau.bwd_stage + H.tau.bwd_stage, bwd),
                        validate=False)
 
 
-def _selfglue_tensor_element(scheme, a, fwd_a, Ma, Na, b, fwd_b, Mb, Nb) -> ModuleMap:
-    """J^{a+b} (x) (Ma (x) Mb) -> Na (x) Nb from elements at stages a and b."""
-    from .fpmod import tensor_permutation
-
+def _selfglue_tensor_element(scheme, a, fwd_a, Ma, b, fwd_b, Mb, MaMb, NaNb) -> ModuleMap:
+    """J^{a+b} (x) MaMb -> NaNb from elements fwd_a : J^a (x) Ma -> Na and
+    fwd_b : J^b (x) Mb -> Nb, where MaMb = Ma (x) Mb and NaNb = Na (x) Nb."""
     J = scheme.idal
     factors = [J.carrier] * (a + b) + [Ma, Mb]
     perm = list(range(a)) + [a + b] + list(range(a, a + b)) + [a + b + 1]
     shuffle = tensor_permutation(factors, perm)
     paired = tensor_map(fwd_a, fwd_b)
-    src = tensor(J.carrier_power(a + b), tensor(Ma, Mb))
-    mid_src = tensor(fwd_a.source, fwd_b.source)
-    composite = _rebind(paired, mid_src, tensor(Na, Nb)).compose(
-        _rebind(shuffle, src, mid_src))
-    return composite
+    paired = ModuleMap(paired.source, NaNb, paired.matrix, check=False)
+    return paired.compose(ModuleMap(J.stage_source(a + b, MaMb), paired.source,
+                                    shuffle.matrix, check=False))
 
 
 def hom_glued(G: GluedModule, H: GluedModule, n_max: int = 8) -> GluedModule:
@@ -509,17 +481,14 @@ def _conjugate_hom_element(J: Idal, hom_src, hom_tgt, A: PresentedModule,
     post . (id (x) (h . pre)) at t, where pre : J^p (x) A -> B and
     post : J^q (x) C -> D."""
     c = p + q
-    ring = A.ring
-    src = tensor(J.carrier_power(c), hom_src.module)
-    zero = ring.zero()
+    src = J.stage_source(c, hom_src.module)
+    zero = A.ring.zero()
     matrix = [[zero] * src.gens for _ in range(hom_tgt.module.gens)]
     gC = J.carrier_power(c).gens
     for k in range(hom_src.module.gens):
         h = hom_src.generator_map(k)
         step = h.compose(pre)         # J^p (x) A -> C
-        inner = tensor_map(ModuleMap.identity(J.carrier_power(q)), step)
-        lifted = post.compose(_rebind(inner, inner.source, post.source))
-        full = _rebind(lifted, tensor(J.carrier_power(c), A), lifted.target)
+        full = J.then(post, q, step, p, A)
         for t in range(gC):
             sub = [[full.matrix[r][t * A.gens + j] for j in range(A.gens)]
                    for r in range(D.gens)]
@@ -669,13 +638,10 @@ def induced_on_reflections(J: Idal, fwd: ModuleMap, stage_a: int,
     chain_tgt = r_tgt.hom_chain
     hom_src = r_src.hom_chain.stage(n_src)
     hom_big = chain_tgt.stage(n_src + stage_a)
-    ring = J.ring
     cols = []
     for k in range(hom_src.module.gens):
         psi = hom_src.generator_map(k)     # J^{n_src} (x) O -> m_src
-        inner = tensor_map(ModuleMap.identity(J.carrier_power(stage_a)), psi)
-        step = fwd.compose(_rebind(inner, inner.source, fwd.source))
-        chi = _rebind(step, hom_big.source, step.target)
+        chi = J.then(fwd, stage_a, psi, n_src, chain_tgt.mid)
         cols.append(hom_big.express(chi))
     matrix = [[cols[k][r] for k in range(hom_src.module.gens)]
               for r in range(hom_big.module.gens)]
@@ -806,16 +772,16 @@ def dualizable_check(G: GluedModule, dual: GluedModule, unit_map: GluedMap,
         idd = ModuleMap.identity(d)
         # (id_g (x) counit) . (unit (x) id_g) == id_g
         left = tensor_map(unit_c, idg)
-        left = _rebind(left, g, left.target)          # O (x) g == g
+        left = ModuleMap(g, left.target, left.matrix, check=False)      # O (x) g == g
         mid = tensor_map(idg, counit_c)
-        mid = _rebind(mid, left.target, g)            # g (x) O == g
+        mid = ModuleMap(left.target, g, mid.matrix, check=False)        # g (x) O == g
         if not mid.compose(left).equals(idg):
             return False
         # (counit (x) id_d) . (id_d (x) unit) == id_d
         left2 = tensor_map(idd, unit_c)
-        left2 = _rebind(left2, d, left2.target)
+        left2 = ModuleMap(d, left2.target, left2.matrix, check=False)
         mid2 = tensor_map(counit_c, idd)
-        mid2 = _rebind(mid2, left2.target, d)
+        mid2 = ModuleMap(left2.target, d, mid2.matrix, check=False)
         if not mid2.compose(left2).equals(idd):
             return False
     return True
@@ -823,8 +789,6 @@ def dualizable_check(G: GluedModule, dual: GluedModule, unit_map: GluedMap,
 
 def symtrivial_check_glued(G: GluedModule) -> bool:
     """Symtriviality tested chartwise, per the locality of the property."""
-    from .fpmod import symtrivial_check
-
     return symtrivial_check(G.m1) and symtrivial_check(G.m2)
 
 
@@ -858,31 +822,17 @@ class RoundtripResult:
 
 
 def _rho_matrix(I: Idal, J: Idal, N: int, use_first: bool):
-    """(I (x) J)^{(x)N} -> I^{(x)N} (use_first) or -> J^{(x)N}."""
+    """The matrix of (I (x) J)^{(x)N} -> I^{(x)N}, (id_I (x) e_J)^{(x)N}
+    (use_first), or of -> J^{(x)N}, (e_I (x) id_J)^{(x)N}."""
     ring = I.ring
-    gI, gJ = I.carrier.gens, J.carrier.gens
-    prod = idal_product(I, J)
-    src = prod.carrier_power(N)
-    tgt = (I if use_first else J).carrier_power(N)
-    zero = ring.zero()
-    matrix = [[zero] * src.gens for _ in range(max(tgt.gens, 1))]
-    import itertools
-    for idx in itertools.product(range(gI * gJ), repeat=N):
-        col = 0
-        for p in idx:
-            col = col * (gI * gJ) + p
-        coeff = ring.one()
-        row = 0
-        for p in idx:
-            i, j = divmod(p, gJ)
-            if use_first:
-                coeff = coeff * J.e.matrix[0][j]
-                row = row * gI + i
-            else:
-                coeff = coeff * I.e.matrix[0][i]
-                row = row * gJ + j
-        matrix[row][col] = matrix[row][col] + coeff
-    return ModuleMap(src, tgt, matrix[:tgt.gens] if tgt.gens else [], check=False)
+    if use_first:
+        step = _kron(ring, _identity_matrix(ring, I.carrier.gens), J.e.matrix)
+    else:
+        step = _kron(ring, I.e.matrix, _identity_matrix(ring, J.carrier.gens))
+    matrix = [[ring.one()]]
+    for _ in range(N):
+        matrix = _kron(ring, matrix, step)
+    return matrix
 
 
 def roundtrip_check(A: PolyRing, I: Idal, J: Idal, M: PresentedModule,
@@ -904,7 +854,6 @@ def roundtrip_check(A: PolyRing, I: Idal, J: Idal, M: PresentedModule,
 
 
 def _roundtrip_exact(A, I, J, IJ, M, rI, rJ, rIJ, n_max) -> RoundtripResult:
-    O = unit_module(A)
     chainI, chainJ, chainIJ = rI.hom_chain, rJ.hom_chain, rIJ.hom_chain
     N = max(rI.chain.stabilized_at, rJ.chain.stabilized_at, rIJ.chain.stabilized_at)
     budget = max(2, n_max - N)
@@ -925,15 +874,14 @@ def _roundtrip_exact(A, I, J, IJ, M, rI, rJ, rIJ, n_max) -> RoundtripResult:
     uI, uJ, uIJ = unit_to(chainI, VI, I), unit_to(chainJ, VJ, J), unit_to(chainIJ, VIJ, IJ)
 
     def comparison(chain_side, V_side, use_first):
-        rho = _rho_matrix(I, J, N, use_first)
         hom_side = chain_side.stage(N)
         hom_prod = chainIJ.stage(N)
+        # (I (x) J)^{(x)N} (x) O -> I^{(x)N} (x) O, or onto J^{(x)N} (x) O
+        rho = ModuleMap(hom_prod.source, hom_side.source,
+                        _rho_matrix(I, J, N, use_first), check=False)
         cols = []
         for k in range(hom_side.module.gens):
-            psi = hom_side.generator_map(k)
-            chi = psi.compose(_rebind(
-                tensor_map(rho, ModuleMap.identity(O)),
-                hom_prod.source, psi.source))
+            chi = hom_side.generator_map(k).compose(rho)
             cols.append(hom_prod.express(chi))
         matrix = [[cols[k][r] for k in range(hom_side.module.gens)]
                   for r in range(hom_prod.module.gens)]
@@ -1042,23 +990,21 @@ def chart_idal(scheme: TwoChartScheme, which: int, power: int = 1):
             raise AlgebraError("chart index must be 1 or 2")
         return L, e
     J = scheme.idal
-    ring = scheme.chart1
-    O1 = unit_module(ring)
+    O1 = unit_module(scheme.chart1)
     Jc = J.carrier_power(power)
+    # overlap data: J^power (x) O1 -> Jc is the identity on generators, and
+    # J^power (x) Jc -> O1 applies e at all 2 * power slots
+    to_Jc = ModuleMap(J.stage_source(power, O1), Jc, _identity_matrix(O1.ring, Jc.gens),
+                      check=False)
+    to_O1 = ModuleMap(J.stage_source(power, Jc), O1, J.power_map(2 * power).matrix,
+                      check=False)
     if which == 1:
         # trivial on chart 1, J^power on chart 2
-        fwd = _rebind(ModuleMap.identity(tensor(Jc, O1)),
-                      tensor(Jc, O1), Jc)
-        bwd = _rebind(tensor_map(J.power_transition(2 * power, 0), ModuleMap.identity(O1)),
-                      tensor(Jc, Jc), O1)
-        L = GluedModule(scheme, O1, Jc, SelfGlueTau(power, fwd, power, bwd))
+        L = GluedModule(scheme, O1, Jc, SelfGlueTau(power, to_Jc, power, to_O1))
         e = GluedMap(L, O, ModuleMap.identity(O1),
                      ModuleMap(Jc, O1, J.power_map(power).matrix, check=False))
     elif which == 2:
-        fwd = _rebind(tensor_map(J.power_transition(2 * power, 0), ModuleMap.identity(O1)),
-                      tensor(Jc, Jc), O1)
-        bwd = _rebind(ModuleMap.identity(tensor(Jc, O1)), tensor(Jc, O1), Jc)
-        L = GluedModule(scheme, Jc, O1, SelfGlueTau(power, fwd, power, bwd))
+        L = GluedModule(scheme, Jc, O1, SelfGlueTau(power, to_O1, power, to_Jc))
         e = GluedMap(L, O, ModuleMap(Jc, O1, J.power_map(power).matrix, check=False),
                      ModuleMap.identity(O1))
     else:
@@ -1157,21 +1103,20 @@ def idal_generation(G: GluedModule, n_max: int = 8) -> GenerationResult:
         a, b = G.tau.fwd_stage, G.tau.bwd_stage
         for gidx in range(G.m1.gens):
             L, _ = chart_idal(scheme, 1, a) if a else (o_glued(scheme), None)
-            gmap = ModuleMap(unit_module(scheme.chart1), G.m1,
+            gmap = ModuleMap(L.m1, G.m1,
                              [[scheme.chart1.one() if i == gidx else scheme.chart1.zero()]
                               for i in range(G.m1.gens)], check=False)
-            inner = tensor_map(ModuleMap.identity(J.carrier_power(a)), gmap)
-            c2 = G.tau.fwd.compose(_rebind(inner, inner.source, G.tau.fwd.source))
-            c2 = _rebind(c2, L.m2, G.m2)
+            # J^a (x) O -> G.m2, read on L.m2 = J^a
+            c2 = J.then(G.tau.fwd, a, gmap, 0, L.m1)
+            c2 = ModuleMap(L.m2, G.m2, c2.matrix, check=False)
             blocks.append(GenerationBlock(1, a, GluedMap(L, G, gmap, c2)))
         for gidx in range(G.m2.gens):
             L, _ = chart_idal(scheme, 2, b) if b else (o_glued(scheme), None)
-            gmap = ModuleMap(unit_module(scheme.chart2), G.m2,
+            gmap = ModuleMap(L.m2, G.m2,
                              [[scheme.chart2.one() if i == gidx else scheme.chart2.zero()]
                               for i in range(G.m2.gens)], check=False)
-            inner = tensor_map(ModuleMap.identity(J.carrier_power(b)), gmap)
-            c1 = G.tau.bwd.compose(_rebind(inner, inner.source, G.tau.bwd.source))
-            c1 = _rebind(c1, L.m1, G.m1)
+            c1 = J.then(G.tau.bwd, b, gmap, 0, L.m2)
+            c1 = ModuleMap(L.m1, G.m1, c1.matrix, check=False)
             blocks.append(GenerationBlock(2, b, GluedMap(L, G, c1, gmap)))
     else:
         raise AlgebraError("unknown scheme kind")

@@ -13,9 +13,14 @@ from .errors import AlgebraError, GradingError, RingMismatchError, WellDefinedne
 from .fpmod import (
     ModuleMap,
     PresentedModule,
+    _identity_matrix,
+    _kron,
     cokernel,
+    free_module,
     is_iso,
+    pushout,
     tensor,
+    tensor_map,
     tensor_power,
     unit_module,
 )
@@ -28,19 +33,10 @@ def _law_sides(e: ModuleMap):
     e (x) I sends generator (i, j) to e_i * g_j; I (x) e sends it to e_j * g_i.
     """
     I = e.source
-    ring = e.ring
     II = tensor(I, I)
-    g = I.gens
-    zero = ring.zero()
-    left = [[zero] * II.gens for _ in range(g)]
-    right = [[zero] * II.gens for _ in range(g)]
-    for i in range(g):
-        for j in range(g):
-            col = i * g + j
-            left[j][col] = e.matrix[0][i]
-            right[i][col] = e.matrix[0][j]
-    lmap = ModuleMap(II, I, left, check=False)
-    rmap = ModuleMap(II, I, right, check=False)
+    ident = _identity_matrix(e.ring, I.gens)
+    lmap = ModuleMap(II, I, _kron(e.ring, e.matrix, ident), check=False)
+    rmap = ModuleMap(II, I, _kron(e.ring, ident, e.matrix), check=False)
     return II, lmap, rmap
 
 
@@ -80,6 +76,8 @@ class Idal:
         self.e = e
         self.ring = carrier.ring
         self._powers: dict = {0: unit_module(self.ring), 1: carrier}
+        self._stage_sources: dict = {}
+        self._e_powers = [[[self.ring.one()]]]   # e^{(x)k}, a 1 x g^k matrix
 
     @staticmethod
     def identity(ring: PolyRing) -> "Idal":
@@ -100,41 +98,54 @@ class Idal:
                 if n > 1 else tensor_power(self.carrier, n)
         return self._powers[n]
 
-    def power_transition(self, n: int, m: int, positions=None) -> ModuleMap:
-        """The natural map I^{(x)n} -> I^{(x)m} applying e at n-m tensor slots.
+    def power_transition(self, n: int, m: int) -> ModuleMap:
+        """The natural map I^{(x)n} -> I^{(x)m} applying e at the last n-m
+        tensor slots: I^{(x)m} (x) e^{(x)(n-m)}.  The idal law makes the
+        choice of slots immaterial, which the tests exercise."""
+        return ModuleMap(self.carrier_power(n), self.carrier_power(m),
+                         self._transition_matrix(n, m), check=False)
 
-        positions (0-based, within the n slots) defaults to the last n-m; the
-        idal law makes the choice immaterial, which the tests exercise.
-        """
+    def _transition_matrix(self, n: int, m: int):
         if n < m or m < 0:
-            raise AlgebraError("power transition requires n >= m >= 0")
-        drop = tuple(range(m, n)) if positions is None else tuple(sorted(positions))
-        if len(drop) != n - m or any(p < 0 or p >= n for p in drop):
-            raise AlgebraError("positions must be n-m distinct slots in range")
-        keep = [p for p in range(n) if p not in drop]
-        if len(keep) != m:
-            raise AlgebraError("positions must be distinct")
-        src = self.carrier_power(n)
-        tgt = self.carrier_power(m)
-        g = self.carrier.gens
-        ring = self.ring
-        zero = ring.zero()
-        matrix = [[zero] * src.gens for _ in range(tgt.gens)]
-        import itertools
-        for idx in itertools.product(range(g), repeat=n):
-            col = 0
-            for i in idx:
-                col = col * g + i
-            coeff = ring.one()
-            for p in drop:
-                coeff = coeff * self.e.matrix[0][idx[p]]
-            row = 0
-            for p in keep:
-                row = row * g + idx[p]
-            if m == 0:
-                row = 0
-            matrix[row][col] = matrix[row][col] + coeff
-        return ModuleMap(src, tgt, matrix, check=False)
+            raise AlgebraError("a stage transition requires n >= m >= 0")
+        while len(self._e_powers) <= n - m:
+            self._e_powers.append(_kron(self.ring, self._e_powers[-1], self.e.matrix))
+        ident = _identity_matrix(self.ring, self.carrier.gens ** m)
+        return _kron(self.ring, ident, self._e_powers[n - m])
+
+    # -- Deligne stages: maps out of J^{(x)n} (x) M ---------------------------
+
+    def stage_source(self, n: int, M: PresentedModule) -> PresentedModule:
+        """J^{(x)n} (x) M, one object per (n, M) for the life of the idal, so
+        that staged maps built on it compose by identity."""
+        key = (n, id(M))
+        if key not in self._stage_sources:
+            # M is kept with its source, so its id cannot be reused
+            self._stage_sources[key] = (M, tensor(self.carrier_power(n), M))
+        return self._stage_sources[key][1]
+
+    def _staged(self, matrix, M: PresentedModule, n: int, target: PresentedModule):
+        return ModuleMap(self.stage_source(n, M), target, matrix, check=False)
+
+    def collapse(self, M: PresentedModule, n: int, m: int) -> ModuleMap:
+        """J^{(x)n} (x) M -> J^{(x)m} (x) M applying e at the last n-m slots."""
+        return self._staged(self._collapse_matrix(M, n, m), M, n, self.stage_source(m, M))
+
+    def _collapse_matrix(self, M: PresentedModule, n: int, m: int):
+        ident = _identity_matrix(self.ring, M.gens)
+        return _kron(self.ring, self._transition_matrix(n, m), ident)
+
+    def restage(self, f: ModuleMap, M: PresentedModule, a: int, n: int) -> ModuleMap:
+        """f : J^{(x)a} (x) M -> T moved to stage n >= a, as
+        f . collapse(M, n, a) : J^{(x)n} (x) M -> T."""
+        return f.compose(self._staged(self._collapse_matrix(M, n, a), M, n, f.source))
+
+    def then(self, g: ModuleMap, b: int, f: ModuleMap, a: int,
+             M: PresentedModule) -> ModuleMap:
+        """g . (J^{(x)b} (x) f) : J^{(x)(a+b)} (x) M -> T for
+        f : J^{(x)a} (x) M -> X and g : J^{(x)b} (x) X -> T."""
+        ident = _identity_matrix(self.ring, self.carrier.gens ** b)
+        return g.compose(self._staged(_kron(self.ring, ident, f.matrix), M, a + b, g.source))
 
     def power_map(self, n: int) -> ModuleMap:
         """The full composite I^{(x)n} -> O."""
@@ -192,12 +203,8 @@ def idal_product(e: Idal, f: Idal) -> Idal:
     if e.ring != f.ring:
         raise RingMismatchError("idal product over different rings")
     carrier = tensor(e.carrier, f.carrier)
-    ring = e.ring
-    row = []
-    for i in range(e.carrier.gens):
-        for j in range(f.carrier.gens):
-            row.append(e.e.matrix[0][i] * f.e.matrix[0][j])
-    m = ModuleMap(carrier, unit_module(ring), [row], check=False)
+    row = _kron(e.ring, e.e.matrix, f.e.matrix)
+    m = ModuleMap(carrier, unit_module(e.ring), row, check=False)
     return Idal(carrier, m, check=False)
 
 
@@ -222,8 +229,6 @@ def cover_check(e: Idal, f: Idal) -> bool:
 def cover_check_pushout(e: Idal, f: Idal) -> bool:
     """The pushout form of the cover condition: the square built on
     e (x) J and I (x) f has pushout mapping isomorphically onto O."""
-    from .fpmod import pushout, tensor_map
-
     ring = e.ring
     O = unit_module(ring)
     idI = ModuleMap.identity(e.carrier)
@@ -248,8 +253,6 @@ def idal_from_ideal(gens, ring: PolyRing) -> Idal:
     degrees = None
     if all(g.is_homogeneous() and not g.is_zero() for g in gens):
         degrees = [g.degree() for g in gens]
-    from .fpmod import free_module
-
     A = free_module(ring, len(gens), degrees)
     f = ModuleMap(A, unit_module(ring), [gens], check=False)
     idal, _ = idal_reflect(f)

@@ -22,14 +22,14 @@ from .fpmod import (
     ModuleMap,
     PresentedModule,
     cokernel,
+    graded_dim,
     hom_module,
     is_iso,
     kernel,
     tensor,
-    tensor_map,
     unit_module,
 )
-from .idal import Idal, idal_product
+from .idal import Idal, IdalMorphism, idal_product
 from .polyring import Poly, PolyRing, RingHom
 
 
@@ -60,7 +60,7 @@ def canonical_to_hom(J: Idal, M: PresentedModule) -> ModuleMap:
     """The canonical M -> HOM(J, M)."""
     if J.ring != M.ring:
         raise RingMismatchError("idal and module over different rings")
-    hom = hom_module(tensor(J.carrier, unit_module(J.ring)), M)
+    hom = hom_module(J.stage_source(1, unit_module(J.ring)), M)
     return _canonical_stage_map(J, M, hom, 1)
 
 
@@ -84,15 +84,12 @@ class HomChain:
         self.mid = mid
         self.target = target
         self.ring = J.ring
-        self._sources: dict = {}
         self._stages: dict = {}
         self._transitions: dict = {}
         self._saturated: dict = {}
 
     def source_at(self, n: int) -> PresentedModule:
-        if n not in self._sources:
-            self._sources[n] = tensor(self.J.carrier_power(n), self.mid)
-        return self._sources[n]
+        return self.J.stage_source(n, self.mid)
 
     def stage(self, n: int) -> HomModule:
         if n not in self._stages:
@@ -100,10 +97,8 @@ class HomChain:
         return self._stages[n]
 
     def shrink(self, n: int) -> ModuleMap:
-        """tensor(J^{(x)(n+1)}, mid) -> tensor(J^{(x)n}, mid)."""
-        t = self.J.power_transition(n + 1, n)
-        raw = tensor_map(t, ModuleMap.identity(self.mid))
-        return ModuleMap(self.source_at(n + 1), self.source_at(n), raw.matrix, check=False)
+        """J^{(x)(n+1)} (x) mid -> J^{(x)n} (x) mid."""
+        return self.J.collapse(self.mid, n + 1, n)
 
     def transition(self, n: int) -> ModuleMap:
         if n not in self._transitions:
@@ -304,8 +299,6 @@ def deligne_hom(J: Idal, M: PresentedModule, N: PresentedModule,
 def deligne_window_dims(J: Idal, M: PresentedModule, N: PresentedModule,
                         n: int, degrees) -> dict:
     """Graded dimensions of the stage-n Deligne hom module on a degree window."""
-    from .fpmod import graded_dim
-
     chain = HomChain(J, M, N)
     stage = chain.stage(n).module
     return {d: graded_dim(stage, d) for d in degrees}
@@ -416,7 +409,6 @@ def idal_comparison_search(I: Idal, J: Idal, n_max: int = 8):
         if coeffs is None:
             continue
         lift_map = H_I.interpret(coeffs)
-        from .idal import IdalMorphism
         morphism = IdalMorphism(Jn, I, lift_map)
         return n, morphism
     return None

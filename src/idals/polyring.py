@@ -518,6 +518,14 @@ MAX_NESTING = 100
 # than the exponent: parsing `(x+1)^1000` over QQ takes about 3 s.
 MAX_EXPONENT = 100
 
+# A product of polynomials with s and t terms makes s * t term products, and
+# expanding a power multiplies its growing partial results: unbounded,
+# `(x+y+1)^60` (1891 terms) takes 2 s, nested powers multiply the exponent
+# bound, and more variables widen every factor.  Each product formed while
+# parsing, the squarings of `^` included, may make at most this many term
+# products; `(x+y+1)^30` (496 terms) still parses.
+MAX_PRODUCT_WORK = 20_000
+
 
 def _tokenize(text: str):
     tokens, pos = [], 0
@@ -529,6 +537,25 @@ def _tokenize(text: str):
         pos = m.end()
     tokens.append(None)
     return tokens
+
+
+def _bounded_product(a: Poly, b: Poly) -> Poly:
+    if len(a.terms) * len(b.terms) > MAX_PRODUCT_WORK:
+        raise AlgebraError(
+            f"polynomial expansion too large: a product of {len(a.terms)} by "
+            f"{len(b.terms)} terms exceeds {MAX_PRODUCT_WORK} term products")
+    return a * b
+
+
+def _bounded_power(base: Poly, n: int) -> Poly:
+    """Poly.__pow__'s square-and-multiply, with every product bounded."""
+    result = base.ring.one()
+    while n:
+        if n & 1:
+            result = _bounded_product(result, base)
+        base = _bounded_product(base, base) if n > 1 else base
+        n >>= 1
+    return result
 
 
 def _parse_poly(text: str, ring: PolyRing) -> dict:
@@ -564,7 +591,7 @@ def _parse_poly(text: str, ring: PolyRing) -> dict:
         while True:
             if peek() == "*":
                 advance()
-                node = node * parse_factor()
+                node = _bounded_product(node, parse_factor())
             elif peek() == "/":
                 advance()
                 den = advance()
@@ -588,7 +615,7 @@ def _parse_poly(text: str, ring: PolyRing) -> dict:
             if (len(exp.lstrip("0")) > len(str(MAX_EXPONENT))
                     or int(exp) > MAX_EXPONENT):
                 raise AlgebraError(f"exponent larger than {MAX_EXPONENT}")
-            return base ** int(exp)
+            return _bounded_power(base, int(exp))
         return base
 
     def parse_atom() -> Poly:

@@ -1,7 +1,10 @@
+import importlib.util
 import json
+import pathlib
 
 import pytest
 
+from idals import QQ, PolyRing
 from idals.cli import Workspace, load_preset, run
 
 
@@ -188,6 +191,13 @@ def test_deeply_nested_polynomial_exits_one(capsys):
         assert "nested" in report["result"]["message"]
 
 
+def test_large_expansion_exits_one(capsys):
+    for arg in ("(x+y+1)^100", "((x+1)^100)^100"):
+        code, report = invoke(capsys, "localize", arg, "O", "--preset", "double-origin-plane")
+        assert code == 1 and report["result"]["error"] == "AlgebraError"
+        assert "expansion too large" in report["result"]["message"]
+
+
 def test_large_exponent_exits_one(capsys):
     for arg in ("(x+1)^3000", "x^" + "9" * 5000):
         code, report = invoke(capsys, "localize", arg, "O", "--preset", "double-origin-line")
@@ -230,6 +240,27 @@ def test_presets_all_load():
     for name in ("p1", "double-origin-line", "double-origin-plane"):
         ws = Workspace()
         ws.load(load_preset(name))
+
+
+def test_benchmark_inputs_parse(tmp_path):
+    # every polynomial the benchmark generates stays within the parser's bounds
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    gb, hom = workloads.gb_inputs(1), workloads.hom_inputs(1)
+    glue = workloads.glue_inputs(1, str(tmp_path))
+    texts = [(s["names"], e) for s in gb["systems"] for e in s["eqs"]]
+    texts += [(d["names"], g) for d in gb["ideals"] for g in d["gens"]]
+    for d in hom["intersection"]:
+        texts += [(d["names"], g) for g in d["I"] + d["J"]]
+        texts += [(d["names"], p) for col in d["M"]["cols"] for p in col]
+    specs = hom["deligne"] + [spec for _, spec in glue["roundtrips"]]
+    texts += [(["x"], p) for spec in specs for col in spec["cols"] for p in col]
+    texts += [(["x"], p) for pair in glue["covers"] for p in pair]
+    for names, text in texts:
+        PolyRing(QQ, names).poly(text)
+    Workspace().load(json.loads(pathlib.Path(glue["workspace"]).read_text()))
 
 
 def test_preset_glued_entries_validate():

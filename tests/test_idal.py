@@ -25,6 +25,7 @@ from idals import (
     unit_module,
 )
 from idals.errors import AlgebraError, WellDefinednessError
+from idals.fpmod import tensor_map
 from idals.idal import idal_check_witness
 
 from conftest import random_idal, random_map_to_unit, random_poly
@@ -125,12 +126,15 @@ class TestProductAndPowers:
         assert str(t.matrix[0][0]) == "x^2"
 
     def test_position_independence(self, R2):
-        J = idal_from_ideal(["x", "y"], R2)
-        tA = J.power_transition(2, 1, positions=[0])
-        tB = J.power_transition(2, 1, positions=[1])
-        assert tA.equals(tB)
-        t3 = [J.power_transition(3, 1, positions=pos) for pos in ([0, 1], [0, 2], [1, 2])]
-        assert t3[0].equals(t3[1]) and t3[1].equals(t3[2])
+        # e at the first slot, e (x) I^{(x)(n-1)}, equals power_transition's
+        # e at the last slot; hom chains by adjunction drop the first slot
+        for J in (idal_from_ideal(["x", "y"], R2), idal_from_ideal(["x", "y", "x^2 + y"], R2)):
+            for n in (2, 3):
+                raw = tensor_map(J.e, ModuleMap.identity(J.carrier_power(n - 1)))
+                first = ModuleMap(J.carrier_power(n), J.carrier_power(n - 1), raw.matrix)
+                last = J.power_transition(n, n - 1)
+                assert first.equals(last)
+                assert not first.equals(ModuleMap.zero(first.source, first.target))
 
     def test_power_requires_order(self, R1):
         I = idal_from_ideal(["x"], R1)

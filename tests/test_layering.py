@@ -1,7 +1,12 @@
 """Only polyring and fpmod know the raw-vector format `{(pos, exps): coeff}`:
 the layers above them lift, reduce and compare columns through
 `ModuleMap.lift` and `PresentedModule.normal_form` / `coordinates` /
-`span_key`, never through the engine's helpers."""
+`span_key`, never through the engine's helpers.
+
+Only idal knows how Deligne stages J^{(x)n} (x) M are flattened: the layers
+above it build stage sources and staged maps through `Idal.stage_source` /
+`collapse` / `restage` / `then`, never from `power_transition` or a tensor
+of a carrier power."""
 
 import ast
 import pathlib
@@ -52,3 +57,47 @@ def test_guard_sees_what_it_forbids(tmp_path):
     assert [what for _, what in engine_uses(sample)] == [
         "imports _column_vec", "uses .SubmoduleLifter", "calls .reduce_vec("]
     assert engine_uses(SRC / "fpmod.py")       # the engine's own layer is exempt
+
+
+STAGE_LAYERS = ("localize", "glued", "cli")
+
+
+def _call_name(node):
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def stage_uses(path):
+    """(line, what) for every `power_transition` call and every
+    `tensor(<x>.carrier_power(...), ...)` in the file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _call_name(node)
+        if name == "power_transition":
+            found.append((node.lineno, "calls power_transition"))
+        elif (name == "tensor" and node.args and isinstance(node.args[0], ast.Call)
+              and _call_name(node.args[0]) == "carrier_power"):
+            found.append((node.lineno, "tensors a carrier power"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("layer", STAGE_LAYERS)
+def test_stage_arithmetic_stays_in_idal(layer):
+    path = SRC / f"{layer}.py"
+    assert stage_uses(path) == [], f"{path.name} builds Deligne stages by hand"
+
+
+def test_stage_guard_sees_what_it_forbids(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from .fpmod import tensor\n"
+        "from . import fpmod\n"
+        "def f(J, M):\n"
+        "    t = J.power_transition(2, 1)\n"
+        "    return fpmod.tensor(J.carrier_power(2), M), tensor(J.carrier, M)\n")
+    assert [what for _, what in stage_uses(sample)] == [
+        "calls power_transition", "tensors a carrier power"]
+    assert stage_uses(SRC / "idal.py")         # the stages' own layer is exempt

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -275,6 +276,16 @@ def test_parser_exponent_is_bounded(R1):
     for text in (f"(x+1)^{MAX_EXPONENT + 1}", "x**3000", "x^" + "9" * 5000):
         with pytest.raises(AlgebraError, match="exponent"):
             R1.poly(text)
+
+
+def test_parser_expansion_is_bounded():
+    R3 = PolyRing(QQ, ["x", "y", "z"])
+    assert len(R3.poly("(x+y+1)^30").terms) == 496
+    for text in ("(x+y+1)^100", "((x+1)^100)^100", "(x+y+z+1)^30"):
+        start = time.perf_counter()
+        with pytest.raises(AlgebraError, match="expansion too large"):
+            R3.poly(text)
+        assert time.perf_counter() - start < 1.0, text
 
 
 def test_parser_long_integer_literals_are_algebra_errors(R1):
