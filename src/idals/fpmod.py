@@ -140,14 +140,13 @@ class PresentedModule:
         return _module_gb(cols, self.ring, self.gens)
 
     def is_zero_module(self) -> bool:
-        if self.gens == 0:
-            return True
-        for i in range(self.gens):
-            e = [self.ring.zero()] * self.gens
-            e[i] = self.ring.one()
-            if not self.contains_column(tuple(e)):
-                return False
-        return True
+        return all(self.contains_column(self.unit_column(i)) for i in range(self.gens))
+
+    def unit_column(self, k: int):
+        """The column of generator k."""
+        col = [self.ring.zero()] * self.gens
+        col[k] = self.ring.one()
+        return tuple(col)
 
     def presentation_key(self):
         return (self.ring.signature(), self.gens,
@@ -262,9 +261,7 @@ class ModuleMap:
         if other.target is not self.source and other.target != self.source:
             raise AlgebraError("non-composable maps")
         cols = [self.apply_column(other.column(j)) for j in range(other.source.gens)]
-        matrix = [[cols[j][i] for j in range(other.source.gens)]
-                  for i in range(self.target.gens)]
-        return ModuleMap(other.source, self.target, matrix, check=False)
+        return ModuleMap.from_columns(other.source, self.target, cols)
 
     def __add__(self, other: "ModuleMap") -> "ModuleMap":
         matrix = [[a + b for a, b in zip(r1, r2)]
@@ -311,6 +308,13 @@ class ModuleMap:
     @staticmethod
     def identity(M: PresentedModule) -> "ModuleMap":
         return ModuleMap(M, M, _identity_matrix(M.ring, M.gens), check=False)
+
+    @staticmethod
+    def from_columns(source: PresentedModule, target: PresentedModule, cols) -> "ModuleMap":
+        """The map sending source generator j to the target column cols[j],
+        unchecked."""
+        return ModuleMap(source, target,
+                         [[col[r] for col in cols] for r in range(target.gens)], check=False)
 
     @staticmethod
     def zero(source: PresentedModule, target: PresentedModule) -> "ModuleMap":
@@ -374,9 +378,7 @@ def kernel(phi: ModuleMap):
         if all(isinstance(d, int) for d in degs):
             grading = tuple(degs)
     K = PresentedModule(ring, k, k_rels, grading)
-    matrix = [[kernel_cols[j][i] for j in range(k)] for i in range(src.gens)]
-    incl = ModuleMap(K, src, matrix, check=False)
-    return K, incl
+    return K, ModuleMap.from_columns(K, src, kernel_cols)
 
 
 def cokernel(phi: ModuleMap):
@@ -600,17 +602,12 @@ class HomModule:
         coeffs = tuple(self.ring.poly(c) for c in coeffs)
         if len(coeffs) != self.module.gens:
             raise AlgebraError("hom element length mismatch")
-        flat = self.incl.apply_column(coeffs)
-        matrix = [[self.ring.zero()] * self.source.gens for _ in range(self.target.gens)]
-        for i in range(self.source.gens):
-            for r in range(self.target.gens):
-                matrix[r][i] = flat[i * self.target.gens + r]
-        return ModuleMap(self.source, self.target, matrix, check=False)
+        flat, t = self.incl.apply_column(coeffs), self.target.gens
+        return ModuleMap.from_columns(self.source, self.target,
+                                      [flat[i * t:(i + 1) * t] for i in range(self.source.gens)])
 
     def generator_map(self, k: int) -> ModuleMap:
-        e = [self.ring.zero()] * self.module.gens
-        e[k] = self.ring.one()
-        return self.interpret(e)
+        return self.interpret(self.module.unit_column(k))
 
     def _flatten_map(self, phi: ModuleMap):
         return tuple(phi.matrix[r][i]
@@ -626,9 +623,7 @@ class HomModule:
         for k in range(self.module.gens):
             gen_flat = self.incl.column(k)
             if self.ambient.reduce_vec(_column_vec(gen_flat)) == red:
-                e = [self.ring.zero()] * self.module.gens
-                e[k] = self.ring.one()
-                return tuple(e)
+                return self.module.unit_column(k)
         coords = self.incl.lift(flat)
         if coords is None:
             raise LiftError("map does not lie in the hom module")
@@ -686,9 +681,7 @@ def iso_failure_certificate(phi: ModuleMap):
     C, _ = cokernel(phi)
     if not C.is_zero_module():
         for i in range(C.gens):
-            e = [C.ring.zero()] * C.gens
-            e[i] = C.ring.one()
-            if not C.contains_column(tuple(e)):
+            if not C.contains_column(C.unit_column(i)):
                 return {"kind": "cokernel_generator", "index": i}
     K, incl = kernel(phi)
     if not K.is_zero_module():
@@ -704,9 +697,7 @@ def invert_iso(phi: ModuleMap) -> ModuleMap:
     ring = phi.ring
     matrix = [[ring.zero()] * phi.target.gens for _ in range(phi.source.gens)]
     for k in range(phi.target.gens):
-        e = [ring.zero()] * phi.target.gens
-        e[k] = ring.one()
-        col = phi.lift(tuple(e))
+        col = phi.lift(phi.target.unit_column(k))
         if col is None:
             raise LiftError("map is not surjective; no inverse")
         for j in range(phi.source.gens):

@@ -51,7 +51,6 @@ from .fpmod import (
 from .idal import Idal, cover_check, idal_product
 from .localize import (
     HomChain,
-    _canonical_stage_map,
     _saturated_stage,
     base_change_map,
     base_change_module,
@@ -446,18 +445,15 @@ def _hom_overlap_map(G, H, hom_src, hom_tgt, hom_src_hom: RingHom, hom_tgt_hom: 
                                           src_source, src_target)
     incl_bc = base_change_map(hom_tgt.incl, hom_tgt_hom, tgt_mod,
                               base_change_module(hom_tgt.ambient, hom_tgt_hom))
-    ring = tgt_mod.ring
-    matrix = [[ring.zero()] * src_mod.gens for _ in range(tgt_mod.gens)]
+    cols = []
     for k in range(src_mod.gens):
         conj = post.compose(carry(k)).compose(pre)
         flat = tuple(conj.matrix[r][i]
                      for i in range(tgt_source.gens) for r in range(tgt_target.gens))
-        coords = incl_bc.lift(flat)
-        if coords is None:
+        cols.append(incl_bc.lift(flat))
+        if cols[-1] is None:
             raise AlgebraError("hom base change failed to lift (overlap hom mismatch)")
-        for r in range(tgt_mod.gens):
-            matrix[r][k] = coords[r]
-    return matrix
+    return ModuleMap.from_columns(src_mod, tgt_mod, cols).matrix
 
 
 def _hom_glued_selfglue(G, H, hom1, hom2, n_max: int) -> GluedModule:
@@ -604,18 +600,9 @@ def _push_stage_element(chain: HomChain, vecmap: ModuleMap, idx_from: int,
                         idx_to: int) -> ModuleMap:
     """Push a map M -> stage(idx_from).module to stage idx_to (inverting the
     stabilized transitions when pushing down)."""
-    m = vecmap
-    idx = idx_from
-    while idx < idx_to:
-        m = chain.transition(idx).compose(m)
-        idx += 1
-    if idx > idx_to:
-        comp = None
-        for k in range(idx_to, idx):
-            t = chain.transition(k)
-            comp = t if comp is None else t.compose(comp)
-        m = invert_iso(comp).compose(m)
-    return m
+    if idx_from <= idx_to:
+        return chain.composite(idx_from, idx_to).compose(vecmap)
+    return invert_iso(chain.composite(idx_to, idx_from)).compose(vecmap)
 
 
 def _check_selfglue_reflection(r, n_max: int):
@@ -634,19 +621,17 @@ def induced_on_reflections(J: Idal, fwd: ModuleMap, stage_a: int,
     fwd : J^{(x)a} (x) m_src -> m_tgt (a plain map at stage 0), read off the
     hom chains of the two reflections."""
     n_src = r_src.chain.stabilized_at
-    n_tgt = r_tgt.chain.stabilized_at
-    chain_tgt = r_tgt.hom_chain
-    hom_src = r_src.hom_chain.stage(n_src)
-    hom_big = chain_tgt.stage(n_src + stage_a)
+    chain_src, chain_tgt = r_src.hom_chain, r_tgt.hom_chain
+    hom_src = chain_src.stage(n_src)
     cols = []
     for k in range(hom_src.module.gens):
-        psi = hom_src.generator_map(k)     # J^{n_src} (x) O -> m_src
+        psi = chain_src.interpret(n_src, hom_src.module.unit_column(k))
         chi = J.then(fwd, stage_a, psi, n_src, chain_tgt.mid)
-        cols.append(hom_big.express(chi))
-    matrix = [[cols[k][r] for k in range(hom_src.module.gens)]
-              for r in range(hom_big.module.gens)]
-    to_big = ModuleMap(hom_src.module, hom_big.module, matrix, check=False)
-    pushed = _push_stage_element(chain_tgt, to_big, n_src + stage_a, n_tgt)
+        cols.append(chain_tgt.express(n_src + stage_a, chi))
+    to_big = ModuleMap.from_columns(hom_src.module, chain_tgt.stage(n_src + stage_a).module,
+                                    cols)
+    pushed = _push_stage_element(chain_tgt, to_big, n_src + stage_a,
+                                 r_tgt.chain.stabilized_at)
     return ModuleMap(r_src.value, r_tgt.value, pushed.matrix, check=False)
 
 
@@ -866,26 +851,20 @@ def _roundtrip_exact(A, I, J, IJ, M, rI, rJ, rIJ, n_max) -> RoundtripResult:
 
     VI, VJ, VIJ = saturated_at_N(chainI), saturated_at_N(chainJ), saturated_at_N(chainIJ)
 
-    def unit_to(chain, V, idal_obj):
-        hom = chain.stage(N)
-        u = _canonical_stage_map(idal_obj, M, hom, N)
-        return ModuleMap(M, V, u.matrix, check=False)
+    def unit_to(chain, V):
+        return ModuleMap(M, V, chain.composite(0, N).matrix, check=False)
 
-    uI, uJ, uIJ = unit_to(chainI, VI, I), unit_to(chainJ, VJ, J), unit_to(chainIJ, VIJ, IJ)
+    uI, uJ, uIJ = unit_to(chainI, VI), unit_to(chainJ, VJ), unit_to(chainIJ, VIJ)
 
     def comparison(chain_side, V_side, use_first):
-        hom_side = chain_side.stage(N)
-        hom_prod = chainIJ.stage(N)
         # (I (x) J)^{(x)N} (x) O -> I^{(x)N} (x) O, or onto J^{(x)N} (x) O
-        rho = ModuleMap(hom_prod.source, hom_side.source,
+        rho = ModuleMap(IJ.stage_source(N, chainIJ.mid),
+                        chain_side.J.stage_source(N, chain_side.mid),
                         _rho_matrix(I, J, N, use_first), check=False)
-        cols = []
-        for k in range(hom_side.module.gens):
-            chi = hom_side.generator_map(k).compose(rho)
-            cols.append(hom_prod.express(chi))
-        matrix = [[cols[k][r] for k in range(hom_side.module.gens)]
-                  for r in range(hom_prod.module.gens)]
-        return ModuleMap(V_side, VIJ, matrix, check=False)
+        stage = chain_side.stage(N).module
+        cols = [chainIJ.express(N, chain_side.interpret(N, stage.unit_column(k)).compose(rho))
+                for k in range(stage.gens)]
+        return ModuleMap.from_columns(V_side, VIJ, cols)
 
     a = comparison(chainI, VI, True)
     b = comparison(chainJ, VJ, False)
@@ -894,16 +873,11 @@ def _roundtrip_exact(A, I, J, IJ, M, rI, rJ, rIJ, n_max) -> RoundtripResult:
     P, p1, p2 = pullback(a, b)
     # lift the stacked unit M -> VI (+) VJ through the pullback inclusion
     incl = ModuleMap(P, _block_sum(A, [VI, VJ]), p1.matrix + p2.matrix, check=False)
-    matrix = [[A.zero()] * M.gens for _ in range(P.gens)]
-    for j in range(M.gens):
-        col = incl.lift(uI.column(j) + uJ.column(j))
-        if col is None:
-            return RoundtripResult(False, "exact",
-                                   {"reason": "unit does not factor through the pullback"})
-        for k in range(P.gens):
-            matrix[k][j] = col[k]
-    phi = ModuleMap(M, P, matrix, check=False)
-    ok = is_iso(phi)
+    cols = [incl.lift(uI.column(j) + uJ.column(j)) for j in range(M.gens)]
+    if None in cols:
+        return RoundtripResult(False, "exact",
+                               {"reason": "unit does not factor through the pullback"})
+    ok = is_iso(ModuleMap.from_columns(M, P, cols))
     return RoundtripResult(ok, "exact", {"common_stage": N})
 
 

@@ -21,10 +21,14 @@ from .fpmod import (
     pushout,
     tensor,
     tensor_map,
-    tensor_power,
     unit_module,
 )
 from .polyring import PolyRing, RingHom
+
+# The most generators a tensor power of a carrier may have.  I^{(x)n} has g^n
+# generators and n g^(n-1) relation columns of that length; `nilpotency` of
+# the (x, y) idal builds I^{(x)8}, 2^8 generators, within its default n_max.
+MAX_POWER_GENS = 256
 
 
 def _law_sides(e: ModuleMap):
@@ -77,6 +81,7 @@ class Idal:
         self.ring = carrier.ring
         self._powers: dict = {0: unit_module(self.ring), 1: carrier}
         self._stage_sources: dict = {}
+        self._chains: dict = {}   # localize's hom chains, keyed by (id(mid), id(target))
         self._e_powers = [[[self.ring.one()]]]   # e^{(x)k}, a 1 x g^k matrix
 
     @staticmethod
@@ -93,9 +98,15 @@ class Idal:
         return [self.e.matrix[0][j] for j in range(self.carrier.gens)]
 
     def carrier_power(self, n: int) -> PresentedModule:
-        if n not in self._powers:
-            self._powers[n] = tensor(self.carrier_power(n - 1), self.carrier) \
-                if n > 1 else tensor_power(self.carrier, n)
+        """I^{(x)n}; an AlgebraError past MAX_POWER_GENS generators."""
+        g = self.carrier.gens
+        # once g >= 2, g^n exceeds the bound for every n past its bit length
+        if n < 0 or g ** min(n, MAX_POWER_GENS.bit_length()) > MAX_POWER_GENS:
+            raise AlgebraError(f"tensor power {n} of a {g}-generator idal carrier is out "
+                               f"of range: need n >= 0 and {g}^n <= {MAX_POWER_GENS}")
+        for k in range(2, n + 1):
+            if k not in self._powers:
+                self._powers[k] = tensor(self._powers[k - 1], self.carrier)
         return self._powers[n]
 
     def power_transition(self, n: int, m: int) -> ModuleMap:

@@ -37,31 +37,25 @@ from .polyring import Poly, PolyRing, RingHom
 # the canonical map and believing
 
 
-def _canonical_stage_map(J: Idal, M: PresentedModule, hom: HomModule, n: int) -> ModuleMap:
-    """M -> HOM(J^{(x)n} (x) O, M) sending m to (t |-> powermap(t) * m)."""
-    ring = M.ring
-    power = J.power_map(n)
-    src = hom.source  # tensor(J^{(x)n}, O), same generator count as the power
+def _canonical_stage_map(J: Idal, M: PresentedModule, hom: HomModule) -> ModuleMap:
+    """M -> HOM(J, M) sending m to (t |-> e(t) * m), for hom = HOM(J.carrier, M)."""
+    zero_row = [M.ring.zero()] * J.carrier.gens
     cols = []
     for k in range(M.gens):
-        matrix = [[ring.zero()] * src.gens for _ in range(M.gens)]
-        for j in range(src.gens):
-            matrix[k][j] = power.matrix[0][j]
-        phi = ModuleMap(src, M, matrix, check=False)
+        matrix = [zero_row] * M.gens
+        matrix[k] = J.e.matrix[0]
         try:
-            cols.append(hom.express(phi))
+            cols.append(hom.express(ModuleMap(J.carrier, M, matrix, check=False)))
         except LiftError as exc:
             raise LiftError(f"canonical map failed to lift (internal): {exc}") from exc
-    matrix = [[cols[k][r] for k in range(M.gens)] for r in range(hom.module.gens)]
-    return ModuleMap(M, hom.module, matrix, check=False)
+    return ModuleMap.from_columns(M, hom.module, cols)
 
 
 def canonical_to_hom(J: Idal, M: PresentedModule) -> ModuleMap:
     """The canonical M -> HOM(J, M)."""
     if J.ring != M.ring:
         raise RingMismatchError("idal and module over different rings")
-    hom = hom_module(J.stage_source(1, unit_module(J.ring)), M)
-    return _canonical_stage_map(J, M, hom, 1)
+    return _canonical_stage_map(J, M, hom_module(J.carrier, M))
 
 
 def believes(J: Idal, M: PresentedModule) -> bool:
@@ -74,8 +68,17 @@ def believes(J: Idal, M: PresentedModule) -> bool:
 
 
 class HomChain:
-    """Stages HOM(J^{(x)n} (x) mid, target) with transitions by precomposition
-    with the idal power transitions."""
+    """The stages HOM(J^{(x)n} (x) mid, target) by tensor-hom adjunction:
+    H_0 = HOM(mid, target) and H_{n+1} = HOM(J, H_n), so every stage is one
+    HOM out of the idal's carrier and no stage is built from J^{(x)n}.
+    Transition n is the canonical map H_n -> HOM(J, H_n), which applies e at
+    the first tensor slot.
+
+    The outermost HOM is the first slot of J^{(x)n}; with row-major
+    flattening, column block j of a staged map J^{(x)n} (x) mid -> target
+    belongs to generator j of that slot.  `interpret` and `express` move
+    between stage-n elements and such staged maps.
+    """
 
     def __init__(self, J: Idal, mid: PresentedModule, target: PresentedModule):
         if J.ring != mid.ring or J.ring != target.ring:
@@ -88,28 +91,64 @@ class HomChain:
         self._transitions: dict = {}
         self._saturated: dict = {}
 
-    def source_at(self, n: int) -> PresentedModule:
-        return self.J.stage_source(n, self.mid)
+    @staticmethod
+    def of(J: Idal, mid: PresentedModule, target: PresentedModule) -> "HomChain":
+        """The chain for (J, mid, target), one per triple for the life of the
+        idal, so that stages and transitions are built once."""
+        key = (id(mid), id(target))
+        if key not in J._chains:
+            # the chain keeps mid and target, so their ids cannot be reused
+            J._chains[key] = HomChain(J, mid, target)
+        return J._chains[key]
 
     def stage(self, n: int) -> HomModule:
         if n not in self._stages:
-            self._stages[n] = hom_module(self.source_at(n), self.target)
+            self._stages[n] = hom_module(self.mid, self.target) if n == 0 \
+                else hom_module(self.J.carrier, self.stage(n - 1).module)
         return self._stages[n]
 
     def shrink(self, n: int) -> ModuleMap:
-        """J^{(x)(n+1)} (x) mid -> J^{(x)n} (x) mid."""
+        """J^{(x)(n+1)} (x) mid -> J^{(x)n} (x) mid applying e at the last slot:
+        precomposing with it is the transition stated on the staged maps."""
         return self.J.collapse(self.mid, n + 1, n)
 
     def transition(self, n: int) -> ModuleMap:
         if n not in self._transitions:
-            Hs, Ht = self.stage(n), self.stage(n + 1)
-            shr = self.shrink(n)
-            cols = [Ht.express(Hs.generator_map(k).compose(shr))
-                    for k in range(Hs.module.gens)]
-            matrix = [[cols[k][r] for k in range(Hs.module.gens)]
-                      for r in range(Ht.module.gens)]
-            self._transitions[n] = ModuleMap(Hs.module, Ht.module, matrix, check=False)
+            self._transitions[n] = _canonical_stage_map(
+                self.J, self.stage(n).module, self.stage(n + 1))
         return self._transitions[n]
+
+    def composite(self, n: int, m: int) -> ModuleMap:
+        """Transitions n, ..., m - 1 composed: H_n -> H_m."""
+        comp = ModuleMap.identity(self.stage(n).module)
+        for k in range(n, m):
+            comp = self.transition(k).compose(comp)
+        return comp
+
+    def interpret(self, n: int, coeffs) -> ModuleMap:
+        """The staged map J^{(x)n} (x) mid -> target of a stage-n element."""
+        return ModuleMap(self.J.stage_source(n, self.mid), self.target,
+                         self._uncurry(n, coeffs), check=False)
+
+    def _uncurry(self, n: int, coeffs):
+        phi = self.stage(n).interpret(coeffs)
+        if n == 0:
+            return phi.matrix
+        blocks = [self._uncurry(n - 1, phi.column(j)) for j in range(phi.source.gens)]
+        return [[p for b in blocks for p in b[r]] for r in range(self.target.gens)]
+
+    def express(self, n: int, f: ModuleMap):
+        """Stage-n coordinates of a staged map f : J^{(x)n} (x) mid -> target."""
+        return self._curry(n, f.matrix)
+
+    def _curry(self, n: int, matrix):
+        H = self.stage(n)
+        if n == 0:
+            return H.express(ModuleMap(H.source, H.target, matrix, check=False))
+        w = self.J.carrier.gens ** (n - 1) * self.mid.gens
+        cols = [self._curry(n - 1, [row[j * w:(j + 1) * w] for row in matrix])
+                for j in range(self.J.carrier.gens)]
+        return H.express(ModuleMap.from_columns(H.source, H.target, cols))
 
     def saturated_kernel(self, n: int, budget: int):
         """`_saturated_kernel(self, n, budget)`, computed once per chain."""
@@ -246,17 +285,18 @@ class ReflectorResult:
 
 
 def reflect(J: Idal, M: PresentedModule, n_max: int = 8) -> ReflectorResult:
-    """The reflection of M into the modules believing J, computed as the
-    stabilizing chain colimit of HOM(J^{(x)n}, M)."""
+    """The reflection of M into the modules believing J: the stabilizing
+    chain colimit of HOM(J^{(x)n}, M), scanned on the idal's chain over its
+    own O = J^{(x)0}.  Stage 0 is HOM(O, M), presented as M itself, so the
+    unit is the composite of the transitions out of stage 0."""
     if J.ring != M.ring:
         raise RingMismatchError("idal and module over different rings")
-    chain = HomChain(J, unit_module(J.ring), M)
+    chain = HomChain.of(J, J.carrier_power(0), M)
     res = _scan_hom_chain(chain, n_max)
     idx = n_max if res.stabilized_at is None else res.stabilized_at
     # the value is the stage hom module or its saturated quotient; either way
-    # it has the same generators, so the canonical matrix is the unit
-    unit_to_stage = _canonical_stage_map(J, M, chain.stage(idx), idx)
-    unit = ModuleMap(M, res.value, unit_to_stage.matrix, check=False)
+    # it has the same generators
+    unit = ModuleMap(M, res.value, chain.composite(0, idx).matrix, check=False)
     return ReflectorResult(M, J, res, unit, chain)
 
 
@@ -284,22 +324,23 @@ class DeligneHomResult:
         """The map J^{(x)n*} (x) M -> N encoded by an element of the value."""
         if self.chain.stabilized_at is None:
             raise AlgebraError("chain did not stabilize; no interpretation")
-        return self.hom_chain.stage(self.chain.stabilized_at).interpret(coeffs)
+        return self.hom_chain.interpret(self.chain.stabilized_at, coeffs)
 
 
 def deligne_hom(J: Idal, M: PresentedModule, N: PresentedModule,
                 n_max: int = 8) -> DeligneHomResult:
-    """Stages Hom(J^{(x)n} (x) M, N) with transitions precomposing the idal
-    power transitions; the stabilized value presents the morphisms between
-    the localizations of M and N."""
-    chain = HomChain(J, M, N)
+    """The chain Hom(J^{(x)n} (x) M, N), its stages presented as
+    H_{n+1} = HOM(J, H_n) with the canonical maps as transitions (see
+    HomChain); the stabilized value presents the morphisms between the
+    localizations of M and N."""
+    chain = HomChain.of(J, M, N)
     return DeligneHomResult(J, M, N, _scan_hom_chain(chain, n_max), chain)
 
 
 def deligne_window_dims(J: Idal, M: PresentedModule, N: PresentedModule,
                         n: int, degrees) -> dict:
     """Graded dimensions of the stage-n Deligne hom module on a degree window."""
-    chain = HomChain(J, M, N)
+    chain = HomChain.of(J, M, N)
     stage = chain.stage(n).module
     return {d: graded_dim(stage, d) for d in degrees}
 
@@ -400,11 +441,9 @@ def idal_comparison_search(I: Idal, J: Idal, n_max: int = 8):
         except LiftError as exc:
             raise LiftError(f"power map not in its own hom module (internal): {exc}")
         # postcomposition with e_I as a map of hom modules H_I -> H_O
-        post_cols = [H_O.express(I.e.compose(H_I.generator_map(k)))
-                     for k in range(H_I.module.gens)]
-        post = ModuleMap(H_I.module, H_O.module,
-                         [[col[r] for col in post_cols] for r in range(H_O.module.gens)],
-                         check=False)
+        post = ModuleMap.from_columns(H_I.module, H_O.module,
+                                      [H_O.express(I.e.compose(H_I.generator_map(k)))
+                                       for k in range(H_I.module.gens)])
         coeffs = post.lift(u)
         if coeffs is None:
             continue

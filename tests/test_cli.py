@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -181,6 +182,22 @@ def test_bad_staged_tau_exits_one(capsys, tmp_path):
     code, report = invoke(capsys, "sections", "G", "--workspace", str(path),
                           "--preset", "double-origin-line")
     assert code == 1 and report["result"]["error"] == "WorkspaceError"
+
+
+def test_oversized_stage_exits_one_quickly(capsys, tmp_path):
+    # stage n of the (x, y) idal has 2^n generators; past the power bound
+    # the report is an exit-1 error, not minutes of tensor products
+    spec = dict(load_preset("double-origin-plane")["glued"]["O_double"])
+    spec["tau"] = dict(spec["tau"], fwd_stage=30)
+    path = tmp_path / "tau.json"
+    path.write_text(json.dumps({"glued": {"G": spec}}))
+    for argv in (["nilpotency", "Jxy", "--n-max", "40"],
+                 ["sections", "G", "--workspace", str(path)]):
+        started = time.perf_counter()
+        code, report = invoke(capsys, *argv, "--preset", "double-origin-plane")
+        assert time.perf_counter() - started < 1.0
+        assert code == 1 and report["result"]["error"] == "AlgebraError"
+        assert "256" in report["result"]["message"]
 
 
 def test_deeply_nested_polynomial_exits_one(capsys):

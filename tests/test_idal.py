@@ -26,7 +26,7 @@ from idals import (
 )
 from idals.errors import AlgebraError, WellDefinednessError
 from idals.fpmod import tensor_map
-from idals.idal import idal_check_witness
+from idals.idal import MAX_POWER_GENS, idal_check_witness
 
 from conftest import random_idal, random_map_to_unit, random_poly
 
@@ -135,6 +135,16 @@ class TestProductAndPowers:
                 last = J.power_transition(n, n - 1)
                 assert first.equals(last)
                 assert not first.equals(ModuleMap.zero(first.source, first.target))
+
+    def test_power_size_guard(self, R2):
+        # the bound fails before anything is built, also for a huge exponent
+        J = idal_from_ideal(["x", "y"], R2)
+        assert 2 ** 8 <= MAX_POWER_GENS < 2 ** 9
+        for n in (9, 10 ** 9, -1):
+            with pytest.raises(AlgebraError):
+                J.carrier_power(n)
+        # a principal carrier has one generator at every power, built without recursion
+        assert idal_from_ideal(["x"], R2).carrier_power(2000).grading == (2000,)
 
     def test_power_requires_order(self, R1):
         I = idal_from_ideal(["x"], R1)

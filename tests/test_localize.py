@@ -126,6 +126,24 @@ class TestReflect:
                 assert res.hom_chain.stage(n).module is res.chain.stages[n]
                 assert res.hom_chain.stage(n).module == fresh.stage(n).module
 
+    def test_reflections_share_the_idals_chains(self, R2, Jxy):
+        M = PresentedModule(R2, 1, [("x",)])
+        a, b = reflect(Jxy, M, 3), reflect(Jxy, unit_module(R2), 3)
+        assert a.hom_chain.mid is b.hom_chain.mid is Jxy.carrier_power(0)
+        assert reflect(Jxy, M, 4).hom_chain is a.hom_chain
+
+    def test_long_chain_stays_small(self, R2, Jxy):
+        # O/(x) away from the origin is k[y, 1/y]: no stabilization, and
+        # stage n is O/(x) in degree -n, one generator and one relation
+        M = PresentedModule(R2, 1, [("x",)])
+        res = reflect(Jxy, M, 24)
+        assert res.chain.truncated and res.chain.stabilized_at is None
+        assert res.value.gens == 1 and res.value.grading == (-24,)
+        value = PresentedModule(R2, 1, res.value.relations)
+        assert value.contains_column((R2.var("x"),))
+        assert all(M.contains_column(col) for col in value.relations)
+        assert all(len(s.relations) == 1 for s in res.chain.stages)
+
 
 class TestDeligneHom:
     def test_identity_idal(self, R1):
