@@ -47,20 +47,24 @@ from .localize import (
     reflect,
 )
 from .glued import (
+    GluedMap,
     GluedModule,
     SelfGlueTau,
     TwoChartScheme,
+    _free_rank_one_witness,
+    doubleorigin2_datum_check,
     global_sections,
     idal_generation,
     inverse_of,
     invertible_check,
+    o_glued,
     p1_scheme,
     p1_sections_oracle,
     p1_standard,
     roundtrip_check,
     tensor_glued,
 )
-from .polyring import PolyRing
+from .polyring import QQ, PolyRing, groebner
 
 
 COMMANDS = (
@@ -266,7 +270,6 @@ def _cmd_cover_check(ws, args):
         combine = ModuleMap(free_module(ring, len(gens)), unit_module(ring), [gens], check=False)
         cert["one_as_combination"] = [str(c) for c in combine.lift((ring.one(),))]
     elif not ok:
-        from .polyring import groebner
         cert["reduced_basis"] = [str(g) for g in groebner(gens, I.ring)] if gens else []
     return {"is_cover": ok}, cert, ok
 
@@ -359,8 +362,6 @@ def _cmd_tensor_glued(ws, args):
 
 
 def _cmd_invertible(ws, args):
-    from .glued import _free_rank_one_witness
-
     G = ws.glued_module(args.names[0])
     ok = invertible_check(G)
     result = {"invertible": ok}
@@ -396,12 +397,10 @@ def _run_demo(args):
         sch = p1_scheme()
         T = tensor_glued(p1_standard(a, sch), p1_standard(b, sch))
         E = p1_standard(a + b, sch)
-        from .glued import GluedMap, _free_rank_one_witness
         iso = GluedMap(E, T, _free_rank_one_witness(T.m1), _free_rank_one_witness(T.m2))
         ok = is_iso(iso.c1) and is_iso(iso.c2)
         return {"a": a, "b": b, "isomorphic_to_sum_twist": ok}, {}, ok
     if name == "hartogs":
-        from .polyring import QQ
         R = PolyRing(QQ, ["x", "y"])
         J = idal_from_ideal(["x", "y"], R)
         res = reflect(J, unit_module(R), args.n_max)
@@ -409,7 +408,6 @@ def _run_demo(args):
         return ({"stabilized_at": res.chain.stabilized_at,
                  "unit_is_iso": is_iso(res.unit)}, {}, ok)
     if name == "nilpotent-line":
-        from .polyring import QQ
         Q3 = PolyRing(QQ, ["x"], quotient=["x^3"])
         O3 = unit_module(Q3)
         e = Idal.from_map(ModuleMap(O3, O3, [["x"]]))
@@ -419,15 +417,12 @@ def _run_demo(args):
         return ({"nilpotent_at": nil, "reflected_to_zero": res.value.is_zero_module()},
                 {}, ok)
     if name == "roundtrip-line":
-        from .polyring import QQ
         A = PolyRing(QQ, ["x"])
         I = idal_from_ideal(["x"], A)
         J = idal_from_ideal(["x-1"], A)
         res = roundtrip_check(A, I, J, unit_module(A), args.n_max, args.degree_bound)
         return {"roundtrip": res.ok, "mode": res.mode}, dict(res.detail), res.ok
     if name == "double-origin-plane":
-        from .polyring import QQ
-        from .glued import o_glued
         R = PolyRing(QQ, ["x", "y"])
         J = idal_from_ideal(["x", "y"], R)
         sch = TwoChartScheme.selfglue(R, J)
@@ -436,8 +431,6 @@ def _run_demo(args):
                  "by_degree": {str(k): v for k, v in sorted((S.by_degree or {}).items())}},
                 {}, True)
     if name == "doubleorigin2":
-        from .polyring import QQ
-        from .glued import doubleorigin2_datum_check
         R = PolyRing(QQ, ["T1", "T2"])
         J1 = idal_from_ideal(["T1", "T2"], R)
         J2 = Idal.identity(R)

@@ -22,7 +22,6 @@ from .errors import (
     UngradedError,
     WellDefinednessError,
 )
-from . import linalg
 from .polyring import (
     Poly,
     PolyRing,
@@ -31,6 +30,7 @@ from .polyring import (
     _prepare,
     _syzygy_vecs,
     _vec_reduce,
+    mono_divides,
     monomials_of_degree,
 )
 
@@ -94,6 +94,7 @@ class PresentedModule:
             self.grading = zeros if self._homogeneous_for(zeros) else None
         self._rel_gb = None
         self._rel_prepared = None
+        self._graded_lts = None
 
     def _homogeneous_for(self, grading) -> bool:
         return all(column_degree(self.ring, col, grading) is not None
@@ -105,6 +106,21 @@ class PresentedModule:
                                       self.ring, self.gens)
             self._rel_prepared = [_prepare(v, self.ring.free()) for v in self._rel_gb]
         return self._rel_gb
+
+    def _graded_leading_terms(self):
+        """The leading monomials of `rel_gb`, one list per position, after
+        checking once that every basis element is homogeneous for the
+        grading (it is whenever the relations and the ring's quotient are)."""
+        if self._graded_lts is None:
+            self.rel_gb()
+            lts = [[] for _ in range(self.gens)]
+            for g in self._rel_prepared:
+                if len({self.ring.mono_degree(e) + self.grading[p] for p, e in g.vec}) > 1:
+                    raise AlgebraError(
+                        "internal: relation Groebner basis is not homogeneous for the grading")
+                lts[g.pos].append(g.exps)
+            self._graded_lts = lts
+        return self._graded_lts
 
     def reduce_vec(self, vec: dict) -> dict:
         self.rel_gb()
@@ -721,38 +737,21 @@ def ring_is_graded(ring: PolyRing) -> bool:
 
 
 def graded_dim(M: PresentedModule, d: int) -> int:
-    """Base-field dimension of the degree-d component."""
+    """Base-field dimension of the degree-d component.
+
+    By Macaulay's theorem the standard monomials, the pairs (generator i,
+    monomial m) that no leading term of `rel_gb` in position i divides, form
+    a basis of M; with homogeneous relations they form one of each graded
+    component, so dim M_d counts those of degree d."""
     if M.grading is None:
         raise UngradedError("module carries no grading")
     ring = M.ring
     if not ring_is_graded(ring):
         raise UngradedError("ring quotient ideal is not homogeneous")
-    basis = []
-    index = {}
+    count = 0
     for i in range(M.gens):
-        for m in monomials_of_degree(ring, d - M.grading[i]):
-            index[(i, m)] = len(basis)
-            basis.append((i, m))
-    if not basis:
-        return 0
-    rows = []
-    zero = ring.field.zero()
-    for col in M.relations:
-        cd = column_degree(ring, col, M.grading)
-        if cd == "zero":
-            continue
-        for m in monomials_of_degree(ring, d - cd):
-            mult = ring.monomial(m)
-            row = [zero] * len(basis)
-            for i, p in enumerate(col):
-                prod = mult * p
-                for e, c in prod.terms.items():
-                    k = index.get((i, e))
-                    if k is None:
-                        raise AlgebraError(
-                            "internal: homogeneous relation multiple left its degree stratum")
-                    row[k] = c
-            rows.append(row)
-    if not rows:
-        return len(basis)
-    return len(basis) - linalg.rank(rows, ring.field)
+        monos = monomials_of_degree(ring, d - M.grading[i])
+        if monos:
+            lts = M._graded_leading_terms()[i]
+            count += sum(1 for m in monos if not any(mono_divides(lt, m) for lt in lts))
+    return count

@@ -198,11 +198,12 @@ class PolyRing:
 
     The quotient ideal is stored as its reduced Groebner basis, computed once
     at construction.  `weights` assigns an integer degree to each variable
-    (default 1) and is what graded_dim and homogeneity tests use.
+    (default 1) and is what graded_dim and homogeneity tests use.  The ring
+    also keeps the Groebner memo of the module engine (`_gb_memoized`).
     """
 
     __slots__ = ("field", "variables", "order", "weights", "quotient_gb",
-                 "_key", "_var_index", "_free", "_signature")
+                 "_key", "_var_index", "_free", "_signature", "_gb_memo")
 
     def __init__(self, field: BaseField, variables, order: str = "grevlex",
                  quotient=(), weights=None):
@@ -217,10 +218,13 @@ class PolyRing:
         self._key = make_order_key(order)
         self._var_index = {v: i for i, v in enumerate(self.variables)}
         self._signature = None
+        self._gb_memo = {}
         quotient = tuple(quotient)
         if not quotient:
             self.quotient_gb = ()
-            self._free = self
+            # not `self`: a ring that referred to itself, and the Groebner
+            # memo with it, would wait for the cyclic collector to be freed
+            self._free = None
         else:
             free = PolyRing(field, self.variables, order, (), self.weights)
             gens = [free.poly(q).terms for q in quotient]
@@ -230,7 +234,7 @@ class PolyRing:
 
     def free(self) -> "PolyRing":
         """The same ring with no quotient ideal."""
-        return self._free
+        return self if self._free is None else self._free
 
     @property
     def nvars(self) -> int:
@@ -290,11 +294,7 @@ class PolyRing:
 
     def _quotient_divisors(self, rank: int):
         """Quotient generators placed in each of `rank` positions, prepared."""
-        out = []
-        for q in self.quotient_gb:
-            for pos in range(rank):
-                out.append(_prepare({(pos, e): c for e, c in q.items()}, self._free))
-        return out
+        return [_prepare(v, self.free()) for v in _quotient_vecs(self, rank)]
 
     def contains_one(self, gens) -> bool:
         """Ideal membership of 1 in <gens> + quotient ideal."""
@@ -558,57 +558,64 @@ def _bounded_power(base: Poly, n: int) -> Poly:
     return result
 
 
-def _parse_poly(text: str, ring: PolyRing) -> dict:
-    """Recursive-descent parser for +, -, *, ^/** , parentheses, and the
-    coefficient forms `num`, `num/den`, `(k mod p)`."""
-    tokens = _tokenize(text)
-    idx = [0]
-    depth = [0]
+class _Parser:
+    """Recursive-descent parser over one token list.  The methods share the
+    token index and the nesting depth through the instance, so a parse
+    leaves no reference cycle behind."""
 
-    def peek():
-        return tokens[idx[0]]
+    __slots__ = ("tokens", "ring", "idx", "depth")
 
-    def advance():
-        idx[0] += 1
-        return tokens[idx[0] - 1]
+    def __init__(self, tokens: list, ring: PolyRing):
+        self.tokens = tokens
+        self.ring = ring
+        self.idx = 0
+        self.depth = 0
 
-    def parse_expr() -> Poly:
+    def peek(self):
+        return self.tokens[self.idx]
+
+    def advance(self):
+        self.idx += 1
+        return self.tokens[self.idx - 1]
+
+    def expr(self) -> Poly:
         sign = 1
-        while peek() in ("+", "-"):
-            if advance() == "-":
+        while self.peek() in ("+", "-"):
+            if self.advance() == "-":
                 sign = -sign
-        node = parse_term()
+        node = self.term()
         if sign < 0:
             node = -node
-        while peek() in ("+", "-"):
-            op = advance()
-            rhs = parse_term()
+        while self.peek() in ("+", "-"):
+            op = self.advance()
+            rhs = self.term()
             node = node + rhs if op == "+" else node - rhs
         return node
 
-    def parse_term() -> Poly:
-        node = parse_factor()
+    def term(self) -> Poly:
+        field = self.ring.field
+        node = self.factor()
         while True:
-            if peek() == "*":
-                advance()
-                node = _bounded_product(node, parse_factor())
-            elif peek() == "/":
-                advance()
-                den = advance()
+            if self.peek() == "*":
+                self.advance()
+                node = _bounded_product(node, self.factor())
+            elif self.peek() == "/":
+                self.advance()
+                den = self.advance()
                 if den is None or not den.isdigit():
                     raise AlgebraError("division only by integer literals")
-                d = ring.field.of(_int_literal(den))
+                d = field.of(_int_literal(den))
                 if not d:
-                    raise AlgebraError(f"division by {den}, which is zero in {ring.field}")
-                node = node.scale(ring.field.inv(d))
+                    raise AlgebraError(f"division by {den}, which is zero in {field}")
+                node = node.scale(field.inv(d))
             else:
                 return node
 
-    def parse_factor() -> Poly:
-        base = parse_atom()
-        if peek() in ("^", "**"):
-            advance()
-            exp = advance()
+    def factor(self) -> Poly:
+        base = self.atom()
+        if self.peek() in ("^", "**"):
+            self.advance()
+            exp = self.advance()
             if exp is None or not exp.isdigit():
                 raise AlgebraError("exponent must be a non-negative integer literal")
             # compare lengths first: int() refuses literals of over 4300 digits
@@ -618,32 +625,33 @@ def _parse_poly(text: str, ring: PolyRing) -> dict:
             return _bounded_power(base, int(exp))
         return base
 
-    def parse_atom() -> Poly:
-        depth[0] += 1
-        if depth[0] > MAX_NESTING:
+    def atom(self) -> Poly:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
             raise AlgebraError(f"polynomial nested deeper than {MAX_NESTING} levels")
-        node = parse_atom_body()
-        depth[0] -= 1
+        node = self.atom_body()
+        self.depth -= 1
         return node
 
-    def parse_atom_body() -> Poly:
-        tok = advance()
+    def atom_body(self) -> Poly:
+        ring, tokens = self.ring, self.tokens
+        tok = self.advance()
         if tok == "-":
-            return -parse_atom()
+            return -self.atom()
         if tok == "(":
             # either a parenthesized expression or the `(k mod p)` form
-            if (tokens[idx[0]] is not None and tokens[idx[0]].lstrip("-").isdigit()
-                    and tokens[idx[0] + 1] == "mod"):
-                k = _int_literal(advance())
-                advance()
-                p = _int_literal(advance())
-                if advance() != ")":
+            nxt = tokens[self.idx]
+            if nxt is not None and nxt.lstrip("-").isdigit() and tokens[self.idx + 1] == "mod":
+                k = _int_literal(self.advance())
+                self.advance()
+                p = _int_literal(self.advance())
+                if self.advance() != ")":
                     raise AlgebraError("unclosed (k mod p) coefficient")
                 if not ring.field.p or ring.field.p != p:
                     raise AlgebraError(f"(k mod {p}) coefficient in ring over {ring.field}")
                 return ring.constant(k)
-            node = parse_expr()
-            if advance() != ")":
+            node = self.expr()
+            if self.advance() != ")":
                 raise AlgebraError("unbalanced parentheses")
             return node
         if tok is None:
@@ -654,9 +662,14 @@ def _parse_poly(text: str, ring: PolyRing) -> dict:
             return ring.var(tok)
         raise VariableMismatchError(f"unknown symbol {tok!r} for ring {ring!r}")
 
-    result = parse_expr()
-    if peek() is not None:
-        raise AlgebraError(f"trailing input after polynomial: {peek()!r}")
+
+def _parse_poly(text: str, ring: PolyRing) -> dict:
+    """Recursive-descent parser for +, -, *, ^/** , parentheses, and the
+    coefficient forms `num`, `num/den`, `(k mod p)`."""
+    parser = _Parser(_tokenize(text), ring)
+    result = parser.expr()
+    if parser.peek() is not None:
+        raise AlgebraError(f"trailing input after polynomial: {parser.peek()!r}")
     return dict(result.terms)
 
 
@@ -947,60 +960,86 @@ def _buchberger(vecs: list, ring: PolyRing, rank: int, keyf=None, track: bool = 
     return [g.vec for g in reduced]
 
 
+# Equal presentations are rebuilt as new objects throughout the layers above,
+# and each object caches only its own basis, so the same Groebner input comes
+# back many times.  Each ring therefore memoizes the results of the three
+# entry points below, keyed on the ordered input columns: syzygy positions
+# and tracked cofactors depend on the input order.  The memo keeps at most
+# this many entries per ring and drops the oldest first, so a long-lived ring
+# does not grow without bound.
+GB_MEMO_MAX = 256
+
+
+def _gb_memoized(ring: PolyRing, kind: str, rank: int, columns: list, compute):
+    """compute(), or its stored result for the same (kind, rank, columns) on
+    this ring instance.  Callers copy what they hand out or never mutate it."""
+    memo = ring._gb_memo
+    key = (kind, rank, tuple(frozenset(c.items()) for c in columns))
+    hit = memo.get(key)
+    if hit is None:
+        hit = compute()
+        if len(memo) >= GB_MEMO_MAX:
+            del memo[next(iter(memo))]
+        memo[key] = hit
+    return hit
+
+
+def _quotient_vecs(ring: PolyRing, rank: int) -> list:
+    """The quotient generators placed in each of `rank` positions."""
+    return [{(pos, e): c for e, c in q.items()}
+            for q in ring.quotient_gb for pos in range(rank)]
+
+
 def _module_gb(columns: list, ring: PolyRing, rank: int):
     """Reduced GB of the submodule of ring^rank generated by the columns,
     over the quotient ring (quotient generators appended in each position)."""
-    free = ring.free()
-    vecs = [dict(c) for c in columns if c]
-    for q in ring.quotient_gb:
-        for pos in range(rank):
-            vecs.append({(pos, e): c for e, c in q.items()})
-    return _buchberger(vecs, free, rank)
+    def compute():
+        vecs = [dict(c) for c in columns if c] + _quotient_vecs(ring, rank)
+        return _buchberger(vecs, ring.free(), rank)
+    return [dict(v) for v in _gb_memoized(ring, "gb", rank, columns, compute)]
 
 
 def _syzygy_vecs(columns: list, ring: PolyRing, rank: int) -> list:
     """Generators of {c : sum c_i * columns_i = 0 in ring^rank} over the
     quotient ring.  Returned vectors live in positions 0..len(columns)-1."""
-    free = ring.free()
-    n = len(columns)
-    work = []
-    for i, col in enumerate(columns):
-        v = dict(col)
-        v[(rank + i, (0,) * ring.nvars)] = ring.field.one()
-        work.append(v)
-    extra = 0
-    for q in ring.quotient_gb:
-        for pos in range(rank):
-            v = {(pos, e): c for e, c in q.items()}
-            v[(rank + n + extra, (0,) * ring.nvars)] = ring.field.one()
-            work.append(v)
-            extra += 1
-    keyf = _vkey(free, elim_rank=rank)
-    gb = _buchberger(work, free, rank + n + extra, keyf=keyf)
-    out = []
-    for g in gb:
-        if all(p >= rank for (p, _) in g):
-            proj = {(p - rank, e): c for (p, e), c in g.items() if p - rank < n}
-            if proj:
-                out.append(proj)
-    return out
+    def compute():
+        free = ring.free()
+        n = len(columns)
+        work = [dict(c) for c in columns] + _quotient_vecs(ring, rank)
+        for i, v in enumerate(work):
+            v[(rank + i, (0,) * ring.nvars)] = ring.field.one()
+        gb = _buchberger(work, free, rank + len(work), keyf=_vkey(free, elim_rank=rank))
+        out = []
+        for g in gb:
+            if all(p >= rank for (p, _) in g):
+                proj = {(p - rank, e): c for (p, e), c in g.items() if p - rank < n}
+                if proj:
+                    out.append(proj)
+        return out
+    return [dict(v) for v in _gb_memoized(ring, "syz", rank, columns, compute)]
 
 
 class SubmoduleLifter:
     """Tracked Groebner data for one column set: membership plus explicit
-    cofactor lifts.  Cofactors over appended quotient columns are dropped."""
+    cofactor lifts.  Cofactors over appended quotient columns are dropped.
+
+    Lifters of equal column lists on one ring share their basis, its
+    representations and the prepared divisors; none of them is mutated
+    after construction."""
 
     def __init__(self, ring: PolyRing, columns: list, rank: int):
         self.ring = ring
         self.rank = rank
         self.n = len(columns)
         free = ring.free()
-        vecs = [dict(c) for c in columns]
-        for q in ring.quotient_gb:
-            for pos in range(rank):
-                vecs.append({(pos, e): c for e, c in q.items()})
-        self._gb, self._reprs = _buchberger(vecs, free, rank, track=True)
-        self._prepared = [_prepare(v, free) for v in self._gb]
+
+        def compute():
+            vecs = [dict(c) for c in columns] + _quotient_vecs(ring, rank)
+            gb, reprs = _buchberger(vecs, free, rank, track=True)
+            return gb, reprs, [_prepare(v, free) for v in gb]
+
+        self._gb, self._reprs, self._prepared = _gb_memoized(
+            ring, "lift", rank, columns, compute)
         self._free = free
 
     def reduce(self, vec: dict):

@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 from fractions import Fraction
@@ -17,6 +18,7 @@ from idals import (
     normal_form,
     syzygies,
 )
+from idals import polyring
 from idals.errors import AlgebraError, VariableMismatchError
 from idals.polyring import SubmoduleLifter, mono_divides, mono_lcm, monomials_of_degree
 
@@ -340,3 +342,119 @@ class TestNoDivisors:
         Q = PolyRing(QQ, ["x"], quotient=["x^2"])
         rem, cof = divide_with_cofactors(FreeVector(Q, ["x^3 + x"]), [])
         assert rem == FreeVector(Q, ["x"]) and cof == []
+
+
+def test_parser_leaves_no_reference_cycle():
+    ring = PolyRing(QQ, ["x", "y"])
+    gc.collect()
+    gc.disable()
+    try:
+        ring.poly("(x+2*y)^2 - 3*x*y + 1/2")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+class TestGroebnerMemo:
+    """Each ring memoizes `_module_gb`, `_syzygy_vecs` and the tracked basis
+    of `SubmoduleLifter` on the ordered input columns."""
+
+    @staticmethod
+    def columns(ring, *entries):
+        return [FreeVector(ring, e).to_vec() for e in entries]
+
+    def quotient_ring(self):
+        return PolyRing(QQ, ["x", "y"], quotient=["x^2*y - y^2"])
+
+    def test_mutating_a_result_leaves_the_memo_alone(self):
+        Q = self.quotient_ring()
+        cols = self.columns(Q, ["x", "y"], ["y^2", "x*y"], ["x*y", "0"])
+        gb = polyring._module_gb(cols, Q, 2)
+        syz = polyring._syzygy_vecs(cols, Q, 2)
+        want_gb, want_syz = [dict(v) for v in gb], [dict(v) for v in syz]
+        gb[0].clear()
+        gb.append({(0, (9, 9)): QQ.one()})
+        syz[0][(0, (5, 5))] = QQ.one()
+        assert polyring._module_gb(cols, Q, 2) == want_gb
+        assert polyring._syzygy_vecs(cols, Q, 2) == want_syz
+
+    def test_input_order_is_part_of_the_key(self):
+        Q = self.quotient_ring()
+        free = Q.free()
+        cols = self.columns(Q, ["x", "y"], ["y^2", "x*y"], ["x*y", "0"])
+        target = FreeVector(Q, ["x^2*y + x*y^2", "x*y^2 + y^2"]).to_vec()
+        quotient = [{(pos, e): c for e, c in q.items()}
+                    for q in Q.quotient_gb for pos in range(2)]
+        results = []
+        for order in (cols, cols[::-1]):
+            vecs = [dict(c) for c in order] + quotient
+            lifter = SubmoduleLifter(Q, order, 2)
+            direct_gb, direct_reprs = polyring._buchberger(
+                [dict(v) for v in vecs], free, 2, track=True)
+            assert lifter._gb == direct_gb and lifter._reprs == direct_reprs
+            fresh = SubmoduleLifter(self.quotient_ring(), order, 2)
+            assert lifter.lift(target) == fresh.lift(target) is not None
+            assert (polyring._module_gb(order, Q, 2)
+                    == polyring._buchberger([dict(v) for v in vecs], free, 2))
+            syz = polyring._syzygy_vecs(order, Q, 2)
+            assert syz == polyring._syzygy_vecs(order, self.quotient_ring(), 2)
+            results.append((lifter._reprs, syz))
+        # the reversed input is tracked and solved by other positions
+        assert results[0][0] != results[1][0] and results[0][1] != results[1][1]
+        assert len(Q._gb_memo) == 6
+
+    def test_rings_share_nothing(self):
+        R, S = PolyRing(QQ, ["x", "y"]), PolyRing(QQ, ["x", "y"])
+        cols = self.columns(R, ["x^2 - y"], ["x*y"])
+        polyring._module_gb(cols, R, 1)
+        assert R == S and len(R._gb_memo) == 1 and not S._gb_memo
+        polyring._module_gb(cols, S, 1)
+        (stored_r,), (stored_s,) = R._gb_memo.values(), S._gb_memo.values()
+        assert stored_r == stored_s and stored_r is not stored_s
+
+    def test_memo_is_capped(self):
+        R = PolyRing(QQ, ["x", "y"])
+
+        def key(k):
+            return [{(0, (k, 1)): QQ.one()}]
+
+        for k in range(polyring.GB_MEMO_MAX + 10):
+            polyring._module_gb(key(k), R, 1)
+            assert len(R._gb_memo) <= polyring.GB_MEMO_MAX
+        assert len(R._gb_memo) == polyring.GB_MEMO_MAX
+        # the oldest entries went first
+        stored = [cols[0] for _, _, cols in R._gb_memo]
+        assert stored == [frozenset(key(k)[0].items())
+                          for k in range(10, polyring.GB_MEMO_MAX + 10)]
+
+    def test_rings_and_memos_are_freed_without_the_cyclic_collector(self):
+        gc.collect()
+        gc.disable()
+        try:
+            for quotient in ((), ("x^2*y - y^2",)):
+                R = PolyRing(QQ, ["x", "y"], quotient=quotient)
+                cols = self.columns(R, ["x", "y"], ["y^2", "x*y"])
+                polyring._module_gb(cols, R, 2)
+                polyring._syzygy_vecs(cols, R, 2)
+                SubmoduleLifter(R, cols, 2).lift(cols[0])
+                del R
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_repeated_calls_skip_buchberger(self, monkeypatch):
+        calls = []
+        original = polyring._buchberger
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        Q = self.quotient_ring()
+        cols = self.columns(Q, ["x", "y"], ["y^2", "x*y"])
+        monkeypatch.setattr(polyring, "_buchberger", counting)
+        for _ in range(3):
+            polyring._module_gb(cols, Q, 2)
+            polyring._syzygy_vecs(cols, Q, 2)
+            SubmoduleLifter(Q, cols, 2)
+        assert len(calls) == 3
