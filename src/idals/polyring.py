@@ -10,7 +10,9 @@ The module-level Groebner engine works on "raw vectors": dicts mapping
 (position, exponent-tuple) to a coefficient.  Ring elements are rank-1
 vectors.  The module order is position-over-term with descending positions
 (position 0 is largest).  Quotient rings are handled by appending the
-quotient generators, placed in every position, to the divisor sets.
+quotient generators, placed in every position, to the divisor sets.  Over
+the rationals the engine computes on integers (`_pseudo_reduce`) and hands
+out Fractions.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, le, neg, sub
+from math import gcd, lcm as int_lcm
+from operator import add, itemgetter, le, neg, sub
 
 from .errors import (
     AlgebraError,
@@ -38,9 +41,8 @@ class BaseField:
     __slots__ = ("p",)
 
     def __init__(self, p: int = 0):
-        if p:
-            if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-                raise AlgebraError(f"{p} is not prime")
+        if p and not _is_prime(p):
+            raise AlgebraError(f"{p} is not prime")
         self.p = p
 
     @property
@@ -95,7 +97,10 @@ class BaseField:
                 raise AlgebraError(f"coefficient {text!r} does not match field {self}")
             return _int_literal(m.group(1)) % self.p
         if "/" in text:
-            num, den = text.split("/")
+            parts = text.split("/")
+            if len(parts) != 2:
+                raise AlgebraError(f"coefficient {_shown(text)!r} has more than one '/'")
+            num, den = parts
             den = _int_literal(den)
             if not den:
                 raise AlgebraError(f"coefficient {text!r} divides by zero")
@@ -129,6 +134,44 @@ class BaseField:
 QQ = BaseField(0)
 
 
+# Miller-Rabin with the first 12 primes as bases classifies every integer
+# below this bound exactly (Sorenson & Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_BOUND = 318665857834031151167461
+
+
+def _is_prime(n: int) -> bool:
+    """Exact primality for n below PRIME_BOUND; AlgebraError above it."""
+    if n >= PRIME_BOUND:
+        raise AlgebraError(f"field characteristic of {n.bit_length()} bits is too "
+                           f"large: primality is decided only below {PRIME_BOUND}")
+    if n < 2:
+        return False
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while not d & 1:
+        d, r = d >> 1, r + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _shown(text: str) -> str:
+    """A literal as error messages quote it: long ones are elided."""
+    return text if len(text) <= 24 else f"{text[:12]}...{text[-12:]}"
+
+
 def _int_literal(text: str) -> int:
     """int(text), raising AlgebraError where int() refuses the literal: a
     malformed one, or one of more digits than Python converts to an int
@@ -136,8 +179,7 @@ def _int_literal(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        shown = text if len(text) <= 24 else f"{text[:12]}...{text[-12:]}"
-        raise AlgebraError(f"cannot read integer literal {shown!r} "
+        raise AlgebraError(f"cannot read integer literal {_shown(text)!r} "
                            f"({len(text)} characters)") from None
 
 
@@ -203,7 +245,7 @@ class PolyRing:
     """
 
     __slots__ = ("field", "variables", "order", "weights", "quotient_gb",
-                 "_key", "_var_index", "_free", "_signature", "_gb_memo")
+                 "_key", "_var_index", "_free", "_signature", "_gb_memo", "_qdivs")
 
     def __init__(self, field: BaseField, variables, order: str = "grevlex",
                  quotient=(), weights=None):
@@ -219,6 +261,7 @@ class PolyRing:
         self._var_index = {v: i for i, v in enumerate(self.variables)}
         self._signature = None
         self._gb_memo = {}
+        self._qdivs = {}
         quotient = tuple(quotient)
         if not quotient:
             self.quotient_gb = ()
@@ -293,8 +336,13 @@ class PolyRing:
         return _vec_to_poly_terms(red)
 
     def _quotient_divisors(self, rank: int):
-        """Quotient generators placed in each of `rank` positions, prepared."""
-        return [_prepare(v, self.free()) for v in _quotient_vecs(self, rank)]
+        """Quotient generators placed in each of `rank` positions, prepared
+        once per rank."""
+        divs = self._qdivs.get(rank)
+        if divs is None:
+            divs = self._qdivs[rank] = [_prepare(v, self.free())
+                                        for v in _quotient_vecs(self, rank)]
+        return divs
 
     def contains_one(self, gens) -> bool:
         """Ideal membership of 1 in <gens> + quotient ideal."""
@@ -717,12 +765,17 @@ def _vkey(ring: PolyRing, elim_rank: int | None = None):
 
 
 class _Prepared:
-    """A divisor with cached leading-term data; `tail` holds the other terms
-    as (pos, exps, coeff)."""
+    """A divisor with cached leading-term data.
 
-    __slots__ = ("vec", "lt", "lc", "pos", "exps", "sugar", "track", "tail")
+    `vec` is the divisor as the reduction loop uses it: over QQ a primitive
+    integer vector, over GF(p) the vector itself; `unit` is the scalar with
+    unit * vec equal to the divisor a caller prepared (1 inside Buchberger).
+    `tail` holds the terms of vec other than the leading one as
+    (pos, exps, coeff)."""
 
-    def __init__(self, vec, keyf, ring, track=None):
+    __slots__ = ("vec", "lt", "lc", "pos", "exps", "sugar", "track", "tail", "unit")
+
+    def __init__(self, vec, keyf, track=None, unit=1):
         self.vec = vec
         self.lt = lt = min(vec, key=keyf)
         self.lc = vec[lt]
@@ -730,10 +783,32 @@ class _Prepared:
         self.sugar = max(sum(e) for (_, e) in vec)
         self.track = track
         self.tail = [(p, e, c) for (p, e), c in vec.items() if (p, e) != lt]
+        self.unit = unit
 
 
-def _prepare(vec, ring, keyf=None, track=None) -> _Prepared:
-    return _Prepared(vec, keyf or _vkey(ring), ring, track)
+def _prepare(vec, ring) -> _Prepared:
+    """A divisor for `_vec_reduce` under the ring's module order."""
+    keyf = _vkey(ring)
+    if ring.field.p:
+        return _Prepared(vec, keyf)
+    ints, den = _integral(vec)
+    content = gcd(*ints.values())
+    if content != 1:
+        ints = {k: c // content for k, c in ints.items()}
+    return _Prepared(ints, keyf, unit=Fraction(content, den))
+
+
+def _integral(vec: dict):
+    """(ints, den) with ints == den * vec integral, den the least common
+    denominator of vec's rational coefficients; key order is kept."""
+    den = int_lcm(*(c.denominator for c in vec.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in vec.items()}, den
+
+
+def _exact(num, den):
+    """The rational num / den (den a nonzero int), kept an int when exact."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 def _vec_scale_shift(vec: dict, coeff, shift, field) -> dict:
@@ -742,20 +817,28 @@ def _vec_scale_shift(vec: dict, coeff, shift, field) -> dict:
 
 def _vec_sub_inplace(target: dict, other: dict, field):
     for k, c in other.items():
-        s = field.sub(target.get(k, field.zero()), c)
+        s = field.sub(target.get(k, 0), c)
         if s:
             target[k] = s
         else:
             target.pop(k, None)
 
 
-def _vec_reduce(vec: dict, divisors: list, ring: PolyRing, rank: int,
-                keyf=None, track_len: int = 0, memo: dict | None = None):
-    """Full normal form of vec by the prepared divisors.
+def _pseudo_reduce(vec: dict, divisors: list, keyf, p: int, track_len: int = 0,
+                   memo: dict | None = None):
+    """Normal form of vec by the prepared divisors, up to a nonzero scalar.
 
-    Returns (remainder, cofactors) where cofactors is a list of track_len
-    term dicts, one for each of the first track_len divisors (empty when
-    track_len is 0).
+    Returns (remainder, cofactors, scale) with
+    scale * vec == sum of cofactors[i] * divisors[i].vec + remainder,
+    the sum running over every divisor (a cofactor is kept for each of the
+    first track_len divisors only).  Over GF(p) scale is 1 and a term is
+    cancelled by the inverse of the divisor's leading coefficient lc.  Over
+    QQ the coefficients are integers: with g = gcd(c, lc), the work, the
+    remainder and the cofactors are multiplied by lc // g and c // g times
+    the shifted divisor is subtracted (primitive pseudo-reduction), so the
+    loop divides nothing.  Every step depends on leading monomials only,
+    hence both take the steps a reduction by field division takes, with
+    every intermediate value multiplied by the scale reached so far.
 
     The leading term is popped from a heap of (key, term); a term that
     cancels leaves its entry behind, and the entry is skipped when popped.
@@ -763,9 +846,6 @@ def _vec_reduce(vec: dict, divisors: list, ring: PolyRing, rank: int,
     `memo` maps terms to keys; callers reducing many vectors under one key
     function pass the same dict to compute each key once.
     """
-    field = ring.field
-    p = field.p
-    keyf = keyf or _vkey(ring)
     if memo is None:
         memo = {}
     work = dict(vec)
@@ -778,6 +858,7 @@ def _vec_reduce(vec: dict, divisors: list, ring: PolyRing, rank: int,
     heapify(heap)
     remainder: dict = {}
     cof = [dict() for _ in range(track_len)]
+    scale = 1
     while heap:
         t = heappop(heap)[1]
         c = work.pop(t, None)
@@ -790,7 +871,17 @@ def _vec_reduce(vec: dict, divisors: list, ring: PolyRing, rank: int,
         else:
             remainder[t] = c
             continue
-        factor = c if d.lc == 1 else field.div(c, d.lc)
+        lc = d.lc
+        if p:
+            factor = c if lc == 1 else c * pow(lc, p - 2, p) % p
+        else:
+            g = gcd(c, lc)
+            m, factor = lc // g, c // g
+            if m != 1:
+                scale *= m
+                for part in (work, remainder, *cof):
+                    for k in part:
+                        part[k] *= m
         shift = tuple(map(sub, exps, d.exps))
         for dpos, de, dc in d.tail:
             nt = (dpos, tuple(map(add, de, shift)))
@@ -811,18 +902,46 @@ def _vec_reduce(vec: dict, divisors: list, ring: PolyRing, rank: int,
                     del work[nt]
         if i < track_len:
             ci = cof[i]
-            s = field.add(ci.get(shift, field.zero()), factor)
+            s = ci.get(shift, 0) + factor
+            if p:
+                s %= p
             if s:
                 ci[shift] = s
             else:
                 ci.pop(shift, None)
-    return remainder, cof
+    return remainder, cof, scale
+
+
+def _vec_reduce(vec: dict, divisors: list, ring: PolyRing, rank: int,
+                keyf=None, track_len: int = 0, memo: dict | None = None):
+    """Full normal form of vec by the divisors, prepared by `_prepare`.
+
+    Returns (remainder, cofactors) where cofactors is a list of track_len
+    term dicts, the cofactors of the first track_len divisors as they were
+    prepared (empty when track_len is 0).  Over QQ the remainder and the
+    cofactors are Fractions; the reduction itself runs on integers.
+    """
+    keyf = keyf or _vkey(ring)
+    p = ring.field.p
+    if p:
+        rem, cof, _ = _pseudo_reduce(vec, divisors, keyf, p, track_len, memo)
+        return rem, cof
+    ints, den = _integral(vec)
+    rem, cof, scale = _pseudo_reduce(ints, divisors, keyf, 0, track_len, memo)
+    scale *= den   # scale * vec == sum of cofactor * d.vec + remainder
+    rem = {k: Fraction(c, scale) for k, c in rem.items()}
+    out = []
+    for d, ci in zip(divisors, cof):
+        # the prepared divisor is d.unit * d.vec
+        num, dnm = d.unit.denominator, scale * d.unit.numerator
+        out.append({k: Fraction(c * num, dnm) for k, c in ci.items()})
+    return rem, out
 
 
 def _track_combine(track_target: dict, track_src: dict, coeff, shift, field):
     for (i, e), c in track_src.items():
         k = (i, mono_mul(e, shift))
-        s = field.add(track_target.get(k, field.zero()), field.mul(c, coeff))
+        s = field.add(track_target.get(k, 0), field.mul(c, coeff))
         if s:
             track_target[k] = s
         else:
@@ -836,29 +955,43 @@ def _buchberger(vecs: list, ring: PolyRing, rank: int, keyf=None, track: bool = 
     dict {(input_index, exps): coeff} expressing it over the input vectors.
     Selection: sugar strategy; pruning: product criterion (rank-1 leading
     positions only) and the chain criterion.
+
+    Over QQ the loop holds each element as a primitive integer vector
+    lambda * g, g monic, with the track lambda * t of g's track t, and
+    reduces by `_pseudo_reduce`; over GF(p) it holds g itself.  Every choice
+    depends on leading monomials only, so both fields take the steps of
+    Buchberger's algorithm on monic elements.  Over QQ the returned basis
+    and tracks are divided by lambda, as Fractions, at the end.
     """
     field = ring.field
+    p = field.p
     keyf = keyf or _vkey(ring)
     memo: dict = {}   # term -> keyf(term), shared by every reduction below
+
+    def loop_form(vec, tr) -> _Prepared:
+        """A new element as the loop holds it, its track divided alike:
+        primitive over QQ, monic over GF(p)."""
+        prep = _Prepared(vec, keyf, tr)
+        s = prep.lc if p else gcd(*vec.values())
+        if s == 1:
+            return prep
+        if p:
+            inv = field.inv(s)
+            vec = {k: c * inv % p for k, c in vec.items()}
+            if tr is not None:
+                tr = {k: c * inv % p for k, c in tr.items()}
+        else:
+            vec = {k: c // s for k, c in vec.items()}
+            if tr is not None:
+                tr = {k: _exact(c, s) for k, c in tr.items()}
+        return _Prepared(vec, keyf, tr)
 
     G: list[_Prepared] = []
     for i, v in enumerate(vecs):
         if not v:
             continue
-        t = {(i, (0,) * ring.nvars): field.one()} if track else None
-        G.append(_prepare(dict(v), ring, keyf, t))
-
-    def monic(prep: _Prepared) -> _Prepared:
-        if prep.lc == field.one():
-            return prep
-        inv = field.inv(prep.lc)
-        v = {k: field.mul(c, inv) for k, c in prep.vec.items()}
-        t = None
-        if prep.track is not None:
-            t = {k: field.mul(c, inv) for k, c in prep.track.items()}
-        return _prepare(v, ring, keyf, t)
-
-    G = [monic(g) for g in G]
+        v, den = (dict(v), 1) if p else _integral(v)
+        G.append(loop_form(v, {(i, (0,) * ring.nvars): den} if track else None))
 
     pairs: list = []
     done_pairs: set = set()
@@ -903,22 +1036,24 @@ def _buchberger(vecs: list, ring: PolyRing, rank: int, keyf=None, track: bool = 
                     break
         if skip:
             continue
+        # S-vector ai * x^si * gi - aj * x^sj * gj; ai == aj == 1 over GF(p)
         si, sj = mono_div(lcm, gi.exps), mono_div(lcm, gj.exps)
-        spoly = _vec_scale_shift(gi.vec, field.one(), si, field)
-        _vec_sub_inplace(spoly, _vec_scale_shift(gj.vec, field.one(), sj, field), field)
-        red, cof = _vec_reduce(spoly, G, ring, rank, keyf,
-                               track_len=len(G) if track else 0, memo=memo)
+        g = gcd(gi.lc, gj.lc)
+        ai, aj = gj.lc // g, gi.lc // g
+        spoly = _vec_scale_shift(gi.vec, ai, si, field)
+        _vec_sub_inplace(spoly, _vec_scale_shift(gj.vec, aj, sj, field), field)
+        red, cof, scale = _pseudo_reduce(spoly, G, keyf, p, len(G) if track else 0, memo)
         if not red:
             continue
         rtrack = None
         if track:
             rtrack = {}
-            _track_combine(rtrack, gi.track, field.one(), si, field)
-            _track_combine(rtrack, gj.track, field.neg(field.one()), sj, field)
+            _track_combine(rtrack, gi.track, field.mul(scale, ai), si, field)
+            _track_combine(rtrack, gj.track, field.neg(field.mul(scale, aj)), sj, field)
             for d, cterms in zip(G, cof):
                 for shift, c in cterms.items():
                     _track_combine(rtrack, d.track, field.neg(c), shift, field)
-        G.append(monic(_prepare(red, ring, keyf, rtrack)))
+        G.append(loop_form(red, rtrack))
         push_pairs_with(len(G) - 1)
 
     # minimal basis: drop elements whose leading term is divisible by another's
@@ -943,21 +1078,29 @@ def _buchberger(vecs: list, ring: PolyRing, rank: int, keyf=None, track: bool = 
     reduced = []
     for idx, g in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1:]
-        rem, cof = _vec_reduce(g.vec, others, ring, rank, keyf,
-                               track_len=len(others) if track else 0, memo=memo)
+        rem, cof, scale = _pseudo_reduce(g.vec, others, keyf, p,
+                                         len(others) if track else 0, memo)
         tr = None
         if track:
-            tr = dict(g.track)
+            tr = {k: field.mul(c, scale) for k, c in g.track.items()}
             for d, cterms in zip(others, cof):
                 for shift, c in cterms.items():
                     _track_combine(tr, d.track, field.neg(c), shift, field)
         if rem:
-            reduced.append(monic(_prepare(rem, ring, keyf, tr)))
+            lt = min(rem, key=keyf)
+            if not p:
+                # g's leading term is irreducible by the others, so over
+                # GF(p) rem is monic like g; over QQ it is made monic here
+                lc = rem[lt]
+                rem = {k: Fraction(c, lc) for k, c in rem.items()}
+                if tr is not None:
+                    tr = {k: Fraction(c, lc) for k, c in tr.items()}
+            reduced.append((keyf(lt), rem, tr))
 
-    reduced.sort(key=lambda g: keyf(g.lt))
+    reduced.sort(key=itemgetter(0))
     if track:
-        return [g.vec for g in reduced], [g.track for g in reduced]
-    return [g.vec for g in reduced]
+        return [v for _, v, _ in reduced], [t for _, _, t in reduced]
+    return [v for _, v, _ in reduced]
 
 
 # Equal presentations are rebuilt as new objects throughout the layers above,

@@ -200,6 +200,21 @@ def test_oversized_stage_exits_one_quickly(capsys, tmp_path):
         assert "256" in report["result"]["message"]
 
 
+@pytest.mark.parametrize("p,message", [
+    (10 ** 19 + 51, "unresolved glued module name 'O'"),   # prime: the ring loads
+    (10 ** 19 + 53, "is not prime"),
+    (318665857834031151167461, "too large"),
+])
+def test_large_field_characteristic_reports_quickly(capsys, tmp_path, p, message):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"rings": {"A": {"field": {"p": p}, "variables": ["x"]}}}))
+    started = time.perf_counter()
+    code, report = invoke(capsys, "sections", "O", "--workspace", str(path))
+    assert time.perf_counter() - started < 1.0
+    assert code == 1 and report["result"]["error"] == "WorkspaceError"
+    assert message in report["result"]["message"]
+
+
 def test_deeply_nested_polynomial_exits_one(capsys):
     nested = "(" * 3000 + "x" + ")" * 3000
     for arg in (nested, "x*" + "-" * 3000 + "x"):

@@ -179,6 +179,54 @@ class TestCoefficients:
         with pytest.raises(AlgebraError):
             GF(6)
 
+    def test_primality_agrees_with_trial_division_below_10_4(self):
+        def trial(n):
+            return n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+
+        for n in range(-3, 10 ** 4):
+            if not n:
+                continue   # p == 0 is the rationals
+            if trial(n):
+                assert GF(n).p == n
+            else:
+                with pytest.raises(AlgebraError, match=f"^{n} is not prime$"):
+                    GF(n)
+
+    def test_large_primes_build_quickly(self):
+        for p in (2 ** 61 - 1, 10 ** 19 + 51, polyring.PRIME_BOUND - 10):
+            started = time.perf_counter()
+            is_prime = polyring._is_prime(p)
+            assert time.perf_counter() - started < 0.1
+            assert is_prime == (p != polyring.PRIME_BOUND - 10)
+        started = time.perf_counter()
+        assert GF(2 ** 61 - 1).p == 2 ** 61 - 1
+        assert time.perf_counter() - started < 0.1
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # strong pseudoprimes to the bases 2..7, 2..23 and 2..37, with a factor each
+        for n, factor in ((3215031751, 151), (3825123056546413051, 149491),
+                          (polyring.PRIME_BOUND, 399165290221)):
+            assert n % factor == 0
+        for n in (3215031751, 3825123056546413051, 10 ** 19 + 53):
+            with pytest.raises(AlgebraError, match=f"^{n} is not prime$"):
+                GF(n)
+
+    def test_characteristic_beyond_the_exact_bound_is_refused(self):
+        # the bound itself is composite but a strong pseudoprime to all 12 bases
+        for p in (polyring.PRIME_BOUND, 2 ** 89 - 1, 10 ** 5000):
+            with pytest.raises(AlgebraError, match="too large"):
+                GF(p)
+
+    def test_coefficient_with_two_slashes_is_an_algebra_error(self):
+        R = PolyRing(QQ, ["x"])
+        for call in (lambda: QQ.parse_coeff("1/2/3"), lambda: GF(5).parse_coeff("1/2/3"),
+                     lambda: QQ.of("1/2/3"), lambda: R.constant(" 1/2/3 "),
+                     lambda: R.var("x").scale("1/2/3")):
+            with pytest.raises(AlgebraError, match="'1/2/3'"):
+                call()
+        with pytest.raises(AlgebraError, match="more than one '/'"):
+            QQ.parse_coeff("1//2")
+
     def test_zero_variable_ring(self):
         Z = PolyRing(QQ, [])
         assert str(Z.poly("3/4 - 1/4")) == "1/2"

@@ -7,11 +7,13 @@ same values inserted in the same order.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from idals import GF, QQ, PolyRing
-from idals.polyring import _buchberger, _prepare, _vec_reduce, _vkey
+from idals import GF, QQ, PolyRing, polyring
+from idals.polyring import (SubmoduleLifter, _buchberger, _prepare, _syzygy_vecs,
+                            _vec_reduce, _vkey)
 
 import reducer_oracle as oracle
 
@@ -130,3 +132,162 @@ def test_term_key_sorts_like_the_oracle_order(order, elim_rank):
              for _ in range(300)}
     assert (sorted(terms, key=_vkey(ring, elim_rank))
             == sorted(terms, key=oracle.vkey(ring, elim_rank), reverse=True))
+
+
+# -- the integer kernel over QQ ----------------------------------------------
+#
+# Over QQ `_buchberger` holds primitive integer vectors and `_vec_reduce`
+# runs on integers; the cases below stress what that changes: mixed
+# denominators, numerators of over 30 digits, tracks, the elimination order
+# of `_syzygy_vecs` and quotient rings.
+
+POOLS = {
+    "mixed": [Fraction(7, 3), Fraction(-11, 12), Fraction(5, 8), Fraction(-1, 6),
+              Fraction(2), Fraction(-3), Fraction(9, 4)],
+    "huge": [Fraction(10 ** 31 + 7, 3), Fraction(-(10 ** 33) + 1, 10 ** 30 + 1),
+             Fraction(2 ** 107 - 1), Fraction(-5, 10 ** 31 + 9), Fraction(1)],
+}
+
+
+def pool_vec(ring, rank, rng, pool, terms=3, deg=2):
+    vec = random_vec(ring, rank, rng, terms, deg)
+    return {k: rng.choice(POOLS[pool]) for k in vec}
+
+
+def assert_fractions(result):
+    """Every coefficient of a QQ basis (and of its tracks) is a Fraction."""
+    parts = result if isinstance(result, tuple) else (result,)
+    for part in parts:
+        for v in part:
+            assert all(type(c) is Fraction for c in v.values())
+
+
+def spy_on_loop(monkeypatch):
+    """Check, at every reduction `_buchberger` makes over QQ, that the loop
+    holds its basis as primitive integer vectors."""
+    calls = []
+    original = polyring._pseudo_reduce
+
+    def spy(vec, divisors, *args, **kwargs):
+        assert all(type(c) is int for c in vec.values())
+        for d in divisors:
+            assert all(type(c) is int for c in d.vec.values())
+            assert gcd(*d.vec.values()) == 1
+        calls.append(len(divisors))
+        return original(vec, divisors, *args, **kwargs)
+
+    monkeypatch.setattr(polyring, "_pseudo_reduce", spy)
+    return calls
+
+
+QQ_CASES = [(pool, order, rank) for pool in POOLS for order in ORDERS for rank in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("pool,order,rank", QQ_CASES)
+def test_integer_kernel_matches_oracle(pool, order, rank, monkeypatch):
+    calls = spy_on_loop(monkeypatch)
+    ring = PolyRing(QQ, ["x", "y", "z"][:2 + rank % 2], order)
+    rng = random.Random(f"{pool}-{order}-{rank}")
+    for _ in range(3):
+        vecs = [pool_vec(ring, rank, rng, pool) for _ in range(rng.randint(2, 4))]
+        for track in (False, True):
+            new = _buchberger(vecs, ring, rank, track=track)
+            assert_same_gb(new, oracle.buchberger(vecs, ring, rank, track=track))
+            assert_fractions(new)
+    assert calls
+
+
+@pytest.mark.parametrize("pool,order,rank", QQ_CASES)
+def test_integer_reduction_matches_oracle(pool, order, rank):
+    """`_vec_reduce` by non-monic Fraction divisors: rational remainder and
+    cofactors, equal to the oracle's, computed on integers."""
+    ring = PolyRing(QQ, ["x", "y"], order)
+    rng = random.Random(f"reduce-{pool}-{order}-{rank}")
+    for _ in range(4):
+        divs = [pool_vec(ring, rank, rng, pool) for _ in range(rng.randint(1, 4))]
+        track_len = rng.randint(0, len(divs))
+        vec = pool_vec(ring, rank, rng, pool, terms=6, deg=4)
+        new = _vec_reduce(vec, [_prepare(d, ring) for d in divs], ring, rank,
+                          track_len=track_len)
+        old = oracle.vec_reduce(vec, [oracle.prepare(d, ring) for d in divs], ring, rank,
+                                track_len=track_len)
+        assert items(new[0]) == items(old[0])
+        assert [items(c) for c in new[1]] == [items(c) for c in old[1] or []]
+        assert_fractions(new[1] + [new[0]])
+
+
+@pytest.mark.parametrize("pool", POOLS)
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_integer_syzygies_match_oracle(pool, rank, monkeypatch):
+    """`_syzygy_vecs` runs the loop under the elimination order; its output
+    is the oracle basis of the tagged input, projected."""
+    calls = spy_on_loop(monkeypatch)
+    ring = PolyRing(QQ, ["x", "y"])
+    rng = random.Random(f"syz-{pool}-{rank}")
+    columns = [pool_vec(ring, rank, rng, pool) for _ in range(rng.randint(2, 3))]
+    work = []
+    for i, col in enumerate(columns):
+        v = dict(col)
+        v[(rank + i, (0, 0))] = QQ.one()
+        work.append(v)
+    total = rank + len(columns)
+    old = oracle.buchberger(work, ring, total, keyf=oracle.vkey(ring, elim_rank=rank))
+    new = _buchberger(work, ring, total, keyf=_vkey(ring, elim_rank=rank))
+    assert_same_gb(new, old)
+    assert_fractions(new)
+    want = [{(p - rank, e): c for (p, e), c in g.items()} for g in old
+            if all(p >= rank for (p, _) in g)]
+    assert [items(v) for v in _syzygy_vecs(columns, ring, rank)] == [items(v) for v in want]
+    assert calls
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_integer_kernel_over_a_quotient_ring(rank):
+    Q = PolyRing(QQ, ["x", "y"], quotient=["7/3*x^2*y - y", "-11/12*y^3 + x"])
+    free = Q.free()
+    rng = random.Random(f"quotient-{rank}")
+    quotient = [{(pos, e): c for e, c in q.items()} for q in Q.quotient_gb
+                for pos in range(rank)]
+    vecs = [pool_vec(free, rank, rng, "mixed") for _ in range(2)] + quotient
+    new = _buchberger(vecs, free, rank, track=True)
+    assert_same_gb(new, oracle.buchberger(vecs, free, rank, track=True))
+    assert_fractions(new)
+    lifter = SubmoduleLifter(Q, vecs[:2], rank)
+    assert items(lifter._gb[0]) == items(new[0][0])
+    old_divs = [oracle.prepare(v, free) for v in quotient]
+    for _ in range(4):
+        vec = pool_vec(free, rank, rng, "huge", terms=6, deg=5)
+        rem, cof = _vec_reduce(vec, Q._quotient_divisors(rank), free, rank, track_len=2)
+        old = oracle.vec_reduce(vec, old_divs, free, rank, track_len=2)
+        assert items(rem) == items(old[0])
+        assert [items(c) for c in cof] == [items(c) for c in old[1]]
+
+
+def katsura(n):
+    """Katsura-n in x0..xn: u_l = x|l| for |l| <= n, sum of the u_l is 1, and
+    for m < n the sum of u_l * u_(m-l) is u_m."""
+    def u(l):
+        return f"x{abs(l)}"
+    eqs = [" + ".join(u(l) for l in range(-n, n + 1)) + " - 1"]
+    for m in range(n):
+        eqs.append(" + ".join(f"{u(l)}*{u(m - l)}" for l in range(-n, n + 1)
+                              if abs(m - l) <= n) + f" - {u(m)}")
+    return [f"x{i}" for i in range(n + 1)], eqs
+
+
+def cyclic4():
+    return ["x0", "x1", "x2", "x3"], ["x0 + x1 + x2 + x3",
+                                      "x0*x1 + x1*x2 + x2*x3 + x3*x0",
+                                      "x0*x1*x2 + x1*x2*x3 + x2*x3*x0 + x3*x0*x1",
+                                      "x0*x1*x2*x3 - 1"]
+
+
+@pytest.mark.parametrize("system", [lambda: katsura(4), cyclic4], ids=["katsura-4", "cyclic-4"])
+@pytest.mark.parametrize("track", [False, True])
+def test_standard_systems_over_qq_match_oracle(system, track):
+    variables, eqs = system()
+    ring = PolyRing(QQ, variables)
+    vecs = [{(0, e): c for e, c in ring.poly(g).terms.items()} for g in eqs]
+    new = _buchberger(vecs, ring, 1, track=track)
+    assert_same_gb(new, oracle.buchberger(vecs, ring, 1, track=track))
+    assert_fractions(new)
