@@ -1038,8 +1038,8 @@ def _buchberger(vecs: list, ring: PolyRing, rank: int, keyf=None, track: bool = 
             continue
         # S-vector ai * x^si * gi - aj * x^sj * gj; ai == aj == 1 over GF(p)
         si, sj = mono_div(lcm, gi.exps), mono_div(lcm, gj.exps)
-        g = gcd(gi.lc, gj.lc)
-        ai, aj = gj.lc // g, gi.lc // g
+        common = gcd(gi.lc, gj.lc)
+        ai, aj = gj.lc // common, gi.lc // common
         spoly = _vec_scale_shift(gi.vec, ai, si, field)
         _vec_sub_inplace(spoly, _vec_scale_shift(gj.vec, aj, sj, field), field)
         red, cof, scale = _pseudo_reduce(spoly, G, keyf, p, len(G) if track else 0, memo)
