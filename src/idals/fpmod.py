@@ -25,6 +25,7 @@ from .errors import (
 from .polyring import (
     Poly,
     PolyRing,
+    RingHom,
     SubmoduleLifter,
     _module_gb,
     _prepare,
@@ -124,7 +125,7 @@ class PresentedModule:
 
     def reduce_vec(self, vec: dict) -> dict:
         self.rel_gb()
-        red, _ = _vec_reduce(vec, self._rel_prepared, self.ring.free(), self.gens)
+        red, _ = _vec_reduce(vec, self._rel_prepared, self.ring.free())
         return red
 
     def contains_column(self, col) -> bool:
@@ -347,6 +348,30 @@ class ModuleMap:
             "target": self.target.to_json(),
             "matrix": [[str(x) for x in row] for row in self.matrix],
         }
+
+
+# ---------------------------------------------------------------------------
+# base change
+
+
+def base_change_module(M: PresentedModule, hom: RingHom) -> PresentedModule:
+    """M over hom.dst: the relations mapped entrywise, the grading kept when
+    it still fits."""
+    cols = [tuple(hom.apply(p) for p in col) for col in M.relations]
+    try:
+        return PresentedModule(hom.dst, M.gens, cols, M.grading)
+    except GradingError:
+        return PresentedModule(hom.dst, M.gens, cols, None)
+
+
+def base_change_map(phi: ModuleMap, hom: RingHom,
+                    source: PresentedModule | None = None,
+                    target: PresentedModule | None = None) -> ModuleMap:
+    """phi over hom.dst, between the given base-changed source and target
+    (built when not given)."""
+    source = source if source is not None else base_change_module(phi.source, hom)
+    target = target if target is not None else base_change_module(phi.target, hom)
+    return ModuleMap(source, target, hom.apply_matrix(phi.matrix), check=False)
 
 
 # ---------------------------------------------------------------------------

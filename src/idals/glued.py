@@ -32,6 +32,8 @@ from .fpmod import (
     _block_sum,
     _identity_matrix,
     _kron,
+    base_change_map,
+    base_change_module,
     column_degree,
     cokernel,
     direct_sum,
@@ -49,14 +51,7 @@ from .fpmod import (
     unit_module,
 )
 from .idal import Idal, cover_check, idal_product
-from .localize import (
-    HomChain,
-    _saturated_stage,
-    base_change_map,
-    base_change_module,
-    localized_ring,
-    reflect,
-)
+from .localize import HomChain, _saturated_stage, localized_ring, reflect
 from .polyring import Poly, PolyRing, QQ, RingHom, monomials_of_degree
 
 
@@ -86,17 +81,11 @@ class AffineOverlap:
                 raise AlgebraError(f"transition maps do not compose to the identity at {v}")
         self.chart2_to_U1 = self.to1.compose(self.incl2)
 
-    @property
-    def f2_image_in_U1(self) -> Poly:
-        return self.chart2_to_U1.apply(self.f2)
-
-    @property
-    def f2_inverse_image_in_U1(self) -> Poly:
-        return self.to1.apply(self.f2_inverse)
-
-    @property
-    def f1_image_in_U1(self) -> Poly:
-        return self.incl1.apply(self.f1)
+    def f_in_U1(self, chart: int):
+        """The chart's f and its inverse, as elements of U1."""
+        if chart == 1:
+            return self.incl1.apply(self.f1), self.f1_inverse
+        return self.chart2_to_U1.apply(self.f2), self.to1.apply(self.f2_inverse)
 
 
 class TwoChartScheme:
@@ -415,42 +404,25 @@ def hom_glued(G: GluedModule, H: GluedModule, n_max: int = 8) -> GluedModule:
     hom2 = hom_module(G.m2, H.m2)
     if scheme.kind == "affine":
         ov = scheme.overlap
-        tau = _hom_overlap_map(G, H, hom2, hom1, ov.chart2_to_U1, ov.incl1,
-                               direction_fwd=True)
-        tau_inv = _hom_overlap_map(G, H, hom1, hom2, ov.incl1, ov.chart2_to_U1,
-                                   direction_fwd=False)
+        tau = _hom_overlap_map(hom2, ov.chart2_to_U1, hom1, ov.incl1, G.tau_inv, H.tau)
+        tau_inv = _hom_overlap_map(hom1, ov.incl1, hom2, ov.chart2_to_U1, G.tau, H.tau_inv)
         return GluedModule(scheme, hom1.module, hom2.module, tau, tau_inv)
     return _hom_glued_selfglue(G, H, hom1, hom2, n_max)
 
 
-def _hom_overlap_map(G, H, hom_src, hom_tgt, hom_src_hom: RingHom, hom_tgt_hom: RingHom,
-                     direction_fwd: bool):
-    """Matrix of the conjugation between base-changed hom modules over U1."""
-    src_mod = base_change_module(hom_src.module, hom_src_hom)
-    tgt_mod = base_change_module(hom_tgt.module, hom_tgt_hom)
-    if direction_fwd:
-        # hom2 @ U1 -> hom1 @ U1 : phi |-> tau_H . phi . tau_G^{-1}
-        pre, post = G.tau_inv, H.tau
-        src_source, src_target = G.m2_overlap, H.m2_overlap
-        tgt_source, tgt_target = G.m1_overlap, H.m1_overlap
-        carry = lambda k: base_change_map(hom_src.generator_map(k),
-                                          G.scheme.overlap.chart2_to_U1,
-                                          src_source, src_target)
-    else:
-        pre, post = G.tau, H.tau_inv
-        src_source, src_target = G.m1_overlap, H.m1_overlap
-        tgt_source, tgt_target = G.m2_overlap, H.m2_overlap
-        carry = lambda k: base_change_map(hom_src.generator_map(k),
-                                          G.scheme.overlap.incl1,
-                                          src_source, src_target)
-    incl_bc = base_change_map(hom_tgt.incl, hom_tgt_hom, tgt_mod,
-                              base_change_module(hom_tgt.ambient, hom_tgt_hom))
+def _hom_overlap_map(hom_src, src_to_U1: RingHom, hom_tgt, tgt_to_U1: RingHom,
+                     pre: ModuleMap, post: ModuleMap):
+    """Matrix over U1 of the conjugation phi |-> post . phi . pre, from
+    hom_src base-changed along src_to_U1 to hom_tgt base-changed along
+    tgt_to_U1."""
+    src_mod = base_change_module(hom_src.module, src_to_U1)
+    tgt_mod = base_change_module(hom_tgt.module, tgt_to_U1)
+    incl_bc = base_change_map(hom_tgt.incl, tgt_to_U1, tgt_mod,
+                              base_change_module(hom_tgt.ambient, tgt_to_U1))
     cols = []
     for k in range(src_mod.gens):
-        conj = post.compose(carry(k)).compose(pre)
-        flat = tuple(conj.matrix[r][i]
-                     for i in range(tgt_source.gens) for r in range(tgt_target.gens))
-        cols.append(incl_bc.lift(flat))
+        phi = base_change_map(hom_src.generator_map(k), src_to_U1, pre.target, post.source)
+        cols.append(incl_bc.lift(hom_tgt._flatten_map(post.compose(phi).compose(pre))))
         if cols[-1] is None:
             raise AlgebraError("hom base change failed to lift (overlap hom mismatch)")
     return ModuleMap.from_columns(src_mod, tgt_mod, cols).matrix
@@ -518,9 +490,15 @@ def _window_candidates(M: PresentedModule, bound: int):
     return out
 
 
-def _self_rank(module: PresentedModule, columns) -> int:
-    """Base-field rank of the columns' images in the module."""
-    return linalg.rank(module.coordinates(columns), module.ring.field)
+def _candidate_columns(M: PresentedModule, cands):
+    """The column of monomial m at generator i, for each candidate (i, m, d)."""
+    return [tuple(M.ring.monomial(m) * p for p in M.unit_column(i)) for i, m, _ in cands]
+
+
+def _nullity(module: PresentedModule, columns) -> int:
+    """Dimension of the base-field relations among the columns' images in
+    the module."""
+    return len(columns) - linalg.rank(module.coordinates(columns), module.ring.field)
 
 
 def global_sections(G: GluedModule, degree_bound: int = 6, n_max: int = 8) -> SectionsResult:
@@ -534,63 +512,40 @@ def global_sections(G: GluedModule, degree_bound: int = 6, n_max: int = 8) -> Se
     if G.scheme.kind == "selfglue":
         return _selfglue_sections(G, degree_bound, n_max)
     ov = G.scheme.overlap
-    m1, m2 = G.m1, G.m2
-    cands1 = _window_candidates(m1, degree_bound)
-    cands2 = _window_candidates(m2, degree_bound)
-    cols1, cols2 = [], []
-    for i, m, _ in cands1:
-        p = ov.incl1.apply(m1.ring.monomial(m))
-        col = [ov.U1.zero()] * m1.gens
-        col[i] = p
-        cols1.append(tuple(col))
-    for i, m, _ in cands2:
-        p = ov.chart2_to_U1.apply(m2.ring.monomial(m))
-        col = [ov.U1.zero()] * m2.gens
-        col[i] = p
-        cols2.append(tuple(G.tau.apply_column(tuple(col))))
-    null1 = len(cands1) - _self_rank(m1, _module_candidate_columns(m1, cands1))
-    null2 = len(cands2) - _self_rank(m2, _module_candidate_columns(m2, cands2))
-    all_cols = cols1 + cols2
-    total = len(all_cols) - _self_rank(G.m1_overlap, all_cols) - null1 - null2
-    by_degree = _sections_degree_table(G, cands1, cands2, cols1, cols2, degree_bound)
+    cands1 = _window_candidates(G.m1, degree_bound)
+    cands2 = _window_candidates(G.m2, degree_bound)
+    chart1 = _candidate_columns(G.m1, cands1)
+    chart2 = _candidate_columns(G.m2, cands2)
+    cols1 = list(ov.incl1.apply_matrix(chart1))
+    cols2 = [G.tau.apply_column(c) for c in ov.chart2_to_U1.apply_matrix(chart2)]
+    total = (_nullity(G.m1_overlap, cols1 + cols2)
+             - _nullity(G.m1, chart1) - _nullity(G.m2, chart2))
+    by_degree = _sections_degree_table(G, ((cands1, chart1, cols1), (cands2, chart2, cols2)))
     return SectionsResult("affine", total, by_degree, None)
 
 
-def _module_candidate_columns(M: PresentedModule, cands):
-    cols = []
-    for i, m, _ in cands:
-        col = [M.ring.zero()] * M.gens
-        col[i] = M.ring.monomial(m)
-        cols.append(tuple(col))
-    return cols
-
-
-def _sections_degree_table(G, cands1, cands2, cols1, cols2, bound):
-    """Per-overlap-degree dimensions when everything in sight is graded."""
+def _sections_degree_table(G, sides):
+    """Per-overlap-degree dimensions when everything in sight is graded;
+    sides holds (candidates, chart columns, overlap columns) per chart."""
     mov = G.m1_overlap
     if mov.grading is None or G.m1.grading is None or G.m2.grading is None:
         return None
-    def col_deg(col):
-        return column_degree(mov.ring, col, mov.grading)
     groups: dict = {}
-    for (cand, col, side) in [(c, col, 0) for c, col in zip(cands1, cols1)] + \
-                             [(c, col, 1) for c, col in zip(cands2, cols2)]:
-        d = col_deg(col)
-        if d is None:
-            return None
-        if d == "zero":
-            # degenerate candidate: group by its nominal chart degree
-            d = cand[2]
-        groups.setdefault(d, {0: ([], []), 1: ([], [])})
-        groups[d][side][0].append(cand)
-        groups[d][side][1].append(col)
+    for side, (cands, chart_cols, cols) in enumerate(sides):
+        for cand, chart_col, col in zip(cands, chart_cols, cols):
+            d = column_degree(mov.ring, col, mov.grading)
+            if d is None:
+                return None
+            if d == "zero":
+                # degenerate candidate: group by its nominal chart degree
+                d = cand[2]
+            group = groups.setdefault(d, ([], [], []))
+            group[side].append(chart_col)
+            group[2].append(col)
     table = {}
     for d in sorted(groups):
-        c1, l1 = groups[d][0]
-        c2, l2 = groups[d][1]
-        n1 = len(c1) - _self_rank(G.m1, _module_candidate_columns(G.m1, c1)) if c1 else 0
-        n2 = len(c2) - _self_rank(G.m2, _module_candidate_columns(G.m2, c2)) if c2 else 0
-        dim = len(l1) + len(l2) - _self_rank(mov, l1 + l2) - n1 - n2
+        c1, c2, overlap = groups[d]
+        dim = _nullity(mov, overlap) - _nullity(G.m1, c1) - _nullity(G.m2, c2)
         if dim:
             table[d] = dim
     return table
@@ -675,12 +630,7 @@ def _free_rank_one_witness(M: PresentedModule):
         return None
     if M.gens == 1 and not M.relations:
         return ModuleMap(O, M, [["1"]], check=False)
-    candidates = []
-    for k in range(M.gens):
-        col = [ring.zero()] * M.gens
-        col[k] = ring.one()
-        candidates.append(col)
-    candidates.append([ring.one()] * M.gens)
+    candidates = [M.unit_column(k) for k in range(M.gens)] + [(ring.one(),) * M.gens]
     for col in candidates:
         m = ModuleMap(O, M, [[c] for c in col], check=False)
         if is_iso(m):
@@ -748,11 +698,8 @@ def dualizable_check(G: GluedModule, dual: GluedModule, unit_map: GluedMap,
 
     unit_map : O -> G (x) dual, counit_map : dual (x) G -> O.
     """
-    for pick in (1, 2):
-        g = G.m1 if pick == 1 else G.m2
-        d = dual.m1 if pick == 1 else dual.m2
-        unit_c = unit_map.c1 if pick == 1 else unit_map.c2
-        counit_c = counit_map.c1 if pick == 1 else counit_map.c2
+    for g, d, unit_c, counit_c in ((G.m1, dual.m1, unit_map.c1, counit_map.c1),
+                                   (G.m2, dual.m2, unit_map.c2, counit_map.c2)):
         idg = ModuleMap.identity(g)
         idd = ModuleMap.identity(d)
         # (id_g (x) counit) . (unit (x) id_g) == id_g
@@ -895,38 +842,25 @@ def _roundtrip_windowed(A, I, J, M, bound) -> RoundtripResult:
             "windowed roundtrip requires principal idals when reflectors truncate")
     Bf, hf, _ = localized_ring(A, f, "locf")
     Bg, hg, _ = localized_ring(A, g, "locg")
-    Bfg, hfg_from_f, _ = localized_ring(Bf, hf.apply(g), "locg")
+    Bfg, to_fg_from_f, _ = localized_ring(Bf, hf.apply(g), "locg")
     Mf = base_change_module(M, hf)
     Mg = base_change_module(M, hg)
-    Mfg = base_change_module(Mf, hfg_from_f)
-    to_fg_from_f = hfg_from_f
+    Mfg = base_change_module(Mf, to_fg_from_f)
     to_fg_from_g = RingHom(Bg, Bfg, {**{v: v for v in A.variables}, "locg": "locg"})
 
-    candsM = _window_candidates(M, bound)
-    candsF = _window_candidates(Mf, bound)
-    candsG = _window_candidates(Mg, bound)
-
-    def cand_columns(module, cands):
-        return _module_candidate_columns(module, cands)
-
-    colsM = cand_columns(M, candsM)
-    colsF = cand_columns(Mf, candsF)
-    colsG = cand_columns(Mg, candsG)
-
-    nullM = len(colsM) - _self_rank(M, colsM)
-    nullF = len(colsF) - _self_rank(Mf, colsF)
-    nullG = len(colsG) - _self_rank(Mg, colsG)
+    colsM = _candidate_columns(M, _window_candidates(M, bound))
+    colsF = _candidate_columns(Mf, _window_candidates(Mf, bound))
+    colsG = _candidate_columns(Mg, _window_candidates(Mg, bound))
 
     # dimension of the windowed pullback inside Mf (+) Mg
-    fg_cols = [tuple(to_fg_from_f.apply(p) for p in c) for c in colsF] + \
-              [tuple(to_fg_from_g.apply(p) for p in c) for c in colsG]
-    dimW = len(fg_cols) - _self_rank(Mfg, fg_cols) - nullF - nullG
+    fg_cols = to_fg_from_f.apply_matrix(colsF) + to_fg_from_g.apply_matrix(colsG)
+    dimW = _nullity(Mfg, fg_cols) - _nullity(Mf, colsF) - _nullity(Mg, colsG)
 
     # rank and injectivity of the windowed image of M in Mf (+) Mg
-    rowsF = Mf.coordinates([tuple(hf.apply(p) for p in c) for c in colsM])
-    rowsG = Mg.coordinates([tuple(hg.apply(p) for p in c) for c in colsM])
+    rowsF = Mf.coordinates(hf.apply_matrix(colsM))
+    rowsG = Mg.coordinates(hg.apply_matrix(colsM))
     rk_img = linalg.rank([rf + rg for rf, rg in zip(rowsF, rowsG)], A.field)
-    injective = (len(colsM) - rk_img) == nullM
+    injective = (len(colsM) - rk_img) == _nullity(M, colsM)
     ok = injective and (rk_img == dimW)
     return RoundtripResult(ok, "windowed",
                            {"window_dim_pullback": dimW, "window_rank_image": rk_img,
@@ -937,53 +871,42 @@ def _roundtrip_windowed(A, I, J, M, bound) -> RoundtripResult:
 # chart idals and idal generation
 
 
+def _oriented(chart: int, a, b):
+    """(a, b) for chart 1 and (b, a) for chart 2: turns a pair in chart
+    order into (this chart's, the other chart's), and back."""
+    return (a, b) if chart == 1 else (b, a)
+
+
 def chart_idal(scheme: TwoChartScheme, which: int, power: int = 1):
     """(L, e) with L the glued module of the chart idal (to the given tensor
-    power) and e : L -> O_glued its structure map."""
+    power) and e : L -> O_glued its structure map.  L is O on chart `which`,
+    where e is the identity, and the power of the idal cut out by the chart's
+    complement on the other chart."""
+    if which not in (1, 2):
+        raise AlgebraError("chart index must be 1 or 2")
     O = o_glued(scheme)
     if scheme.kind == "affine":
         ov = scheme.overlap
         O1, O2 = unit_module(scheme.chart1), unit_module(scheme.chart2)
-        if which == 1:
-            h = ov.f2_image_in_U1
-            hinv = ov.f2_inverse_image_in_U1
-            tau = [[h ** power]]
-            tau_inv = [[hinv ** power]]
-            L = GluedModule(scheme, O1, O2, tau, tau_inv)
-            e = GluedMap(L, O, ModuleMap.identity(O1),
-                         ModuleMap(O2, O2, [[ov.f2 ** power]], check=False))
-        elif which == 2:
-            h = ov.f1_image_in_U1
-            hinv = ov.to1.apply(ov.to2.apply(ov.f1_inverse))
-            tau = [[hinv ** power]]
-            tau_inv = [[h ** power]]
-            L = GluedModule(scheme, O1, O2, tau, tau_inv)
-            e = GluedMap(L, O, ModuleMap(O1, O1, [[ov.f1 ** power]], check=False),
-                         ModuleMap.identity(O2))
-        else:
-            raise AlgebraError("chart index must be 1 or 2")
-        return L, e
-    J = scheme.idal
-    O1 = unit_module(scheme.chart1)
-    Jc = J.carrier_power(power)
-    # overlap data: J^power (x) O1 -> Jc is the identity on generators, and
-    # J^power (x) Jc -> O1 applies e at all 2 * power slots
-    to_Jc = ModuleMap(J.stage_source(power, O1), Jc, _identity_matrix(O1.ring, Jc.gens),
-                      check=False)
-    to_O1 = ModuleMap(J.stage_source(power, Jc), O1, J.power_map(2 * power).matrix,
-                      check=False)
-    if which == 1:
-        # trivial on chart 1, J^power on chart 2
-        L = GluedModule(scheme, O1, Jc, SelfGlueTau(power, to_Jc, power, to_O1))
-        e = GluedMap(L, O, ModuleMap.identity(O1),
-                     ModuleMap(Jc, O1, J.power_map(power).matrix, check=False))
-    elif which == 2:
-        L = GluedModule(scheme, Jc, O1, SelfGlueTau(power, to_O1, power, to_Jc))
-        e = GluedMap(L, O, ModuleMap(Jc, O1, J.power_map(power).matrix, check=False),
-                     ModuleMap.identity(O1))
+        near, far = _oriented(which, O1, O2)
+        # e is f^power on the far chart, so tau = e2 / e1 over U1
+        u, u_inv = ov.f_in_U1(3 - which)
+        L = GluedModule(scheme, O1, O2, *_oriented(which, [[u ** power]], [[u_inv ** power]]))
+        f = _oriented(which, ov.f1, ov.f2)[1]
+        e_far = ModuleMap(far, far, [[f ** power]], check=False)
     else:
-        raise AlgebraError("chart index must be 1 or 2")
-    return L, e
+        J = scheme.idal
+        near, far = unit_module(scheme.chart1), J.carrier_power(power)
+        # overlap data: J^power (x) O -> J^power is the identity on generators,
+        # and J^power (x) J^power -> O applies e at all 2 * power slots
+        to_far = ModuleMap(J.stage_source(power, near), far,
+                           _identity_matrix(near.ring, far.gens), check=False)
+        to_near = ModuleMap(J.stage_source(power, far), near, J.power_map(2 * power).matrix,
+                            check=False)
+        fwd, bwd = _oriented(which, to_far, to_near)
+        L = GluedModule(scheme, *_oriented(which, near, far), SelfGlueTau(power, fwd, power, bwd))
+        e_far = ModuleMap(far, near, J.power_map(power).matrix, check=False)
+    return L, GluedMap(L, O, *_oriented(which, ModuleMap.identity(near), e_far))
 
 
 @dataclass
@@ -1001,102 +924,61 @@ class GenerationResult:
     verified: bool
 
 
-def _affine_extension_power(G: GluedModule, gen_index: int, n_max: int):
-    """Smallest k such that h^k tau^{-1}(gbar) comes from the chart-2 module,
-    together with the chart-2 column; raises when n_max is insufficient."""
+def _affine_extension_power(G: GluedModule, chart: int, gen_index: int, n_max: int):
+    """Smallest k such that h^k x comes from the other chart's piece, for x
+    the chart's generator gen_index carried across the overlap and h the
+    other chart's f, together with that column over the other chart; raises
+    when n_max is insufficient.  Chart 1 computes over U1, chart 2 over U2
+    (tau and h carried there along to2)."""
     ov = G.scheme.overlap
-    gcol = [ov.U1.zero()] * G.m1.gens
-    gcol[gen_index] = ov.U1.one()
-    base = G.tau_inv.apply_column(tuple(gcol))
-    h1 = ov.f2_image_in_U1
+    h, _ = ov.f_in_U1(3 - chart)
+    if chart == 1:
+        cross, back, inv = G.tau_inv, ov.to2, ov.inv2
+    else:
+        cross, back, inv, h = base_change_map(G.tau, ov.to2), ov.to1, ov.inv1, ov.to2.apply(h)
+    base = cross.apply_column(cross.source.unit_column(gen_index))
+    ring = _oriented(chart, G.m1, G.m2)[1].ring
+    inv_index = back.dst.variables.index(inv)
     for k in range(n_max + 1):
-        scaled = tuple(p * (h1 ** k) for p in base)
-        images = [ov.to2.apply(p) for p in G.m2_overlap.normal_form(scaled)]
-        inv_index = ov.U2.variables.index(ov.inv2)
+        scaled = tuple(p * (h ** k) for p in base)
+        images = [back.apply(p) for p in cross.target.normal_form(scaled)]
         if all(all(e[inv_index] == 0 for e in p.terms) for p in images):
-            a2_cols = []
-            for p in images:
-                terms = {}
-                for e, c in p.terms.items():
-                    reduced_e = tuple(x for i, x in enumerate(e) if i != inv_index)
-                    terms[reduced_e] = c
-                a2_cols.append(Poly(G.m2.ring, G.m2.ring.reduce_terms(terms)))
-            return k, tuple(a2_cols)
+            return k, tuple(
+                Poly(ring, ring.reduce_terms({e[:inv_index] + e[inv_index + 1:]: c
+                                              for e, c in p.terms.items()}))
+                for p in images)
     raise StabilizationError(
-        f"extension of chart-1 generator {gen_index} did not clear its "
-        f"denominators within n_max = {n_max} (failing chart: 2)")
-
-
-def _swap_scheme_sides(scheme: TwoChartScheme) -> TwoChartScheme:
-    if scheme.kind != "affine":
-        raise AlgebraError("side swap only for affine schemes")
-    ov = scheme.overlap
-    return TwoChartScheme.affine(
-        scheme.chart2, scheme.chart1, ov.f2, ov.f1, ov.inv2, ov.inv1,
-        {v: str(ov.to1.images[v]) for v in ov.U2.variables},
-        {v: str(ov.to2.images[v]) for v in ov.U1.variables})
-
-
-def _swap_glued(G: GluedModule, swapped_scheme: TwoChartScheme) -> GluedModule:
-    # overlap of the swapped scheme is U2; transport tau via to2
-    to2 = G.scheme.overlap.to2
-    tau_m = [[to2.apply(x) for x in row] for row in G.tau_inv.matrix]
-    tinv_m = [[to2.apply(x) for x in row] for row in G.tau.matrix]
-    return GluedModule(swapped_scheme, G.m2, G.m1, tau_m, tinv_m)
+        f"extension of chart-{chart} generator {gen_index} did not clear its "
+        f"denominators within n_max = {n_max} (failing chart: {3 - chart})")
 
 
 def idal_generation(G: GluedModule, n_max: int = 8) -> GenerationResult:
     """A verified epimorphism onto G from a direct sum of tensor powers of the
     scheme's chart idals, built by extending chart generators across."""
     scheme = G.scheme
-    if scheme.kind == "affine":
-        blocks = []
-        for gidx in range(G.m1.gens):
-            k, col2 = _affine_extension_power(G, gidx, n_max)
-            L, _ = chart_idal(scheme, 1, k) if k else (o_glued(scheme), None)
-            c1 = ModuleMap(unit_module(scheme.chart1), G.m1,
-                           [[scheme.chart1.one() if i == gidx else scheme.chart1.zero()]
-                            for i in range(G.m1.gens)], check=False)
-            c2 = ModuleMap(unit_module(scheme.chart2), G.m2,
-                           [[p] for p in col2], check=False)
-            blocks.append(GenerationBlock(1, k, GluedMap(L, G, c1, c2)))
-        swapped_scheme = _swap_scheme_sides(scheme)
-        Gsw = _swap_glued(G, swapped_scheme)
-        for gidx in range(G.m2.gens):
-            k, col1 = _affine_extension_power(Gsw, gidx, n_max)
-            L, _ = chart_idal(scheme, 2, k) if k else (o_glued(scheme), None)
-            c2 = ModuleMap(unit_module(scheme.chart2), G.m2,
-                           [[scheme.chart2.one() if i == gidx else scheme.chart2.zero()]
-                            for i in range(G.m2.gens)], check=False)
-            c1 = ModuleMap(unit_module(scheme.chart1), G.m1,
-                           [[p] for p in col1], check=False)
-            blocks.append(GenerationBlock(2, k, GluedMap(L, G, c1, c2)))
-    elif scheme.kind == "selfglue":
-        J = scheme.idal
-        blocks = []
-        a, b = G.tau.fwd_stage, G.tau.bwd_stage
-        for gidx in range(G.m1.gens):
-            L, _ = chart_idal(scheme, 1, a) if a else (o_glued(scheme), None)
-            gmap = ModuleMap(L.m1, G.m1,
-                             [[scheme.chart1.one() if i == gidx else scheme.chart1.zero()]
-                              for i in range(G.m1.gens)], check=False)
-            # J^a (x) O -> G.m2, read on L.m2 = J^a
-            c2 = J.then(G.tau.fwd, a, gmap, 0, L.m1)
-            c2 = ModuleMap(L.m2, G.m2, c2.matrix, check=False)
-            blocks.append(GenerationBlock(1, a, GluedMap(L, G, gmap, c2)))
-        for gidx in range(G.m2.gens):
-            L, _ = chart_idal(scheme, 2, b) if b else (o_glued(scheme), None)
-            gmap = ModuleMap(L.m2, G.m2,
-                             [[scheme.chart2.one() if i == gidx else scheme.chart2.zero()]
-                              for i in range(G.m2.gens)], check=False)
-            c1 = J.then(G.tau.bwd, b, gmap, 0, L.m2)
-            c1 = ModuleMap(L.m1, G.m1, c1.matrix, check=False)
-            blocks.append(GenerationBlock(2, b, GluedMap(L, G, c1, gmap)))
-    else:
-        raise AlgebraError("unknown scheme kind")
+    blocks = []
+    for chart in (1, 2):
+        near, far = _oriented(chart, G.m1, G.m2)
+        for gidx in range(near.gens):
+            if scheme.kind == "affine":
+                k, col = _affine_extension_power(G, chart, gidx, n_max)
+            else:
+                k, step = (G.tau.fwd_stage, G.tau.fwd) if chart == 1 \
+                    else (G.tau.bwd_stage, G.tau.bwd)
+            L = chart_idal(scheme, chart, k)[0] if k else o_glued(scheme)
+            L_near, L_far = _oriented(chart, L.m1, L.m2)
+            unit = ModuleMap(L_near, near, [[p] for p in near.unit_column(gidx)], check=False)
+            if scheme.kind == "affine":
+                matrix = [[p] for p in col]
+            else:
+                # J^k (x) O -> far, read on L_far = J^k
+                matrix = scheme.idal.then(step, k, unit, 0, L_near).matrix
+            other = ModuleMap(L_far, far, matrix, check=False)
+            blocks.append(GenerationBlock(chart, k,
+                                          GluedMap(L, G, *_oriented(chart, unit, other))))
     if not blocks:
         raise AlgebraError("module has no generators to hit")
-    D, incls = direct_sum_glued([blk.map.source for blk in blocks])
+    D, _ = direct_sum_glued([blk.map.source for blk in blocks])
     c1 = _stack_chart_maps([blk.map.c1 for blk in blocks], G.m1)
     c2 = _stack_chart_maps([blk.map.c2 for blk in blocks], G.m2)
     combined = GluedMap(D, G, c1, c2, validate=False)
@@ -1107,17 +989,10 @@ def idal_generation(G: GluedModule, n_max: int = 8) -> GenerationResult:
 
 
 def _stack_chart_maps(maps, target: PresentedModule) -> ModuleMap:
-    total = sum(m.source.gens for m in maps)
-    ring = target.ring
-    zero = ring.zero()
-    matrix = [[zero] * total for _ in range(target.gens)]
-    off = 0
-    for m in maps:
-        for i in range(target.gens):
-            for j in range(m.source.gens):
-                matrix[i][off + j] = m.matrix[i][j]
-        off += m.source.gens
-    return ModuleMap(_block_sum(ring, [m.source for m in maps]), target, matrix, check=False)
+    """The maps side by side, out of the block sum of their sources."""
+    matrix = [sum(rows, ()) for rows in zip(*(m.matrix for m in maps))]
+    return ModuleMap(_block_sum(target.ring, [m.source for m in maps]), target, matrix,
+                     check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -1168,16 +1043,20 @@ def projline_datum_check(datum: LineBundleDatum) -> CheckReport:
     m2_free = _free_rank_one_witness(L.m2) is not None
     clauses = {"rank_one_chart1": m1_free, "rank_one_chart2": m2_free}
     e1, e2 = datum.cover_maps
-    same = e1.source is L and e2.source is L
-    clauses["maps_from_same_object"] = same
-    for chart, key in ((1, "cover_chart1"), (2, "cover_chart2")):
-        gens = []
-        for e in (e1, e2):
-            c = e.c1 if chart == 1 else e.c2
-            gens.extend(p for row in c.matrix for p in row if not p.is_zero())
-        ring = L.scheme.chart1 if chart == 1 else L.scheme.chart2
-        clauses[key] = bool(gens) and ring.contains_one(gens)
+    clauses["maps_from_same_object"] = e1.source is L and e2.source is L
+    clauses.update(_cover_clauses(L.scheme, datum.cover_maps))
     return CheckReport(clauses)
+
+
+def _cover_clauses(scheme: TwoChartScheme, maps) -> dict:
+    """cover_chart1 / cover_chart2: whether the nonzero entries of the maps'
+    chart matrices generate the unit ideal of that chart."""
+    clauses = {}
+    for key, ring, chart_maps in (("cover_chart1", scheme.chart1, [e.c1 for e in maps]),
+                                  ("cover_chart2", scheme.chart2, [e.c2 for e in maps])):
+        gens = [p for c in chart_maps for row in c.matrix for p in row if not p.is_zero()]
+        clauses[key] = bool(gens) and ring.contains_one(gens)
+    return clauses
 
 
 def doubleorigin_datum_check(l_map: GluedMap, lstar_map: GluedMap,
@@ -1190,13 +1069,7 @@ def doubleorigin_datum_check(l_map: GluedMap, lstar_map: GluedMap,
                       and _free_rank_one_witness(L.m2) is not None,
         "dual_verified": dualizable_check(L, Lstar, unit_map, counit_map),
     }
-    for chart, key in ((1, "cover_chart1"), (2, "cover_chart2")):
-        gens = []
-        for e in (l_map, lstar_map):
-            c = e.c1 if chart == 1 else e.c2
-            gens.extend(p for row in c.matrix for p in row if not p.is_zero())
-        ring = L.scheme.chart1 if chart == 1 else L.scheme.chart2
-        clauses[key] = bool(gens) and ring.contains_one(gens)
+    clauses.update(_cover_clauses(L.scheme, (l_map, lstar_map)))
     return CheckReport(clauses)
 
 

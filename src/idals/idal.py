@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 
-from .errors import AlgebraError, GradingError, RingMismatchError, WellDefinednessError
+from .errors import AlgebraError, RingMismatchError, WellDefinednessError
 from .fpmod import (
     ModuleMap,
     PresentedModule,
     _identity_matrix,
     _kron,
+    base_change_module,
     cokernel,
     free_module,
     is_iso,
@@ -27,7 +28,8 @@ from .polyring import PolyRing, RingHom
 
 # The most generators a tensor power of a carrier may have.  I^{(x)n} has g^n
 # generators and n g^(n-1) relation columns of that length; `nilpotency` of
-# the (x, y) idal builds I^{(x)8}, 2^8 generators, within its default n_max.
+# the (x, y) idal reaches n = 8, a power map with 2^8 entries, within its
+# default n_max.
 MAX_POWER_GENS = 256
 
 
@@ -97,13 +99,17 @@ class Idal:
         """Entries of e's matrix: generators of the image ideal in O."""
         return [self.e.matrix[0][j] for j in range(self.carrier.gens)]
 
-    def carrier_power(self, n: int) -> PresentedModule:
-        """I^{(x)n}; an AlgebraError past MAX_POWER_GENS generators."""
+    def _check_power(self, n: int):
+        """An AlgebraError unless I^{(x)n} has at most MAX_POWER_GENS generators."""
         g = self.carrier.gens
         # once g >= 2, g^n exceeds the bound for every n past its bit length
         if n < 0 or g ** min(n, MAX_POWER_GENS.bit_length()) > MAX_POWER_GENS:
             raise AlgebraError(f"tensor power {n} of a {g}-generator idal carrier is out "
                                f"of range: need n >= 0 and {g}^n <= {MAX_POWER_GENS}")
+
+    def carrier_power(self, n: int) -> PresentedModule:
+        """I^{(x)n}; an AlgebraError past MAX_POWER_GENS generators."""
+        self._check_power(n)
         for k in range(2, n + 1):
             if k not in self._powers:
                 self._powers[k] = tensor(self._powers[k - 1], self.carrier)
@@ -271,11 +277,16 @@ def idal_from_ideal(gens, ring: PolyRing) -> Idal:
 
 
 def nilpotency_check(e: Idal, n_max: int = 8):
-    """Smallest n <= n_max with the power map I^{(x)n} -> O zero, else None."""
+    """Smallest n <= n_max with the power map I^{(x)n} -> O zero, else None.
+
+    The power map is the row e^{(x)n} into O, which has no relations, so it
+    is zero exactly when every entry is; no presentation of I^{(x)n} is built.
+    """
     if n_max < 1:
         raise AlgebraError("n_max must be >= 1")
     for n in range(1, n_max + 1):
-        if e.power_map(n).is_zero_map():
+        e._check_power(n)
+        if all(p.is_zero() for p in e._transition_matrix(n, 0)[0]):
             return n
     return None
 
@@ -291,11 +302,7 @@ def idal_base_change(h: RingHom, e: Idal) -> Idal:
     """Push an idal along a ring homomorphism, entrywise on presentations."""
     if h.src != e.ring:
         raise RingMismatchError("homomorphism source must be the idal's ring")
-    cols = [tuple(h.apply(p) for p in col) for col in e.carrier.relations]
-    try:
-        carrier = PresentedModule(h.dst, e.carrier.gens, cols, e.carrier.grading)
-    except GradingError:
-        carrier = PresentedModule(h.dst, e.carrier.gens, cols)
+    carrier = base_change_module(e.carrier, h)
     m = ModuleMap(carrier, unit_module(h.dst),
                   [[h.apply(p) for p in row] for row in e.e.matrix], check=True)
     out = Idal(carrier, m, check=False)

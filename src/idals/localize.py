@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import AlgebraError, GradingError, LiftError, RingMismatchError
+from .errors import AlgebraError, LiftError, RingMismatchError
 from .fpmod import (
     HomModule,
     ModuleMap,
     PresentedModule,
+    base_change_module,
     cokernel,
     graded_dim,
     hom_module,
@@ -377,22 +378,6 @@ def localized_ring(ring: PolyRing, f: Poly, inv_name: str | None = None):
                  ring.weights + (weight,))
     hom = RingHom(ring, B, {v: v for v in ring.variables})
     return B, hom, B.var(name)
-
-
-def base_change_module(M: PresentedModule, hom: RingHom) -> PresentedModule:
-    cols = [tuple(hom.apply(p) for p in col) for col in M.relations]
-    try:
-        return PresentedModule(hom.dst, M.gens, cols, M.grading)
-    except GradingError:
-        return PresentedModule(hom.dst, M.gens, cols, None)
-
-
-def base_change_map(phi: ModuleMap, hom: RingHom,
-                    source: PresentedModule | None = None,
-                    target: PresentedModule | None = None) -> ModuleMap:
-    source = source if source is not None else base_change_module(phi.source, hom)
-    target = target if target is not None else base_change_module(phi.target, hom)
-    return ModuleMap(source, target, hom.apply_matrix(phi.matrix), check=False)
 
 
 def localization_oracle(f, M: PresentedModule, inv_name: str | None = None) -> PresentedModule:

@@ -128,7 +128,10 @@ class BaseField:
     def from_json(data) -> "BaseField":
         if data == "QQ":
             return QQ
-        return BaseField(int(data["p"]))
+        p = data.get("p") if isinstance(data, dict) else None
+        if type(p) is not int:
+            raise AlgebraError(f'a field is "QQ" or {{"p": <integer>}}, not {_shown(repr(data))}')
+        return BaseField(p)
 
 
 QQ = BaseField(0)
@@ -332,7 +335,7 @@ class PolyRing:
         if not self.quotient_gb or not terms:
             return terms
         vec = _poly_to_vec(terms)
-        red, _ = _vec_reduce(vec, self._quotient_divisors(1), self._free, 1)
+        red, _ = _vec_reduce(vec, self._quotient_divisors(1), self._free)
         return _vec_to_poly_terms(red)
 
     def _quotient_divisors(self, rank: int):
@@ -912,8 +915,7 @@ def _pseudo_reduce(vec: dict, divisors: list, keyf, p: int, track_len: int = 0,
     return remainder, cof, scale
 
 
-def _vec_reduce(vec: dict, divisors: list, ring: PolyRing, rank: int,
-                keyf=None, track_len: int = 0, memo: dict | None = None):
+def _vec_reduce(vec: dict, divisors: list, ring: PolyRing, track_len: int = 0):
     """Full normal form of vec by the divisors, prepared by `_prepare`.
 
     Returns (remainder, cofactors) where cofactors is a list of track_len
@@ -921,13 +923,13 @@ def _vec_reduce(vec: dict, divisors: list, ring: PolyRing, rank: int,
     prepared (empty when track_len is 0).  Over QQ the remainder and the
     cofactors are Fractions; the reduction itself runs on integers.
     """
-    keyf = keyf or _vkey(ring)
+    keyf = _vkey(ring)
     p = ring.field.p
     if p:
-        rem, cof, _ = _pseudo_reduce(vec, divisors, keyf, p, track_len, memo)
+        rem, cof, _ = _pseudo_reduce(vec, divisors, keyf, p, track_len)
         return rem, cof
     ints, den = _integral(vec)
-    rem, cof, scale = _pseudo_reduce(ints, divisors, keyf, 0, track_len, memo)
+    rem, cof, scale = _pseudo_reduce(ints, divisors, keyf, 0, track_len)
     scale *= den   # scale * vec == sum of cofactor * d.vec + remainder
     rem = {k: Fraction(c, scale) for k, c in rem.items()}
     out = []
@@ -1188,7 +1190,7 @@ class SubmoduleLifter:
     def reduce(self, vec: dict):
         """(remainder, cofactors) with cofactors a list of n term dicts."""
         field = self.ring.field
-        rem, cof = _vec_reduce(vec, self._prepared, self._free, self.rank,
+        rem, cof = _vec_reduce(vec, self._prepared, self._free,
                                track_len=len(self._prepared))
         out = [dict() for _ in range(self.n)]
         for gidx, cterms in enumerate(cof):
@@ -1206,7 +1208,7 @@ class SubmoduleLifter:
         return rem, out
 
     def contains(self, vec: dict) -> bool:
-        rem, _ = _vec_reduce(vec, self._prepared, self._free, self.rank)
+        rem, _ = _vec_reduce(vec, self._prepared, self._free)
         return not rem
 
     def lift(self, vec: dict):
@@ -1299,7 +1301,7 @@ def divide_with_cofactors(v: FreeVector, basis: list):
     divisors = [_prepare(b.to_vec(), free) for b in basis if not b.is_zero()]
     index_map = [i for i, b in enumerate(basis) if not b.is_zero()]
     divisors += ring._quotient_divisors(rank)
-    rem, cof = _vec_reduce(v.to_vec(), divisors, free, rank, track_len=len(index_map))
+    rem, cof = _vec_reduce(v.to_vec(), divisors, free, track_len=len(index_map))
     cofactors = [ring.zero()] * len(basis)
     for slot, terms in enumerate(cof):
         cofactors[index_map[slot]] = Poly(ring, ring.reduce_terms(terms))

@@ -215,6 +215,15 @@ def test_large_field_characteristic_reports_quickly(capsys, tmp_path, p, message
     assert message in report["result"]["message"]
 
 
+@pytest.mark.parametrize("p", [2.5, "7", True])
+def test_field_characteristic_must_be_an_integer(capsys, tmp_path, p):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"rings": {"A": {"field": {"p": p}, "variables": ["x"]}}}))
+    code, report = invoke(capsys, "sections", "O", "--workspace", str(path))
+    assert code == 1 and report["result"]["error"] == "WorkspaceError"
+    assert "bad ring 'A'" in report["result"]["message"]
+
+
 def test_deeply_nested_polynomial_exits_one(capsys):
     nested = "(" * 3000 + "x" + ")" * 3000
     for arg in (nested, "x*" + "-" * 3000 + "x"):

@@ -224,6 +224,31 @@ class TestNilpotency:
         e = Idal.from_map(ModuleMap(O, O, [["x"]]))
         assert nilpotency_check(e, 5) is None
 
+    def test_matches_the_presented_power_maps(self, R2):
+        # the entries of e^{(x)n} against is_zero_map on I^{(x)n} -> O
+        def by_power_maps(e, n_max):
+            return next((n for n in range(1, n_max + 1) if e.power_map(n).is_zero_map()), None)
+
+        Q3 = PolyRing(QQ, ["x"], quotient=["x^3"])
+        O3 = unit_module(Q3)
+        Q22 = PolyRing(QQ, ["x", "y"], quotient=["x^2", "y^2"])
+        cases = [(idal_from_ideal(["x", "y"], R2), None),
+                 (Idal.from_map(ModuleMap(O3, O3, [["x"]])), 3),
+                 (idal_from_ideal(["x", "y"], Q22), 3)]
+        for e, want in cases:
+            assert nilpotency_check(e, 8) == by_power_maps(e, 8) == want
+
+    def test_power_bound_still_raises(self):
+        # 3^5 generators fit the bound and 3^6 do not: the same error as the carrier's
+        R3 = PolyRing(QQ, ["x", "y", "z"])
+        e = idal_from_ideal(["x", "y", "z"], R3)
+        with pytest.raises(AlgebraError) as got:
+            nilpotency_check(e, 8)
+        with pytest.raises(AlgebraError) as want:
+            e.carrier_power(6)
+        assert str(got.value) == str(want.value)
+        assert "tensor power 6 of a 3-generator" in str(got.value)
+
 
 class TestFreeHomSizes:
     def test_values(self):

@@ -66,11 +66,10 @@ def test_reduce_matches_oracle(ring, rank, rng):
     for _ in range(6):
         divs = [random_vec(ring, rank, rng, terms=3, deg=2) for _ in range(rng.randint(1, 4))]
         track_len = rng.randint(0, len(divs))
-        memo = {}
         for _ in range(3):
             vec = random_vec(ring, rank, rng, terms=6, deg=4)
-            new = _vec_reduce(vec, [_prepare(d, ring) for d in divs], ring, rank,
-                              track_len=track_len, memo=memo)
+            new = _vec_reduce(vec, [_prepare(d, ring) for d in divs], ring,
+                              track_len=track_len)
             old = oracle.vec_reduce(vec, [oracle.prepare(d, ring) for d in divs], ring, rank,
                                     track_len=track_len)
             assert items(new[0]) == items(old[0])
@@ -111,7 +110,7 @@ def test_quotient_ring_reduction_matches_oracle(field, order):
                     for q in Q.quotient_gb for pos in range(rank)]
         for _ in range(5):
             vec = random_vec(free, rank, rng, terms=6, deg=5)
-            new = _vec_reduce(vec, Q._quotient_divisors(rank), free, rank, track_len=2)
+            new = _vec_reduce(vec, Q._quotient_divisors(rank), free, track_len=2)
             old = oracle.vec_reduce(vec, old_divs, free, rank, track_len=2)
             assert items(new[0]) == items(old[0])
             assert [items(c) for c in new[1]] == [items(c) for c in old[1]]
@@ -207,7 +206,7 @@ def test_integer_reduction_matches_oracle(pool, order, rank):
         divs = [pool_vec(ring, rank, rng, pool) for _ in range(rng.randint(1, 4))]
         track_len = rng.randint(0, len(divs))
         vec = pool_vec(ring, rank, rng, pool, terms=6, deg=4)
-        new = _vec_reduce(vec, [_prepare(d, ring) for d in divs], ring, rank,
+        new = _vec_reduce(vec, [_prepare(d, ring) for d in divs], ring,
                           track_len=track_len)
         old = oracle.vec_reduce(vec, [oracle.prepare(d, ring) for d in divs], ring, rank,
                                 track_len=track_len)
@@ -257,7 +256,7 @@ def test_integer_kernel_over_a_quotient_ring(rank):
     old_divs = [oracle.prepare(v, free) for v in quotient]
     for _ in range(4):
         vec = pool_vec(free, rank, rng, "huge", terms=6, deg=5)
-        rem, cof = _vec_reduce(vec, Q._quotient_divisors(rank), free, rank, track_len=2)
+        rem, cof = _vec_reduce(vec, Q._quotient_divisors(rank), free, track_len=2)
         old = oracle.vec_reduce(vec, old_divs, free, rank, track_len=2)
         assert items(rem) == items(old[0])
         assert [items(c) for c in cof] == [items(c) for c in old[1]]
