@@ -483,6 +483,18 @@ def direct_sum(modules):
 # ---------------------------------------------------------------------------
 # tensor structure
 
+# The most entries, generators times relation columns, a tensor product may
+# have: the tests build 512 x 4608 at most (the self-glued chart idal of the
+# (x, y) plane at power 3), where power 4 would take 4096 x 49152.
+MAX_TENSOR_ENTRIES = 1 << 22
+
+
+def check_tensor_size(gens: int, n_rels: int):
+    """An AlgebraError for a tensor product past MAX_TENSOR_ENTRIES."""
+    if gens * n_rels > MAX_TENSOR_ENTRIES:
+        raise AlgebraError(f"tensor product too large: {gens} generators x {n_rels} relation "
+                           f"columns exceeds {MAX_TENSOR_ENTRIES} entries")
+
 
 def tensor(M: PresentedModule, N: PresentedModule) -> PresentedModule:
     """M (x) N with generator (i, j) linearized row-major as i*N.gens + j."""
@@ -490,6 +502,7 @@ def tensor(M: PresentedModule, N: PresentedModule) -> PresentedModule:
         raise RingMismatchError("tensor over different rings")
     ring = M.ring
     g = M.gens * N.gens
+    check_tensor_size(g, len(M.relations) * N.gens + M.gens * len(N.relations))
     rels = []
     for col in M.relations:
         for j in range(N.gens):

@@ -1,15 +1,16 @@
 """Quasi-coherent modules on two-chart schemes as gluing triples.
 
-Two flavours of scheme:
+Both flavours of scheme glue along the localization at an overlap idal J;
+the overlap data of a glued module are mutually inverse Deligne elements of
+J between its chart pieces carried to the overlap.
 
 * Affine: two affine charts glued along principal localizations, with the
-  transition given by an explicit ring isomorphism both ways.  Overlap data
-  of a glued module is a ModuleMap over the chart-1 overlap ring U1, mapping
-  the base-changed chart-2 piece to the base-changed chart-1 piece (so a
-  Serre twist O(n) on the projective line has tau = multiplication by t^n).
-* SelfGlue: one ring glued to itself along the locus of an idal J; overlap
-  data is a morphism element at a finite Deligne stage, from the chart-1
-  piece to the chart-2 piece, with a supplied inverse element.
+  transition given by an explicit ring isomorphism both ways.  The overlap
+  is the ring U1 = A1[f1^-1] itself, J its unit idal and every stage 0, so
+  the data are inverse maps over U1 (a Serre twist O(n) on the projective
+  line has tau = multiplication by t^n, from the chart-2 piece).
+* SelfGlue: one ring glued to itself along the locus of an idal J; the
+  overlap pieces are the chart pieces.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     AlgebraError,
+    LiftError,
     RingMismatchError,
     StabilizationError,
     TauNotInvertibleError,
@@ -47,7 +49,6 @@ from .fpmod import (
     symtrivial_check,
     tensor,
     tensor_map,
-    tensor_permutation,
     unit_module,
 )
 from .idal import Idal, cover_check, idal_product
@@ -73,12 +74,10 @@ class AffineOverlap:
         self.U2, self.incl2, self.f2_inverse = localized_ring(chart2, self.f2, inv2)
         self.to2 = RingHom(self.U1, self.U2, to2_images)
         self.to1 = RingHom(self.U2, self.U1, to1_images)
-        for v in self.U1.variables:
-            if self.to1.apply(self.to2.apply(self.U1.var(v))) != self.U1.var(v):
-                raise AlgebraError(f"transition maps do not compose to the identity at {v}")
-        for v in self.U2.variables:
-            if self.to2.apply(self.to1.apply(self.U2.var(v))) != self.U2.var(v):
-                raise AlgebraError(f"transition maps do not compose to the identity at {v}")
+        for U, there, back in ((self.U1, self.to2, self.to1), (self.U2, self.to1, self.to2)):
+            for v in U.variables:
+                if back.apply(there.apply(U.var(v))) != U.var(v):
+                    raise AlgebraError(f"transition maps do not compose to the identity at {v}")
         self.chart2_to_U1 = self.to1.compose(self.incl2)
 
     def f_in_U1(self, chart: int):
@@ -90,7 +89,9 @@ class AffineOverlap:
 
 class TwoChartScheme:
     """Either two affine charts with an affine overlap, or one ring glued to
-    itself along an idal."""
+    itself along an idal.  Both carry the overlap idal `idal` (the unit idal
+    of U1 when affine) and `to_overlap`, per chart the ring map carrying
+    chart pieces to the overlap (None when self-glued)."""
 
     def __init__(self, kind: str, chart1: PolyRing, chart2: PolyRing,
                  overlap: AffineOverlap | None = None, idal: Idal | None = None):
@@ -100,12 +101,16 @@ class TwoChartScheme:
         self.chart1 = chart1
         self.chart2 = chart2
         self.overlap = overlap
-        self.idal = idal
-        if kind == "affine" and overlap is None:
-            raise AlgebraError("affine scheme requires overlap data")
-        if kind == "selfglue":
+        if kind == "affine":
+            if overlap is None:
+                raise AlgebraError("affine scheme requires overlap data")
+            self.idal = Idal.identity(overlap.U1)
+            self.to_overlap = (overlap.incl1, overlap.chart2_to_U1)
+        else:
             if idal is None or chart1 != chart2:
                 raise AlgebraError("selfglue scheme requires one ring and an idal")
+            self.idal = idal
+            self.to_overlap = (None, None)
 
     @staticmethod
     def affine(chart1: PolyRing, chart2: PolyRing, f1, f2, inv1, inv2,
@@ -117,7 +122,21 @@ class TwoChartScheme:
     def selfglue(ring: PolyRing, J: Idal) -> "TwoChartScheme":
         return TwoChartScheme("selfglue", ring, ring, idal=J)
 
+    def overlap_piece(self, chart: int, M: PresentedModule) -> PresentedModule:
+        """A module over the chart's ring carried to the overlap."""
+        h = self.to_overlap[chart - 1]
+        return M if h is None else base_change_module(M, h)
+
+    def overlap_map(self, chart: int, phi: ModuleMap, source: PresentedModule,
+                    target: PresentedModule) -> ModuleMap:
+        """A map over the chart's ring carried to the overlap, between the
+        given overlap pieces of its source and target."""
+        h = self.to_overlap[chart - 1]
+        return phi if h is None else base_change_map(phi, h, source, target)
+
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, TwoChartScheme) or self.kind != other.kind:
             return False
         if self.kind == "selfglue":
@@ -159,14 +178,31 @@ def p1_scheme() -> TwoChartScheme:
 
 
 @dataclass
-class SelfGlueTau:
+class OverlapDatum:
+    """The overlap data of a glued module: Deligne elements of the scheme's
+    overlap idal J between its overlap pieces, mutually inverse up to the
+    collapse J^{(x)(fwd_stage + bwd_stage)} -> O."""
     fwd_stage: int
-    fwd: ModuleMap      # J^{(x)fwd_stage} (x) m1 -> m2
+    fwd: ModuleMap      # J^{(x)fwd_stage} (x) m1_overlap -> m2_overlap
     bwd_stage: int
-    bwd: ModuleMap      # J^{(x)bwd_stage} (x) m2 -> m1
+    bwd: ModuleMap      # J^{(x)bwd_stage} (x) m2_overlap -> m1_overlap
+
+
+# the name under which self-glued modules take their datum
+SelfGlueTau = OverlapDatum
+
+
+def _entries(f: ModuleMap):
+    return [[str(x) for x in row] for row in f.matrix]
 
 
 class GluedModule:
+    """Chart pieces m1, m2 glued by one OverlapDatum `datum` between their
+    overlap pieces m1_overlap, m2_overlap.  An affine module may be given
+    matrices over U1 instead, tau : m2_overlap -> m1_overlap and tau_inv,
+    the datum's bwd and fwd, which stay readable as `.tau` and `.tau_inv`;
+    a self-glued module's `.tau` is its datum."""
+
     def __init__(self, scheme: TwoChartScheme, m1: PresentedModule,
                  m2: PresentedModule, tau, tau_inv=None, validate: bool = True):
         self.scheme = scheme
@@ -174,25 +210,22 @@ class GluedModule:
         self.m2 = m2
         if m1.ring != scheme.chart1 or m2.ring != scheme.chart2:
             raise RingMismatchError("chart pieces must live over the chart rings")
-        if scheme.kind == "affine":
-            ov = scheme.overlap
-            self.m1_overlap = base_change_module(m1, ov.incl1)
-            self.m2_overlap = base_change_module(m2, ov.chart2_to_U1)
-            self.tau = self._as_overlap_map(tau, self.m2_overlap, self.m1_overlap)
-            self.tau_inv = self._as_overlap_map(tau_inv, self.m1_overlap, self.m2_overlap)
-            if validate:
-                if not self.tau.compose(self.tau_inv).equals(ModuleMap.identity(self.m1_overlap)) \
-                        or not self.tau_inv.compose(self.tau).equals(ModuleMap.identity(self.m2_overlap)):
-                    raise TauNotInvertibleError("overlap maps are not mutually inverse")
+        if isinstance(tau, OverlapDatum):
+            self.datum = tau
+        elif scheme.kind == "affine":
+            m1o, m2o = scheme.overlap_piece(1, m1), scheme.overlap_piece(2, m2)
+            bwd = self._as_overlap_map(tau, m2o, m1o)
+            self.datum = OverlapDatum(0, self._as_overlap_map(tau_inv, m1o, m2o), 0, bwd)
         else:
-            if not isinstance(tau, SelfGlueTau):
-                raise AlgebraError("selfglue modules take a SelfGlueTau")
-            self.tau = tau
-            self.tau_inv = None
-            if validate:
-                self._validate_selfglue()
+            raise AlgebraError("selfglue modules take a SelfGlueTau")
+        d = self.datum
+        self.m1_overlap, self.m2_overlap = d.bwd.target, d.fwd.target
+        self.tau, self.tau_inv = (d.bwd, d.fwd) if scheme.kind == "affine" else (d, None)
+        if validate:
+            self._validate()
 
-    def _as_overlap_map(self, data, source, target) -> ModuleMap:
+    @staticmethod
+    def _as_overlap_map(data, source, target) -> ModuleMap:
         if data is None:
             raise TauNotInvertibleError("overlap data must include both directions")
         if isinstance(data, ModuleMap):
@@ -205,30 +238,30 @@ class GluedModule:
         except WellDefinednessError as exc:
             raise TauNotWellDefinedError(str(exc)) from exc
 
-    def _validate_selfglue(self):
-        J = self.scheme.idal
-        t = self.tau
-        a, b = t.fwd_stage, t.bwd_stage
-        # bwd . (J^b (x) fwd) must equal the collapse J^{a+b} (x) m1 -> m1
-        left = J.then(t.bwd, b, t.fwd, a, self.m1)
-        if not left.equals(J.collapse(self.m1, a + b, 0)):
-            raise TauNotInvertibleError("selfglue overlap elements are not mutually inverse")
-        right = J.then(t.fwd, a, t.bwd, b, self.m2)
-        if not right.equals(J.collapse(self.m2, a + b, 0)):
-            raise TauNotInvertibleError("selfglue overlap elements are not mutually inverse")
+    def _validate(self):
+        """bwd . (J^b (x) fwd) and fwd . (J^a (x) bwd) must be the collapses
+        J^{(x)(a+b)} (x) m -> m of the two overlap pieces."""
+        J, one, two = self.scheme.idal, self.out_of(1), self.out_of(2)
+        for (a, first, M), (b, second, _) in ((one, two), (two, one)):
+            if not J.then(second, b, first, a, M).equals(J.collapse(M, a + b, 0)):
+                raise TauNotInvertibleError("overlap maps are not mutually inverse")
+
+    def out_of(self, chart: int):
+        """(stage, map, piece): the datum's staged map out of the chart's
+        overlap piece, fwd for chart 1 and bwd for chart 2."""
+        d = self.datum
+        return _oriented(chart, (d.fwd_stage, d.fwd, self.m1_overlap),
+                         (d.bwd_stage, d.bwd, self.m2_overlap))[0]
 
     def serialize(self):
         out = {"m1": self.m1.to_json(), "m2": self.m2.to_json()}
         if self.scheme.kind == "affine":
-            out["tau"] = [[str(x) for x in row] for row in self.tau.matrix]
-            out["tau_inv"] = [[str(x) for x in row] for row in self.tau_inv.matrix]
+            out["tau"] = _entries(self.tau)
+            out["tau_inv"] = _entries(self.tau_inv)
         else:
-            out["tau"] = {
-                "fwd_stage": self.tau.fwd_stage,
-                "fwd": [[str(x) for x in row] for row in self.tau.fwd.matrix],
-                "bwd_stage": self.tau.bwd_stage,
-                "bwd": [[str(x) for x in row] for row in self.tau.bwd.matrix],
-            }
+            d = self.datum
+            out["tau"] = {"fwd_stage": d.fwd_stage, "fwd": _entries(d.fwd),
+                          "bwd_stage": d.bwd_stage, "bwd": _entries(d.bwd)}
         return out
 
 
@@ -240,16 +273,11 @@ def glue(m1: PresentedModule, m2: PresentedModule, tau_data, scheme: TwoChartSch
 
 
 def o_glued(scheme: TwoChartScheme) -> GluedModule:
-    O1 = unit_module(scheme.chart1)
-    O2 = unit_module(scheme.chart2)
-    if scheme.kind == "affine":
-        one = [["1"]]
-        return GluedModule(scheme, O1, O2, one, one)
-    J = scheme.idal
-    one = [[scheme.chart1.one()]]
-    fwd = ModuleMap(J.stage_source(0, O1), O2, one, check=False)
-    bwd = ModuleMap(J.stage_source(0, O2), O1, one, check=False)
-    return GluedModule(scheme, O1, O2, SelfGlueTau(0, fwd, 0, bwd))
+    O1, O2 = unit_module(scheme.chart1), unit_module(scheme.chart2)
+    O1o, O2o = scheme.overlap_piece(1, O1), scheme.overlap_piece(2, O2)
+    one = [[O1o.ring.one()]]
+    return GluedModule(scheme, O1, O2, OverlapDatum(0, ModuleMap(O1o, O2o, one, check=False),
+                                                    0, ModuleMap(O2o, O1o, one, check=False)))
 
 
 class GluedMap:
@@ -267,17 +295,16 @@ class GluedMap:
             raise WellDefinednessError("chart maps are not compatible over the overlap")
 
     def is_compatible(self) -> bool:
+        """Whether c2 . fwd_G and fwd_H . (J (x) c1) agree on the overlap,
+        both restaged to the larger of the two forward stages."""
         G, H = self.source, self.target
-        if G.scheme.kind == "affine":
-            ov = G.scheme.overlap
-            c1o = base_change_map(self.c1, ov.incl1, G.m1_overlap, H.m1_overlap)
-            c2o = base_change_map(self.c2, ov.chart2_to_U1, G.m2_overlap, H.m2_overlap)
-            return H.tau.compose(c2o).equals(c1o.compose(G.tau))
-        J = G.scheme.idal
-        a, b = G.tau.fwd_stage, H.tau.fwd_stage
+        scheme, J = G.scheme, G.scheme.idal
+        c1 = scheme.overlap_map(1, self.c1, G.m1_overlap, H.m1_overlap)
+        c2 = scheme.overlap_map(2, self.c2, G.m2_overlap, H.m2_overlap)
+        (a, f, M), (b, g, _) = G.out_of(1), H.out_of(1)
         N = max(a, b)
-        lhs = J.restage(self.c2.compose(G.tau.fwd), G.m1, a, N)
-        rhs = J.restage(J.then(H.tau.fwd, b, self.c1, 0, G.m1), G.m1, b, N)
+        lhs = J.restage(c2.compose(f), M, a, N)
+        rhs = J.restage(J.then(g, b, c1, 0, M), M, b, N)
         return lhs.equals(rhs)
 
     def compose(self, other: "GluedMap") -> "GluedMap":
@@ -306,56 +333,35 @@ def direct_sum_glued(summands):
     scheme = summands[0].scheme
     S1, incls1, _ = direct_sum([g.m1 for g in summands])
     S2, incls2, _ = direct_sum([g.m2 for g in summands])
-    if scheme.kind == "affine":
-        n1 = sum(g.m1_overlap.gens for g in summands)
-        n2 = sum(g.m2_overlap.gens for g in summands)
-        U1 = scheme.overlap.U1
-        zero = U1.zero()
-        tau_rows = [[zero] * n2 for _ in range(n1)]
-        tinv_rows = [[zero] * n1 for _ in range(n2)]
-        r_off = c_off = 0
-        for g in summands:
-            for i in range(g.m1_overlap.gens):
-                for j in range(g.m2_overlap.gens):
-                    tau_rows[r_off + i][c_off + j] = g.tau.matrix[i][j]
-                    tinv_rows[c_off + j][r_off + i] = g.tau_inv.matrix[j][i]
-            r_off += g.m1_overlap.gens
-            c_off += g.m2_overlap.gens
-        G = GluedModule(scheme, S1, S2, tau_rows, tinv_rows, validate=False)
-    else:
-        J = scheme.idal
-        a = max(g.tau.fwd_stage for g in summands)
-        b = max(g.tau.bwd_stage for g in summands)
-        fwd = _blockdiag_selfglue(scheme, [g.m1 for g in summands], [g.m2 for g in summands],
-                                  [(g.tau.fwd_stage, g.tau.fwd) for g in summands], a, S1, S2)
-        bwd = _blockdiag_selfglue(scheme, [g.m2 for g in summands], [g.m1 for g in summands],
-                                  [(g.tau.bwd_stage, g.tau.bwd) for g in summands], b, S2, S1)
-        G = GluedModule(scheme, S1, S2, SelfGlueTau(a, fwd, b, bwd), validate=False)
-    incls = []
-    for k, g in enumerate(summands):
-        incls.append(GluedMap(g, G, incls1[k], incls2[k], validate=False))
+    S1o, S2o = scheme.overlap_piece(1, S1), scheme.overlap_piece(2, S2)
+    fwd = _block_diagonal(scheme.idal, [g.out_of(1) for g in summands], S1o, S2o)
+    bwd = _block_diagonal(scheme.idal, [g.out_of(2) for g in summands], S2o, S1o)
+    G = GluedModule(scheme, S1, S2, OverlapDatum(*fwd, *bwd), validate=False)
+    incls = [GluedMap(g, G, incls1[k], incls2[k], validate=False)
+             for k, g in enumerate(summands)]
     return G, incls
 
 
-def _blockdiag_selfglue(scheme, sources, targets, staged_maps, N, S_src, S_tgt) -> ModuleMap:
-    """Block diagonal of Deligne elements, each pushed to the common stage N."""
-    J = scheme.idal
+def _block_diagonal(J: Idal, staged, S_src: PresentedModule, S_tgt: PresentedModule):
+    """(N, D) with D : J^{(x)N} (x) S_src -> S_tgt the block diagonal of the
+    staged maps (stage, f : J^{(x)stage} (x) M -> T, M), each restaged to
+    the largest stage N."""
+    N = max(stage for stage, _, _ in staged)
     src = J.stage_source(N, S_src)
-    zero = scheme.chart1.zero()
+    zero = S_tgt.ring.zero()
     matrix = [[zero] * src.gens for _ in range(S_tgt.gens)]
     gN = J.carrier_power(N).gens
-    src_off = 0
-    tgt_off = 0
-    for (stage, m), piece_src, piece_tgt in zip(staged_maps, sources, targets):
-        pushed = J.restage(m, piece_src, stage, N)
-        for r in range(piece_tgt.gens):
+    src_off = tgt_off = 0
+    for stage, f, M in staged:
+        pushed = J.restage(f, M, stage, N)
+        for r in range(f.target.gens):
             for t in range(gN):
-                for j in range(piece_src.gens):
-                    matrix[tgt_off + r][t * S_src.gens + (src_off + j)] = \
-                        pushed.matrix[r][t * piece_src.gens + j]
-        src_off += piece_src.gens
-        tgt_off += piece_tgt.gens
-    return ModuleMap(src, S_tgt, matrix, check=False)
+                for j in range(M.gens):
+                    matrix[tgt_off + r][t * S_src.gens + src_off + j] = \
+                        pushed.matrix[r][t * M.gens + j]
+        src_off += M.gens
+        tgt_off += f.target.gens
+    return N, ModuleMap(src, S_tgt, matrix, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -366,105 +372,72 @@ def tensor_glued(G: GluedModule, H: GluedModule) -> GluedModule:
     if G.scheme != H.scheme:
         raise AlgebraError("tensor of glued modules on different schemes")
     scheme = G.scheme
-    T1 = tensor(G.m1, H.m1)
-    T2 = tensor(G.m2, H.m2)
-    if scheme.kind == "affine":
-        tau = tensor_map(G.tau, H.tau)
-        tau_inv = tensor_map(G.tau_inv, H.tau_inv)
-        return GluedModule(scheme, T1, T2, tau.matrix, tau_inv.matrix, validate=False)
-    fwd = _selfglue_tensor_element(scheme, G.tau.fwd_stage, G.tau.fwd, G.m1,
-                                   H.tau.fwd_stage, H.tau.fwd, H.m1, T1, T2)
-    bwd = _selfglue_tensor_element(scheme, G.tau.bwd_stage, G.tau.bwd, G.m2,
-                                   H.tau.bwd_stage, H.tau.bwd, H.m2, T2, T1)
-    return GluedModule(scheme, T1, T2,
-                       SelfGlueTau(G.tau.fwd_stage + H.tau.fwd_stage, fwd,
-                                   G.tau.bwd_stage + H.tau.bwd_stage, bwd),
-                       validate=False)
+    T1, T2 = tensor(G.m1, H.m1), tensor(G.m2, H.m2)
+    T1o, T2o = scheme.overlap_piece(1, T1), scheme.overlap_piece(2, T2)
+    fwd = _tensor_element(scheme.idal, G.out_of(1), H.out_of(1), T1o, T2o)
+    bwd = _tensor_element(scheme.idal, G.out_of(2), H.out_of(2), T2o, T1o)
+    return GluedModule(scheme, T1, T2, OverlapDatum(*fwd, *bwd), validate=False)
 
 
-def _selfglue_tensor_element(scheme, a, fwd_a, Ma, b, fwd_b, Mb, MaMb, NaNb) -> ModuleMap:
-    """J^{a+b} (x) MaMb -> NaNb from elements fwd_a : J^a (x) Ma -> Na and
-    fwd_b : J^b (x) Mb -> Nb, where MaMb = Ma (x) Mb and NaNb = Na (x) Nb."""
-    J = scheme.idal
-    factors = [J.carrier] * (a + b) + [Ma, Mb]
-    perm = list(range(a)) + [a + b] + list(range(a, a + b)) + [a + b + 1]
-    shuffle = tensor_permutation(factors, perm)
-    paired = tensor_map(fwd_a, fwd_b)
-    paired = ModuleMap(paired.source, NaNb, paired.matrix, check=False)
-    return paired.compose(ModuleMap(J.stage_source(a + b, MaMb), paired.source,
-                                    shuffle.matrix, check=False))
+def _tensor_element(J: Idal, staged_f, staged_g, MN: PresentedModule,
+                    target: PresentedModule):
+    """(a + b, f (x) g) for staged maps (a, f : J^{(x)a} (x) M -> X, M) and
+    (b, g : J^{(x)b} (x) N -> Y, N), as J^{(x)(a+b)} (x) MN -> target with
+    MN = M (x) N and target = X (x) Y: the Kronecker product of f and g, its
+    columns taken from the order (J^a, M, J^b, N) to (J^a, J^b, M, N)."""
+    (a, f, M), (b, g, N) = staged_f, staged_g
+    ga, gb = J.carrier_power(a).gens, J.carrier_power(b).gens
+    m, n = M.gens, N.gens
+    order = [(ta * m + i) * gb * n + tb * n + j
+             for ta in range(ga) for tb in range(gb) for i in range(m) for j in range(n)]
+    paired = _kron(MN.ring, f.matrix, g.matrix)
+    return a + b, ModuleMap(J.stage_source(a + b, MN), target,
+                            [[row[c] for c in order] for row in paired], check=False)
 
 
-def hom_glued(G: GluedModule, H: GluedModule, n_max: int = 8) -> GluedModule:
-    """Chartwise hom modules glued by the conjugation tau_H . (-) . tau_G^{-1}."""
+def hom_glued(G: GluedModule, H: GluedModule) -> GluedModule:
+    """Chartwise hom modules glued by conjugation: fwd sends h : G.m1 -> H.m1
+    to H.fwd . (J (x) h) . G.bwd, and bwd sends h : G.m2 -> H.m2 to
+    H.bwd . (J (x) h) . G.fwd."""
     if G.scheme != H.scheme:
         raise AlgebraError("hom of glued modules on different schemes")
     scheme = G.scheme
-    hom1 = hom_module(G.m1, H.m1)
-    hom2 = hom_module(G.m2, H.m2)
-    if scheme.kind == "affine":
-        ov = scheme.overlap
-        tau = _hom_overlap_map(hom2, ov.chart2_to_U1, hom1, ov.incl1, G.tau_inv, H.tau)
-        tau_inv = _hom_overlap_map(hom1, ov.incl1, hom2, ov.chart2_to_U1, G.tau, H.tau_inv)
-        return GluedModule(scheme, hom1.module, hom2.module, tau, tau_inv)
-    return _hom_glued_selfglue(G, H, hom1, hom2, n_max)
+    homs = []
+    for chart, M, N in ((1, G.m1, H.m1), (2, G.m2, H.m2)):
+        hom = hom_module(M, N)
+        module, ambient = (scheme.overlap_piece(chart, X) for X in (hom.module, hom.ambient))
+        homs.append((hom, module, scheme.overlap_map(chart, hom.incl, module, ambient)))
+    fwd, bwd = _conjugation(G, H, 1, homs), _conjugation(G, H, 2, homs)
+    return GluedModule(scheme, homs[0][0].module, homs[1][0].module,
+                       OverlapDatum(*fwd, *bwd), validate=False)
 
 
-def _hom_overlap_map(hom_src, src_to_U1: RingHom, hom_tgt, tgt_to_U1: RingHom,
-                     pre: ModuleMap, post: ModuleMap):
-    """Matrix over U1 of the conjugation phi |-> post . phi . pre, from
-    hom_src base-changed along src_to_U1 to hom_tgt base-changed along
-    tgt_to_U1."""
-    src_mod = base_change_module(hom_src.module, src_to_U1)
-    tgt_mod = base_change_module(hom_tgt.module, tgt_to_U1)
-    incl_bc = base_change_map(hom_tgt.incl, tgt_to_U1, tgt_mod,
-                              base_change_module(hom_tgt.ambient, tgt_to_U1))
-    cols = []
-    for k in range(src_mod.gens):
-        phi = base_change_map(hom_src.generator_map(k), src_to_U1, pre.target, post.source)
-        cols.append(incl_bc.lift(hom_tgt._flatten_map(post.compose(phi).compose(pre))))
-        if cols[-1] is None:
-            raise AlgebraError("hom base change failed to lift (overlap hom mismatch)")
-    return ModuleMap.from_columns(src_mod, tgt_mod, cols).matrix
-
-
-def _hom_glued_selfglue(G, H, hom1, hom2, n_max: int) -> GluedModule:
-    J = G.scheme.idal
-    fwd = _conjugate_hom_element(J, hom1, hom2, G.m2, H.m2,
-                                 G.tau.bwd, G.tau.bwd_stage,
-                                 H.tau.fwd, H.tau.fwd_stage)
-    bwd = _conjugate_hom_element(J, hom2, hom1, G.m1, H.m1,
-                                 G.tau.fwd, G.tau.fwd_stage,
-                                 H.tau.bwd, H.tau.bwd_stage)
-    return GluedModule(G.scheme, hom1.module, hom2.module,
-                       SelfGlueTau(G.tau.bwd_stage + H.tau.fwd_stage, fwd,
-                                   G.tau.fwd_stage + H.tau.bwd_stage, bwd),
-                       validate=False)
-
-
-def _conjugate_hom_element(J: Idal, hom_src, hom_tgt, A: PresentedModule,
-                           D: PresentedModule, pre: ModuleMap, p: int,
-                           post: ModuleMap, q: int) -> ModuleMap:
-    """J^{(x)(p+q)} (x) Hom(B, C) -> Hom(A, D) sending t (x) h to the slice of
-    post . (id (x) (h . pre)) at t, where pre : J^p (x) A -> B and
-    post : J^q (x) C -> D."""
-    c = p + q
-    src = J.stage_source(c, hom_src.module)
-    zero = A.ring.zero()
-    matrix = [[zero] * src.gens for _ in range(hom_tgt.module.gens)]
-    gC = J.carrier_power(c).gens
-    for k in range(hom_src.module.gens):
-        h = hom_src.generator_map(k)
-        step = h.compose(pre)         # J^p (x) A -> C
-        full = J.then(post, q, step, p, A)
-        for t in range(gC):
-            sub = [[full.matrix[r][t * A.gens + j] for j in range(A.gens)]
-                   for r in range(D.gens)]
-            phi = ModuleMap(A, D, sub, check=False)
-            coords = hom_tgt.express(phi)
-            for r in range(hom_tgt.module.gens):
-                matrix[r][t * hom_src.module.gens + k] = coords[r]
-    return ModuleMap(src, hom_tgt.module, matrix, check=False)
+def _conjugation(G: GluedModule, H: GluedModule, chart: int, homs):
+    """(p + q, the datum of hom_glued(G, H) out of `chart`) as
+    J^{(x)(p+q)} (x) HOM(B, C) -> HOM(A, D) on the overlap: t (x) h goes to
+    the slice at t of post . (J^{(x)q} (x) (h . pre)), for G's datum
+    pre : J^{(x)p} (x) A -> B into this chart and H's datum
+    post : J^{(x)q} (x) C -> D out of it.  homs holds per chart the hom
+    module, its overlap piece and the overlap piece of its inclusion."""
+    scheme, J = G.scheme, G.scheme.idal
+    (hom_s, mod_s, _), (hom_t, mod_t, incl_t) = _oriented(chart, *homs)
+    (p, pre, A), (q, post, C) = G.out_of(3 - chart), H.out_of(chart)
+    B, D = pre.target, post.target
+    src = J.stage_source(p + q, mod_s)
+    zero = mod_t.ring.zero()
+    matrix = [[zero] * src.gens for _ in range(mod_t.gens)]
+    for k in range(mod_s.gens):
+        phi = scheme.overlap_map(chart, hom_s.generator_map(k), B, C)
+        full = J.then(post, q, phi.compose(pre), p, A)
+        for t in range(J.carrier_power(p + q).gens):
+            piece = ModuleMap(A, D, [row[t * A.gens:(t + 1) * A.gens] for row in full.matrix],
+                              check=False)
+            coords = incl_t.lift(hom_t._flatten_map(piece))
+            if coords is None:
+                raise LiftError("conjugated overlap map does not lie in the hom module")
+            for r in range(mod_t.gens):
+                matrix[r][t * mod_s.gens + k] = coords[r]
+    return p + q, ModuleMap(src, mod_t, matrix, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +578,7 @@ def _selfglue_sections(G: GluedModule, degree_bound: int, n_max: int) -> Section
         return SectionsResult("selfglue", None, table, S)
     _check_selfglue_reflection(ra, n_max)
     _check_selfglue_reflection(rb, n_max)
-    tau_hat_inv = induced_on_reflections(J, G.tau.bwd, G.tau.bwd_stage, rb, ra)
+    tau_hat_inv = induced_on_reflections(J, G.datum.bwd, G.datum.bwd_stage, rb, ra)
     b = tau_hat_inv.compose(rb.unit)
     P, p1, p2 = pullback(ra.unit, b)
     by_degree = None
@@ -652,14 +625,6 @@ def invertible_check(G: GluedModule) -> bool:
     return True
 
 
-def _unit_scalar_inverse(ring: PolyRing, u: Poly) -> Poly:
-    O = unit_module(ring)
-    inv = ModuleMap(O, O, [[u]], check=False).lift((ring.one(),))
-    if inv is None:
-        raise AlgebraError("overlap scalar is not a unit")
-    return inv[0]
-
-
 def inverse_of(G: GluedModule) -> GluedModule:
     """An explicit inverse triple for a line-bundle-like glued module."""
     w1 = _free_rank_one_witness(G.m1)
@@ -668,13 +633,15 @@ def inverse_of(G: GluedModule) -> GluedModule:
         raise AlgebraError("chart pieces are not free of rank 1")
     scheme = G.scheme
     if scheme.kind == "affine":
-        ov = scheme.overlap
-        w1o = base_change_map(w1, ov.incl1, unit_module(ov.U1), G.m1_overlap)
-        w2o = base_change_map(w2, ov.chart2_to_U1, unit_module(ov.U1), G.m2_overlap)
+        O = unit_module(scheme.overlap.U1)
+        w1o = scheme.overlap_map(1, w1, O, G.m1_overlap)
+        w2o = scheme.overlap_map(2, w2, O, G.m2_overlap)
         u = invert_iso(w1o).compose(G.tau).compose(w2o).matrix[0][0]
-        uinv = _unit_scalar_inverse(ov.U1, u)
+        uinv = ModuleMap(O, O, [[u]], check=False).lift((O.ring.one(),))
+        if uinv is None:
+            raise AlgebraError("overlap scalar is not a unit")
         inv = GluedModule(scheme, unit_module(scheme.chart1), unit_module(scheme.chart2),
-                          [[uinv]], [[u]])
+                          [uinv], [[u]])
         _verify_inverse(G, inv)
         return inv
     raise AlgebraError("inverse construction implemented for affine overlaps")
@@ -700,22 +667,15 @@ def dualizable_check(G: GluedModule, dual: GluedModule, unit_map: GluedMap,
     """
     for g, d, unit_c, counit_c in ((G.m1, dual.m1, unit_map.c1, counit_map.c1),
                                    (G.m2, dual.m2, unit_map.c2, counit_map.c2)):
-        idg = ModuleMap.identity(g)
-        idd = ModuleMap.identity(d)
-        # (id_g (x) counit) . (unit (x) id_g) == id_g
-        left = tensor_map(unit_c, idg)
-        left = ModuleMap(g, left.target, left.matrix, check=False)      # O (x) g == g
-        mid = tensor_map(idg, counit_c)
-        mid = ModuleMap(left.target, g, mid.matrix, check=False)        # g (x) O == g
-        if not mid.compose(left).equals(idg):
-            return False
-        # (counit (x) id_d) . (id_d (x) unit) == id_d
-        left2 = tensor_map(idd, unit_c)
-        left2 = ModuleMap(d, left2.target, left2.matrix, check=False)
-        mid2 = tensor_map(counit_c, idd)
-        mid2 = ModuleMap(left2.target, d, mid2.matrix, check=False)
-        if not mid2.compose(left2).equals(idd):
-            return False
+        idg, idd = ModuleMap.identity(g), ModuleMap.identity(d)
+        # (id_g (x) counit) . (unit (x) id_g) == id_g and
+        # (counit (x) id_d) . (id_d (x) unit) == id_d, where O (x) X == X == X (x) O
+        for X, first, second in ((g, tensor_map(unit_c, idg), tensor_map(idg, counit_c)),
+                                 (d, tensor_map(idd, unit_c), tensor_map(counit_c, idd))):
+            there = ModuleMap(X, first.target, first.matrix, check=False)
+            back = ModuleMap(first.target, X, second.matrix, check=False)
+            if not back.compose(there).equals(ModuleMap.identity(X)):
+                return False
     return True
 
 
@@ -897,6 +857,9 @@ def chart_idal(scheme: TwoChartScheme, which: int, power: int = 1):
     else:
         J = scheme.idal
         near, far = unit_module(scheme.chart1), J.carrier_power(power)
+        # validating L builds J^{(x)2 power} (x) J^{(x)power}; its bounds, which
+        # include that of power_map(2 * power), hold before any stage is built
+        J.check_stage(2 * power, far)
         # overlap data: J^power (x) O -> J^power is the identity on generators,
         # and J^power (x) J^power -> O applies e at all 2 * power slots
         to_far = ModuleMap(J.stage_source(power, near), far,
@@ -904,7 +867,7 @@ def chart_idal(scheme: TwoChartScheme, which: int, power: int = 1):
         to_near = ModuleMap(J.stage_source(power, far), near, J.power_map(2 * power).matrix,
                             check=False)
         fwd, bwd = _oriented(which, to_far, to_near)
-        L = GluedModule(scheme, *_oriented(which, near, far), SelfGlueTau(power, fwd, power, bwd))
+        L = GluedModule(scheme, *_oriented(which, near, far), OverlapDatum(power, fwd, power, bwd))
         e_far = ModuleMap(far, near, J.power_map(power).matrix, check=False)
     return L, GluedMap(L, O, *_oriented(which, ModuleMap.identity(near), e_far))
 
@@ -963,8 +926,7 @@ def idal_generation(G: GluedModule, n_max: int = 8) -> GenerationResult:
             if scheme.kind == "affine":
                 k, col = _affine_extension_power(G, chart, gidx, n_max)
             else:
-                k, step = (G.tau.fwd_stage, G.tau.fwd) if chart == 1 \
-                    else (G.tau.bwd_stage, G.tau.bwd)
+                k, step, _ = G.out_of(chart)
             L = chart_idal(scheme, chart, k)[0] if k else o_glued(scheme)
             L_near, L_far = _oriented(chart, L.m1, L.m2)
             unit = ModuleMap(L_near, near, [[p] for p in near.unit_column(gidx)], check=False)

@@ -16,6 +16,7 @@ from .fpmod import (
     _identity_matrix,
     _kron,
     base_change_module,
+    check_tensor_size,
     cokernel,
     free_module,
     is_iso,
@@ -107,6 +108,16 @@ class Idal:
             raise AlgebraError(f"tensor power {n} of a {g}-generator idal carrier is out "
                                f"of range: need n >= 0 and {g}^n <= {MAX_POWER_GENS}")
 
+    def check_stage(self, n: int, M: PresentedModule):
+        """An AlgebraError unless J^{(x)n} (x) M is within MAX_POWER_GENS and
+        MAX_TENSOR_ENTRIES, from counts alone: J^{(x)n} has g^n generators and
+        n g^(n-1) r relation columns for a carrier of g and r."""
+        self._check_power(n)
+        if n:
+            g, r = self.carrier.gens, len(self.carrier.relations)
+            check_tensor_size(g ** n * M.gens,
+                              n * g ** (n - 1) * r * M.gens + g ** n * len(M.relations))
+
     def carrier_power(self, n: int) -> PresentedModule:
         """I^{(x)n}; an AlgebraError past MAX_POWER_GENS generators."""
         self._check_power(n)
@@ -134,9 +145,12 @@ class Idal:
 
     def stage_source(self, n: int, M: PresentedModule) -> PresentedModule:
         """J^{(x)n} (x) M, one object per (n, M) for the life of the idal, so
-        that staged maps built on it compose by identity."""
+        that staged maps built on it compose by identity; M itself at n = 0."""
+        if n == 0:
+            return M
         key = (n, id(M))
         if key not in self._stage_sources:
+            self.check_stage(n, M)
             # M is kept with its source, so its id cannot be reused
             self._stage_sources[key] = (M, tensor(self.carrier_power(n), M))
         return self._stage_sources[key][1]
@@ -146,6 +160,8 @@ class Idal:
 
     def collapse(self, M: PresentedModule, n: int, m: int) -> ModuleMap:
         """J^{(x)n} (x) M -> J^{(x)m} (x) M applying e at the last n-m slots."""
+        if n == m:
+            return ModuleMap.identity(self.stage_source(n, M))
         return self._staged(self._collapse_matrix(M, n, m), M, n, self.stage_source(m, M))
 
     def _collapse_matrix(self, M: PresentedModule, n: int, m: int):
@@ -154,13 +170,17 @@ class Idal:
 
     def restage(self, f: ModuleMap, M: PresentedModule, a: int, n: int) -> ModuleMap:
         """f : J^{(x)a} (x) M -> T moved to stage n >= a, as
-        f . collapse(M, n, a) : J^{(x)n} (x) M -> T."""
+        f . collapse(M, n, a) : J^{(x)n} (x) M -> T; f itself at n = a."""
+        if n == a:
+            return f
         return f.compose(self._staged(self._collapse_matrix(M, n, a), M, n, f.source))
 
     def then(self, g: ModuleMap, b: int, f: ModuleMap, a: int,
              M: PresentedModule) -> ModuleMap:
         """g . (J^{(x)b} (x) f) : J^{(x)(a+b)} (x) M -> T for
         f : J^{(x)a} (x) M -> X and g : J^{(x)b} (x) X -> T."""
+        if b == 0:
+            return g.compose(f)
         ident = _identity_matrix(self.ring, self.carrier.gens ** b)
         return g.compose(self._staged(_kron(self.ring, ident, f.matrix), M, a + b, g.source))
 

@@ -1,21 +1,51 @@
-"""Frozen copies of the chart-by-chart idal generation and chart idals that
-one per-chart body in `glued` replaced.
+"""Frozen copies of glued-module code that one body for both scheme kinds
+replaced.
 
-Test-only oracle for `test_glued_differential.py`: `idal_generation` with
-its four per-chart blocks, `_affine_extension_power` on chart 1 only, the
-side-swapped scheme and glued module it used for chart 2
-(`_swap_scheme_sides`, `_swap_glued`), `chart_idal` with its `which == 1` /
-`which == 2` branches, and the index loop of `_stack_chart_maps`.  The
-present code must give the same blocks and chart maps entry for entry.  Do
-not optimise this file; its value is that it stays as it was.  (The three
-chart-1-centred overlap properties it read became functions taking the
-overlap.)
+Test-only oracle for `test_glued_differential.py`.
+
+* Idal generation and chart idals: `idal_generation` with its four
+  per-chart blocks, `_affine_extension_power` on chart 1 only, the
+  side-swapped scheme and glued module it used for chart 2
+  (`_swap_scheme_sides`, `_swap_glued`), `chart_idal` with its
+  `which == 1` / `which == 2` branches, and the index loop of
+  `_stack_chart_maps`.  (The three chart-1-centred overlap properties it
+  read became functions taking the overlap.)
+* The constructions written once per scheme kind, before one overlap datum
+  served both: the validation of `GluedModule` (`glued_module_verdict`),
+  `GluedMap.is_compatible` (`is_compatible`), `direct_sum_glued` with
+  `_blockdiag_selfglue`, `tensor_glued` with `_selfglue_tensor_element`,
+  and `hom_glued` with `_hom_overlap_map`, `_hom_glued_selfglue` and
+  `_conjugate_hom_element`.  They build their results through the present
+  `GluedModule` constructor, in the argument forms it had: overlap matrices
+  for affine schemes and a `SelfGlueTau` for self-glued ones.
+
+The present code must give the same results entry for entry.  Do not
+optimise this file; its value is that it stays as it was.
 """
 
 from __future__ import annotations
 
-from idals.errors import AlgebraError, StabilizationError
-from idals.fpmod import ModuleMap, PresentedModule, _block_sum, _identity_matrix, unit_module
+from idals.errors import (
+    AlgebraError,
+    StabilizationError,
+    TauNotInvertibleError,
+    TauNotWellDefinedError,
+    WellDefinednessError,
+)
+from idals.fpmod import (
+    ModuleMap,
+    PresentedModule,
+    _block_sum,
+    _identity_matrix,
+    base_change_map,
+    base_change_module,
+    direct_sum,
+    hom_module,
+    tensor,
+    tensor_map,
+    tensor_permutation,
+    unit_module,
+)
 from idals.glued import (
     GenerationBlock,
     GenerationResult,
@@ -23,7 +53,6 @@ from idals.glued import (
     GluedModule,
     SelfGlueTau,
     TwoChartScheme,
-    direct_sum_glued,
     o_glued,
 )
 from idals.polyring import Poly
@@ -207,3 +236,226 @@ def _stack_chart_maps(maps, target: PresentedModule) -> ModuleMap:
                 matrix[i][off + j] = m.matrix[i][j]
         off += m.source.gens
     return ModuleMap(_block_sum(ring, [m.source for m in maps]), target, matrix, check=False)
+
+
+# ---------------------------------------------------------------------------
+# the constructions written once per scheme kind
+
+
+def _as_overlap_map(data, source, target) -> ModuleMap:
+    if data is None:
+        raise TauNotInvertibleError("overlap data must include both directions")
+    if isinstance(data, ModuleMap):
+        data = data.matrix
+    if data == [] or data == ():
+        # convenient zero overlap for degenerate (zero-module) charts
+        data = [[source.ring.zero()] * source.gens for _ in range(target.gens)]
+    try:
+        return ModuleMap(source, target, data, check=True)
+    except WellDefinednessError as exc:
+        raise TauNotWellDefinedError(str(exc)) from exc
+
+
+def glued_module_verdict(scheme, m1, m2, tau, tau_inv=None):
+    """What `GluedModule(scheme, m1, m2, tau, tau_inv)` checked: None when
+    the data pass, else the exception it raised."""
+    try:
+        if scheme.kind == "affine":
+            ov = scheme.overlap
+            m1_overlap = base_change_module(m1, ov.incl1)
+            m2_overlap = base_change_module(m2, ov.chart2_to_U1)
+            t = _as_overlap_map(tau, m2_overlap, m1_overlap)
+            t_inv = _as_overlap_map(tau_inv, m1_overlap, m2_overlap)
+            if not t.compose(t_inv).equals(ModuleMap.identity(m1_overlap)) \
+                    or not t_inv.compose(t).equals(ModuleMap.identity(m2_overlap)):
+                raise TauNotInvertibleError("overlap maps are not mutually inverse")
+        else:
+            J = scheme.idal
+            a, b = tau.fwd_stage, tau.bwd_stage
+            left = J.then(tau.bwd, b, tau.fwd, a, m1)
+            if not left.equals(J.collapse(m1, a + b, 0)):
+                raise TauNotInvertibleError(
+                    "selfglue overlap elements are not mutually inverse")
+            right = J.then(tau.fwd, a, tau.bwd, b, m2)
+            if not right.equals(J.collapse(m2, a + b, 0)):
+                raise TauNotInvertibleError(
+                    "selfglue overlap elements are not mutually inverse")
+    except AlgebraError as exc:
+        return exc
+    return None
+
+
+def is_compatible(f: GluedMap) -> bool:
+    G, H = f.source, f.target
+    if G.scheme.kind == "affine":
+        ov = G.scheme.overlap
+        c1o = base_change_map(f.c1, ov.incl1, G.m1_overlap, H.m1_overlap)
+        c2o = base_change_map(f.c2, ov.chart2_to_U1, G.m2_overlap, H.m2_overlap)
+        return H.tau.compose(c2o).equals(c1o.compose(G.tau))
+    J = G.scheme.idal
+    a, b = G.tau.fwd_stage, H.tau.fwd_stage
+    N = max(a, b)
+    lhs = J.restage(f.c2.compose(G.tau.fwd), G.m1, a, N)
+    rhs = J.restage(J.then(H.tau.fwd, b, f.c1, 0, G.m1), G.m1, b, N)
+    return lhs.equals(rhs)
+
+
+def direct_sum_glued(summands):
+    """(G, inclusions) of a finite direct sum of glued modules."""
+    if not summands:
+        raise AlgebraError("empty direct sum")
+    scheme = summands[0].scheme
+    S1, incls1, _ = direct_sum([g.m1 for g in summands])
+    S2, incls2, _ = direct_sum([g.m2 for g in summands])
+    if scheme.kind == "affine":
+        n1 = sum(g.m1_overlap.gens for g in summands)
+        n2 = sum(g.m2_overlap.gens for g in summands)
+        U1 = scheme.overlap.U1
+        zero = U1.zero()
+        tau_rows = [[zero] * n2 for _ in range(n1)]
+        tinv_rows = [[zero] * n1 for _ in range(n2)]
+        r_off = c_off = 0
+        for g in summands:
+            for i in range(g.m1_overlap.gens):
+                for j in range(g.m2_overlap.gens):
+                    tau_rows[r_off + i][c_off + j] = g.tau.matrix[i][j]
+                    tinv_rows[c_off + j][r_off + i] = g.tau_inv.matrix[j][i]
+            r_off += g.m1_overlap.gens
+            c_off += g.m2_overlap.gens
+        G = GluedModule(scheme, S1, S2, tau_rows, tinv_rows, validate=False)
+    else:
+        a = max(g.tau.fwd_stage for g in summands)
+        b = max(g.tau.bwd_stage for g in summands)
+        fwd = _blockdiag_selfglue(scheme, [g.m1 for g in summands], [g.m2 for g in summands],
+                                  [(g.tau.fwd_stage, g.tau.fwd) for g in summands], a, S1, S2)
+        bwd = _blockdiag_selfglue(scheme, [g.m2 for g in summands], [g.m1 for g in summands],
+                                  [(g.tau.bwd_stage, g.tau.bwd) for g in summands], b, S2, S1)
+        G = GluedModule(scheme, S1, S2, SelfGlueTau(a, fwd, b, bwd), validate=False)
+    incls = []
+    for k, g in enumerate(summands):
+        incls.append(GluedMap(g, G, incls1[k], incls2[k], validate=False))
+    return G, incls
+
+
+def _blockdiag_selfglue(scheme, sources, targets, staged_maps, N, S_src, S_tgt) -> ModuleMap:
+    """Block diagonal of Deligne elements, each pushed to the common stage N."""
+    J = scheme.idal
+    src = J.stage_source(N, S_src)
+    zero = scheme.chart1.zero()
+    matrix = [[zero] * src.gens for _ in range(S_tgt.gens)]
+    gN = J.carrier_power(N).gens
+    src_off = 0
+    tgt_off = 0
+    for (stage, m), piece_src, piece_tgt in zip(staged_maps, sources, targets):
+        pushed = J.restage(m, piece_src, stage, N)
+        for r in range(piece_tgt.gens):
+            for t in range(gN):
+                for j in range(piece_src.gens):
+                    matrix[tgt_off + r][t * S_src.gens + (src_off + j)] = \
+                        pushed.matrix[r][t * piece_src.gens + j]
+        src_off += piece_src.gens
+        tgt_off += piece_tgt.gens
+    return ModuleMap(src, S_tgt, matrix, check=False)
+
+
+def tensor_glued(G: GluedModule, H: GluedModule) -> GluedModule:
+    if G.scheme != H.scheme:
+        raise AlgebraError("tensor of glued modules on different schemes")
+    scheme = G.scheme
+    T1 = tensor(G.m1, H.m1)
+    T2 = tensor(G.m2, H.m2)
+    if scheme.kind == "affine":
+        tau = tensor_map(G.tau, H.tau)
+        tau_inv = tensor_map(G.tau_inv, H.tau_inv)
+        return GluedModule(scheme, T1, T2, tau.matrix, tau_inv.matrix, validate=False)
+    fwd = _selfglue_tensor_element(scheme, G.tau.fwd_stage, G.tau.fwd, G.m1,
+                                   H.tau.fwd_stage, H.tau.fwd, H.m1, T1, T2)
+    bwd = _selfglue_tensor_element(scheme, G.tau.bwd_stage, G.tau.bwd, G.m2,
+                                   H.tau.bwd_stage, H.tau.bwd, H.m2, T2, T1)
+    return GluedModule(scheme, T1, T2,
+                       SelfGlueTau(G.tau.fwd_stage + H.tau.fwd_stage, fwd,
+                                   G.tau.bwd_stage + H.tau.bwd_stage, bwd),
+                       validate=False)
+
+
+def _selfglue_tensor_element(scheme, a, fwd_a, Ma, b, fwd_b, Mb, MaMb, NaNb) -> ModuleMap:
+    """J^{a+b} (x) MaMb -> NaNb from elements fwd_a : J^a (x) Ma -> Na and
+    fwd_b : J^b (x) Mb -> Nb, where MaMb = Ma (x) Mb and NaNb = Na (x) Nb."""
+    J = scheme.idal
+    factors = [J.carrier] * (a + b) + [Ma, Mb]
+    perm = list(range(a)) + [a + b] + list(range(a, a + b)) + [a + b + 1]
+    shuffle = tensor_permutation(factors, perm)
+    paired = tensor_map(fwd_a, fwd_b)
+    paired = ModuleMap(paired.source, NaNb, paired.matrix, check=False)
+    return paired.compose(ModuleMap(J.stage_source(a + b, MaMb), paired.source,
+                                    shuffle.matrix, check=False))
+
+
+def hom_glued(G: GluedModule, H: GluedModule, n_max: int = 8) -> GluedModule:
+    """Chartwise hom modules glued by the conjugation tau_H . (-) . tau_G^{-1}."""
+    if G.scheme != H.scheme:
+        raise AlgebraError("hom of glued modules on different schemes")
+    scheme = G.scheme
+    hom1 = hom_module(G.m1, H.m1)
+    hom2 = hom_module(G.m2, H.m2)
+    if scheme.kind == "affine":
+        ov = scheme.overlap
+        tau = _hom_overlap_map(hom2, ov.chart2_to_U1, hom1, ov.incl1, G.tau_inv, H.tau)
+        tau_inv = _hom_overlap_map(hom1, ov.incl1, hom2, ov.chart2_to_U1, G.tau, H.tau_inv)
+        return GluedModule(scheme, hom1.module, hom2.module, tau, tau_inv)
+    return _hom_glued_selfglue(G, H, hom1, hom2, n_max)
+
+
+def _hom_overlap_map(hom_src, src_to_U1, hom_tgt, tgt_to_U1, pre: ModuleMap, post: ModuleMap):
+    """Matrix over U1 of the conjugation phi |-> post . phi . pre, from
+    hom_src base-changed along src_to_U1 to hom_tgt base-changed along
+    tgt_to_U1."""
+    src_mod = base_change_module(hom_src.module, src_to_U1)
+    tgt_mod = base_change_module(hom_tgt.module, tgt_to_U1)
+    incl_bc = base_change_map(hom_tgt.incl, tgt_to_U1, tgt_mod,
+                              base_change_module(hom_tgt.ambient, tgt_to_U1))
+    cols = []
+    for k in range(src_mod.gens):
+        phi = base_change_map(hom_src.generator_map(k), src_to_U1, pre.target, post.source)
+        cols.append(incl_bc.lift(hom_tgt._flatten_map(post.compose(phi).compose(pre))))
+        if cols[-1] is None:
+            raise AlgebraError("hom base change failed to lift (overlap hom mismatch)")
+    return ModuleMap.from_columns(src_mod, tgt_mod, cols).matrix
+
+
+def _hom_glued_selfglue(G, H, hom1, hom2, n_max: int) -> GluedModule:
+    J = G.scheme.idal
+    fwd = _conjugate_hom_element(J, hom1, hom2, G.m2, H.m2,
+                                 G.tau.bwd, G.tau.bwd_stage,
+                                 H.tau.fwd, H.tau.fwd_stage)
+    bwd = _conjugate_hom_element(J, hom2, hom1, G.m1, H.m1,
+                                 G.tau.fwd, G.tau.fwd_stage,
+                                 H.tau.bwd, H.tau.bwd_stage)
+    return GluedModule(G.scheme, hom1.module, hom2.module,
+                       SelfGlueTau(G.tau.bwd_stage + H.tau.fwd_stage, fwd,
+                                   G.tau.fwd_stage + H.tau.bwd_stage, bwd),
+                       validate=False)
+
+
+def _conjugate_hom_element(J, hom_src, hom_tgt, A: PresentedModule, D: PresentedModule,
+                           pre: ModuleMap, p: int, post: ModuleMap, q: int) -> ModuleMap:
+    """J^{(x)(p+q)} (x) Hom(B, C) -> Hom(A, D) sending t (x) h to the slice of
+    post . (id (x) (h . pre)) at t, where pre : J^p (x) A -> B and
+    post : J^q (x) C -> D."""
+    c = p + q
+    src = J.stage_source(c, hom_src.module)
+    zero = A.ring.zero()
+    matrix = [[zero] * src.gens for _ in range(hom_tgt.module.gens)]
+    gC = J.carrier_power(c).gens
+    for k in range(hom_src.module.gens):
+        h = hom_src.generator_map(k)
+        step = h.compose(pre)         # J^p (x) A -> C
+        full = J.then(post, q, step, p, A)
+        for t in range(gC):
+            sub = [[full.matrix[r][t * A.gens + j] for j in range(A.gens)]
+                   for r in range(D.gens)]
+            phi = ModuleMap(A, D, sub, check=False)
+            coords = hom_tgt.express(phi)
+            for r in range(hom_tgt.module.gens):
+                matrix[r][t * hom_src.module.gens + k] = coords[r]
+    return ModuleMap(src, hom_tgt.module, matrix, check=False)

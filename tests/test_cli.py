@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import json
 import pathlib
 import time
@@ -198,6 +199,28 @@ def test_oversized_stage_exits_one_quickly(capsys, tmp_path):
         assert time.perf_counter() - started < 1.0
         assert code == 1 and report["result"]["error"] == "AlgebraError"
         assert "256" in report["result"]["message"]
+
+
+@pytest.mark.parametrize("stage", [4, 7])
+def test_large_chart_idal_power_exits_one_quickly(capsys, tmp_path, stage):
+    # O on both charts of the self-glued (x, y) plane, glued by e^{(x)stage}
+    # forward and 1 back; idal generation needs the chart idal at that
+    # power, whose validation would tensor 2^(3 stage) generators
+    x_y = load_preset("double-origin-plane")["idals"]["Jxy"]["ideal_generators"]
+    row = ["*".join(f"({g})" for g in idx) for idx in itertools.product(x_y, repeat=stage)]
+    spec = dict(load_preset("double-origin-plane")["glued"]["O_double"])
+    spec["tau"] = {"fwd_stage": stage, "fwd": [row], "bwd_stage": 0, "bwd": [["1"]]}
+    path = tmp_path / "tau.json"
+    path.write_text(json.dumps({"glued": {"G": spec}}))
+    code, report = invoke(capsys, "glue", "G", "--workspace", str(path),
+                          "--preset", "double-origin-plane")
+    assert code == 0 and report["result"]["valid"] is True
+    started = time.perf_counter()
+    code, report = invoke(capsys, "idal-generate", "G", "--workspace", str(path),
+                          "--preset", "double-origin-plane")
+    assert time.perf_counter() - started < 1.0
+    assert code == 1 and report["result"]["error"] == "AlgebraError"
+    assert ("4194304" if stage == 4 else "256") in report["result"]["message"]
 
 
 @pytest.mark.parametrize("p,message", [
@@ -437,3 +460,67 @@ def test_comparison_lift_makes_the_triangle_commute(capsys, names, power):
     for j, expected in enumerate(e_power):
         assert _sym(" + ".join(f"({e_target[k]})*({lift[k][j]})"
                                for k in range(len(e_target)))) == expected
+
+
+def _overlap_ring(scheme):
+    """For a scheme of the p1 preset: (symbols, same) where same(a, b) says
+    whether two sympy expressions agree in U1 = A1[f1^-1], by reduction
+    modulo f1 * inv1 - 1."""
+    sp = _sympy()
+    spec = load_preset("p1")["schemes"][scheme]
+    ring_vars = load_preset("p1")["rings"][spec["chart1"]]["variables"] + [spec["inv1"]]
+    symbols = {v: sp.Symbol(v) for v in ring_vars}
+    unit = sp.sympify(f"({spec['f1']})*({spec['inv1']}) - 1", locals=symbols)
+    basis = sp.groebner([unit], *symbols.values(), order="grevlex")
+
+    def same(a, b):
+        return basis.reduce(sp.expand(a - b))[1] == 0
+    return symbols, same
+
+
+def _sym_matrix(rows, symbols):
+    sp = _sympy()
+    return sp.Matrix([[sp.sympify(p.replace("^", "**"), locals=symbols) for p in row]
+                      for row in rows])
+
+
+def _is_identity(product, same):
+    n = product.rows
+    return product.shape == (n, n) and all(same(product[i, j], int(i == j))
+                                           for i in range(n) for j in range(n))
+
+
+def test_glue_certificate_taus_are_inverse_in_the_overlap(capsys):
+    code, report = invoke(capsys, "glue", "O1twist", "--preset", "p1")
+    assert code == 0 and report["result"]["valid"] is True
+    symbols, same = _overlap_ring("P1")
+    glued = report["result"]["glued"]
+    tau = _sym_matrix(glued["tau"], symbols)
+    tau_inv = _sym_matrix(glued["tau_inv"], symbols)
+    assert _is_identity(tau * tau_inv, same) and _is_identity(tau_inv * tau, same)
+    assert not same(tau[0, 0], 1)             # a twist, not the trivial gluing
+
+
+def test_invertible_certificate_inverts_the_twist(capsys):
+    code, report = invoke(capsys, "invertible", "O1twist", "--preset", "p1")
+    assert code == 0 and report["result"]["invertible"] is True
+    symbols, same = _overlap_ring("P1")
+    inverse = report["result"]["inverse"]
+    tau = _sym_matrix(inverse["tau"], symbols)
+    tau_inv = _sym_matrix(inverse["tau_inv"], symbols)
+    assert _is_identity(tau * tau_inv, same) and _is_identity(tau_inv * tau, same)
+    # the tensor of two line bundles multiplies their taus: O1twist (x) inverse is O
+    twist = _sym_matrix(load_preset("p1")["glued"]["O1twist"]["tau"], symbols)
+    assert _is_identity(twist * tau, same)
+
+
+def test_selfglue_glue_certificate_is_inverse_at_stage_zero(capsys):
+    sp = _sympy()
+    code, report = invoke(capsys, "glue", "O_double", "--preset", "double-origin-plane")
+    assert code == 0 and report["result"]["valid"] is True
+    tau = report["result"]["glued"]["tau"]
+    # at stage 0 the Deligne elements are plain maps O -> O over QQ[x, y]
+    assert tau["fwd_stage"] == tau["bwd_stage"] == 0
+    symbols = {v: sp.Symbol(v) for v in ("x", "y")}
+    fwd, bwd = _sym_matrix(tau["fwd"], symbols), _sym_matrix(tau["bwd"], symbols)
+    assert sp.expand(fwd * bwd) == sp.eye(1) and sp.expand(bwd * fwd) == sp.eye(1)

@@ -1,19 +1,28 @@
-"""`idal_generation` and `chart_idal`, one body for both charts, against the
-chart-by-chart code with a side-swapped scheme they replaced, frozen in
-`glued_oracle.py`: the same blocks (chart and power) and every chart map
-entry for entry, on the projective line over QQ and GF(5), P1 x A1 and the
-self-glued double-origin plane."""
+"""Glued-module code against frozen copies of the code it replaced, in
+`glued_oracle.py`, on the projective line over QQ and GF(5), P1 x A1 and
+the self-glued double-origin plane.
+
+* `idal_generation` and `chart_idal`, one body for both charts, against the
+  chart-by-chart code with a side-swapped scheme: the same blocks (chart and
+  power) and every chart map entry for entry.
+* Validation, `GluedMap.is_compatible`, `direct_sum_glued`, `tensor_glued`
+  and `hom_glued`, one body for both scheme kinds, against the code written
+  once per kind: the same verdicts and error types, and the same
+  `serialize()` of every result."""
 
 import pytest
 
-from idals import GF, QQ, PolyRing, PresentedModule, idal_from_ideal
-from idals.errors import StabilizationError
-from idals.fpmod import unit_module, zero_module
+from idals import GF, QQ, ModuleMap, PolyRing, PresentedModule, idal_from_ideal
+from idals.errors import AlgebraError, StabilizationError
+from idals.fpmod import free_module, unit_module, zero_module
 from idals.glued import (
+    GluedMap,
     GluedModule,
+    SelfGlueTau,
     TwoChartScheme,
     chart_idal,
     direct_sum_glued,
+    hom_glued,
     idal_generation,
     o_glued,
     p1_scheme,
@@ -135,3 +144,175 @@ def test_chart_idal_matches_oracle(name, sch, which, power):
     assert entries(e.c1) == entries(e_old.c1)
     assert entries(e.c2) == entries(e_old.c2)
     assert e.source is L and e.target.serialize() == e_old.target.serialize()
+
+
+# ---------------------------------------------------------------------------
+# validation, compatibility, direct sum, tensor and hom against the code
+# written once per scheme kind
+
+
+def dop_modules():
+    """O, the chart idals at powers 1 and 2, two direct sums whose overlap
+    data are not symmetric in their tensor slots, and the skyscraper at the
+    origin, which e kills."""
+    dop = double_origin_plane()
+    out = [("dop-O", o_glued(dop))]
+    for which in (1, 2):
+        for power in (1, 2):
+            out.append((f"dop-L{which}^{power}", chart_idal(dop, which, power)[0]))
+    L1, L2 = chart_idal(dop, 1, 1)[0], chart_idal(dop, 2, 1)[0]
+    out += [("dop-L1+O", direct_sum_glued([L1, o_glued(dop)])[0]),
+            ("dop-L2+L1", direct_sum_glued([L2, L1])[0])]
+    sky = PresentedModule(dop.chart1, 1, [("x",), ("y",)])
+    one = [["1"]]
+    out.append(("dop-sky0", GluedModule(dop, sky, sky, SelfGlueTau(
+        0, ModuleMap(sky, sky, one), 0, ModuleMap(sky, sky, one)))))
+    return out
+
+
+def construction_pairs():
+    """(name, G, H) pairs on one scheme each."""
+    P1 = p1_scheme()
+    twists = {n: p1_standard(n, P1) for n in range(-3, 4)}
+    pairs = [(f"p1-O({a}),O({b})", twists[a], twists[b])
+             for a in range(-3, 4) for b in (-2, 0, 3)]
+    sky = skyscrapers(P1)
+    pairs += [(f"p1-{n1},{n2}", G, H) for n1, G in sky for n2, H in sky]
+    pairs += [(f"p1-{n},O(1)", G, twists[1]) for n, G in sky]
+    twisted = rank_two(P1)[0][1]
+    pairs += [("p1-rank2,rank2", twisted, twisted), ("p1-rank2,O(-1)", twisted, twists[-1]),
+              ("p1-O(2),rank2", twists[2], twisted)]
+    F5 = p1_over(GF(5))
+    pairs += [(f"gf5-O({a}),O({b})", p1_standard(a, F5), p1_standard(b, F5))
+              for a, b in ((-2, 3), (1, 1), (0, -1))]
+    pairs += [("gf5-sky1,rank2", skyscrapers(F5)[0][1], rank_two(F5)[0][1])]
+    PA = p1_times_a1()
+    line = GluedModule(PA, PresentedModule(PA.chart1, 1, [("u",)]),
+                       PresentedModule(PA.chart2, 1, [("u",)]), [["t"]], [["ti"]])
+    twist = GluedModule(PA, unit_module(PA.chart1), unit_module(PA.chart2),
+                        [["ti^2"]], [["t^2"]])
+    pairs += [("p1xa1-line,twist", line, twist), ("p1xa1-twist,line", twist, line),
+              ("p1xa1-line,line", line, line)]
+    dop = dop_modules()
+    pairs += [(f"{n1},{n2}", G, H) for n1, G in dop for n2, H in dop]
+    return pairs
+
+
+PAIRS = construction_pairs()
+PAIR_IDS = [p[0] for p in PAIRS]
+
+
+def inclusion_entries(incls):
+    return [(entries(f.c1), entries(f.c2)) for f in incls]
+
+
+@pytest.mark.parametrize("name,G,H", PAIRS, ids=PAIR_IDS)
+def test_direct_sum_matches_oracle(name, G, H):
+    S, incls = direct_sum_glued([G, H, G])
+    S_old, incls_old = oracle.direct_sum_glued([G, H, G])
+    assert S.serialize() == S_old.serialize()
+    assert inclusion_entries(incls) == inclusion_entries(incls_old)
+
+
+@pytest.mark.parametrize("name,G,H", PAIRS, ids=PAIR_IDS)
+def test_tensor_matches_oracle(name, G, H):
+    assert tensor_glued(G, H).serialize() == oracle.tensor_glued(G, H).serialize()
+
+
+@pytest.mark.parametrize("name,G,H", PAIRS, ids=PAIR_IDS)
+def test_hom_matches_oracle(name, G, H):
+    assert hom_glued(G, H).serialize() == oracle.hom_glued(G, H).serialize()
+
+
+def candidate_maps(G, H):
+    """Glued maps G -> H, compatible or not: zero, identity when G is H,
+    the chart maps of H's idal generation read from G's charts when their
+    shapes fit, and each of those with one chart scaled by a variable."""
+    maps = [GluedMap(G, H, ModuleMap.zero(G.m1, H.m1), ModuleMap.zero(G.m2, H.m2),
+                     validate=False)]
+    if G is H:
+        maps.append(GluedMap.identity(G))
+    for block in idal_generation(H, 4).blocks:
+        c1, c2 = block.map.c1, block.map.c2
+        if c1.source.gens == G.m1.gens and c2.source.gens == G.m2.gens:
+            maps.append(GluedMap(G, H, ModuleMap(G.m1, H.m1, c1.matrix, check=False),
+                                 ModuleMap(G.m2, H.m2, c2.matrix, check=False),
+                                 validate=False))
+    for f in list(maps):
+        v = G.m1.ring.var(G.m1.ring.variables[0])
+        maps.append(GluedMap(G, H, ModuleMap(G.m1, H.m1, [[v * p for p in row]
+                                                          for row in f.c1.matrix],
+                                             check=False),
+                             f.c2, validate=False))
+    return maps
+
+
+@pytest.mark.parametrize("name,G,H", PAIRS, ids=PAIR_IDS)
+def test_compatibility_matches_oracle(name, G, H):
+    verdicts = [(f.is_compatible(), oracle.is_compatible(f)) for f in candidate_maps(G, H)]
+    assert all(new == old for new, old in verdicts), verdicts
+
+
+@pytest.mark.parametrize("kind", ["affine", "selfglue"])
+def test_compatibility_cases_see_both_verdicts(kind):
+    pairs = [(G, H) for _, G, H in PAIRS if G.scheme.kind == kind][:12]
+    assert {f.is_compatible() for G, H in pairs for f in candidate_maps(G, H)} == {True, False}
+
+
+def validation_cases():
+    """(name, scheme, m1, m2, tau, tau_inv), valid and not."""
+    P1 = p1_scheme()
+    O1, O2 = unit_module(P1.chart1), unit_module(P1.chart2)
+    sky1 = PresentedModule(P1.chart1, 1, [("t",)])
+    cases = [(f"p1-O({n})", P1, O1, O2, p1_standard(n, P1).tau.matrix,
+              p1_standard(n, P1).tau_inv.matrix) for n in (-2, 0, 1)]
+    cases += [("p1-bad-twist", P1, O1, O2, [["t"]], [["t"]]),
+              ("p1-one-way", P1, O1, O2, [["t"]], None),
+              ("p1-not-well-defined", P1, sky1, O2, [["1"]], [["1"]]),
+              ("p1-sky", P1, sky1, zero_module(P1.chart2), [], []),
+              ("p1-rank2", P1, PresentedModule(P1.chart1, 2), PresentedModule(P1.chart2, 2),
+               [["t", "1"], ["0", "ti"]], [["ti", "-1"], ["0", "t"]]),
+              ("p1-rank2-bad", P1, PresentedModule(P1.chart1, 2), PresentedModule(P1.chart2, 2),
+               [["t", "1"], ["0", "ti"]], [["ti", "1"], ["0", "t"]]),
+              # inverse on the chart-1 side only
+              ("p1-one-sided", P1, O1, PresentedModule(P1.chart2, 2), [["1", "0"]],
+               [["1"], ["0"]])]
+    F5 = p1_over(GF(5))
+    cases += [("gf5-O(2)", F5, unit_module(F5.chart1), unit_module(F5.chart2),
+               [["t^2"]], [["ti^2"]]),
+              ("gf5-bad", F5, unit_module(F5.chart1), unit_module(F5.chart2),
+               [["2*t"]], [["2*ti"]])]
+    dop = double_origin_plane()
+    J, O = dop.idal, unit_module(dop.chart1)
+
+    def staged(a, fwd, b, bwd, m1=O, m2=O):
+        return SelfGlueTau(a, ModuleMap(J.stage_source(a, m1), m2, fwd),
+                           b, ModuleMap(J.stage_source(b, m2), m1, bwd))
+
+    cases += [("dop-O", dop, O, O, staged(0, [["1"]], 0, [["1"]]), None),
+              ("dop-e,1", dop, O, O, staged(1, [["x", "y"]], 0, [["1"]]), None),
+              ("dop-1,e", dop, O, O, staged(0, [["1"]], 1, [["x", "y"]]), None),
+              ("dop-bad-scale", dop, O, O, staged(0, [["2"]], 0, [["1"]]), None),
+              ("dop-bad-e", dop, O, O, staged(1, [["x^2", "x*y"]], 0, [["1"]]), None),
+              ("dop-one-sided", dop, O, free_module(dop.chart1, 2),
+               staged(0, [["1"], ["0"]], 0, [["1", "0"]], m2=free_module(dop.chart1, 2)), None)]
+    for which in (1, 2):
+        for power in (1, 2):
+            L = chart_idal(dop, which, power)[0]
+            cases.append((f"dop-L{which}^{power}", dop, L.m1, L.m2, L.tau, None))
+    return cases
+
+
+VALIDATION = validation_cases()
+
+
+@pytest.mark.parametrize("name,scheme,m1,m2,tau,tau_inv", VALIDATION,
+                         ids=[c[0] for c in VALIDATION])
+def test_validation_matches_oracle(name, scheme, m1, m2, tau, tau_inv):
+    old = oracle.glued_module_verdict(scheme, m1, m2, tau, tau_inv)
+    try:
+        GluedModule(scheme, m1, m2, tau, tau_inv)
+        new = None
+    except AlgebraError as exc:
+        new = exc
+    assert type(new) is type(old), (new, old)

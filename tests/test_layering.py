@@ -6,7 +6,10 @@ the layers above them lift, reduce and compare columns through
 Only idal knows how Deligne stages J^{(x)n} (x) M are flattened: the layers
 above it build stage sources and staged maps through `Idal.stage_source` /
 `collapse` / `restage` / `then`, never from `power_transition` or a tensor
-of a carrier power."""
+of a carrier power.
+
+The glued constructions that work on the overlap datum are written once for
+both scheme kinds: no `.kind` comparison inside them."""
 
 import ast
 import pathlib
@@ -101,3 +104,56 @@ def test_stage_guard_sees_what_it_forbids(tmp_path):
     assert [what for _, what in stage_uses(sample)] == [
         "calls power_transition", "tensors a carrier power"]
     assert stage_uses(SRC / "idal.py")         # the stages' own layer is exempt
+
+
+# GluedModule validation, compatibility, direct sum, tensor and hom, with
+# the helpers that build their overlap data
+KIND_FREE = ("GluedModule._validate", "GluedMap.is_compatible", "direct_sum_glued",
+             "_block_diagonal", "tensor_glued", "_tensor_element", "hom_glued",
+             "_conjugation")
+
+
+def kind_tests(path, names):
+    """{name: [line, ...]} of the comparisons with a `.kind` operand inside
+    each named top-level function or `Class.method`; a KeyError names one
+    the file does not define."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            defs[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            defs.update({f"{node.name}.{item.name}": item for item in node.body
+                         if isinstance(item, ast.FunctionDef)})
+    found = {}
+    for name in names:
+        found[name] = sorted(
+            node.lineno for node in ast.walk(defs[name]) if isinstance(node, ast.Compare)
+            and any(isinstance(side, ast.Attribute) and side.attr == "kind"
+                    for side in [node.left, *node.comparators]))
+    return found
+
+
+def test_glued_constructions_are_written_once_for_both_kinds():
+    found = kind_tests(SRC / "glued.py", KIND_FREE)
+    assert all(lines == [] for lines in found.values()), found
+
+
+def test_kind_guard_sees_what_it_forbids(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "def tensor_glued(G, H):\n"
+        "    if G.scheme.kind == 'affine':\n"
+        "        return G\n"
+        "    return H\n"
+        "class GluedMap:\n"
+        "    def is_compatible(self):\n"
+        "        return 'selfglue' != self.source.scheme.kind\n"
+        "def hom_glued(G, H):\n"
+        "    return G.kind\n")
+    assert kind_tests(sample, ["tensor_glued", "GluedMap.is_compatible", "hom_glued"]) == {
+        "tensor_glued": [2], "GluedMap.is_compatible": [7], "hom_glued": []}
+    with pytest.raises(KeyError):
+        kind_tests(sample, ["direct_sum_glued"])
+    # the kind-specific code of the real module is seen
+    assert kind_tests(SRC / "glued.py", ["chart_idal"])["chart_idal"]

@@ -9,7 +9,7 @@ import pytest
 
 from idals import GF, QQ, PolyRing, direct_sum, idal_from_ideal, idal_product
 from idals.fpmod import ModuleMap, tensor_map
-from idals.glued import TwoChartScheme, _blockdiag_selfglue, _rho_matrix
+from idals.glued import _block_diagonal, _rho_matrix
 from idals.idal import _law_sides
 
 import staged_oracle as oracle
@@ -118,7 +118,6 @@ def test_compatibility_composites(name, ring, J):
 @pytest.mark.parametrize("name,ring,J", CASES, ids=IDS)
 def test_blockdiag_composite(name, ring, J):
     rng = random.Random(name)
-    scheme = TwoChartScheme.selfglue(ring, J)
     sources = [random_module(ring, rng) for _ in range(2)]
     targets = [random_module(ring, rng) for _ in range(2)]
     S_src, _, _ = direct_sum(sources)
@@ -127,5 +126,7 @@ def test_blockdiag_composite(name, ring, J):
         stages = [rng.randint(0, N), N]
         staged = [(s, random_map(J.stage_source(s, src), tgt, rng))
                   for s, src, tgt in zip(stages, sources, targets)]
-        same(_blockdiag_selfglue(scheme, sources, targets, staged, N, S_src, S_tgt),
-             oracle._blockdiag_selfglue(J, sources, targets, staged, N, S_src, S_tgt))
+        stage, D = _block_diagonal(J, [(s, f, src) for (s, f), src in zip(staged, sources)],
+                                   S_src, S_tgt)
+        assert stage == N
+        same(D, oracle._blockdiag_selfglue(J, sources, targets, staged, N, S_src, S_tgt))
