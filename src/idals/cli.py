@@ -198,7 +198,8 @@ class Workspace:
                 bwd = ModuleMap(J.stage_source(bwd_stage, m2), m1, tau["bwd"], check=True)
             except (KeyError, TypeError, ValueError) as exc:
                 raise WorkspaceError(f"bad staged tau: {exc}") from exc
-            return GluedModule(scheme, m1, m2, SelfGlueTau(fwd_stage, fwd, bwd_stage, bwd))
+            return GluedModule(scheme, m1, m2,
+                               SelfGlueTau(fwd_stage, fwd.matrix, bwd_stage, bwd.matrix))
         return GluedModule(scheme, m1, m2, tau, spec.get("tau_inv"))
 
 

@@ -215,6 +215,33 @@ def zero_module(ring: PolyRing) -> PresentedModule:
     return PresentedModule(ring, 0)
 
 
+def _check_shape(matrix, rows: int, cols: int):
+    """An AlgebraError unless the matrix, a sequence of rows, is rows x cols."""
+    if len(matrix) != rows or any(len(r) != cols for r in matrix):
+        raise AlgebraError(f"matrix must be {rows} x {cols}, got "
+                           f"{len(matrix)} x {len(matrix[0]) if matrix else 0}")
+
+
+def _apply(ring: PolyRing, matrix, col):
+    """The matrix times the column, skipping zero entries."""
+    nonzero = [(j, c) for j, c in enumerate(col) if not c.is_zero()]
+    return tuple(sum((row[j] * c for j, c in nonzero if not row[j].is_zero()), ring.zero())
+                 for row in matrix)
+
+
+def _matmul(ring: PolyRing, a, b, width: int):
+    """The product a b as rows, for b with `width` columns (a matrix without
+    rows does not show its width)."""
+    cols = [_apply(ring, a, [row[j] for row in b]) for j in range(width)]
+    return [[col[r] for col in cols] for r in range(len(a))]
+
+
+def _equal_into(target: PresentedModule, a, b) -> bool:
+    """Whether matrices of one shape into target agree modulo its relations."""
+    return all(target.contains_column(tuple(x - y for x, y in zip(ca, cb)))
+               for ca, cb in zip(zip(*a), zip(*b)))
+
+
 class ModuleMap:
     """Map of presented modules given by a (target.gens x source.gens) matrix."""
 
@@ -226,10 +253,7 @@ class ModuleMap:
         self.target = target
         self.ring = source.ring
         rows = tuple(tuple(self.ring.poly(x) for x in row) for row in matrix)
-        if len(rows) != target.gens or any(len(r) != source.gens for r in rows):
-            raise AlgebraError(
-                f"matrix must be {target.gens} x {source.gens}, got "
-                f"{len(rows)} x {len(rows[0]) if rows else 0}")
+        _check_shape(rows, target.gens, source.gens)
         self.matrix = rows
         self._lifter = None
         if check:
@@ -241,15 +265,7 @@ class ModuleMap:
     # -- evaluation ----------------------------------------------------------
 
     def apply_column(self, col):
-        out = []
-        for i in range(self.target.gens):
-            acc = self.ring.zero()
-            for j in range(self.source.gens):
-                m = self.matrix[i][j]
-                if not m.is_zero() and not col[j].is_zero():
-                    acc = acc + m * col[j]
-            out.append(acc)
-        return tuple(out)
+        return _apply(self.ring, self.matrix, col)
 
     def column(self, j):
         return tuple(self.matrix[i][j] for i in range(self.target.gens))
@@ -277,26 +293,14 @@ class ModuleMap:
         """self after other."""
         if other.target is not self.source and other.target != self.source:
             raise AlgebraError("non-composable maps")
-        cols = [self.apply_column(other.column(j)) for j in range(other.source.gens)]
-        return ModuleMap.from_columns(other.source, self.target, cols)
-
-    def __add__(self, other: "ModuleMap") -> "ModuleMap":
-        matrix = [[a + b for a, b in zip(r1, r2)]
-                  for r1, r2 in zip(self.matrix, other.matrix)]
-        return ModuleMap(self.source, self.target, matrix, check=False)
+        return ModuleMap(other.source, self.target,
+                         _matmul(self.ring, self.matrix, other.matrix, other.source.gens),
+                         check=False)
 
     def __sub__(self, other: "ModuleMap") -> "ModuleMap":
         matrix = [[a - b for a, b in zip(r1, r2)]
                   for r1, r2 in zip(self.matrix, other.matrix)]
         return ModuleMap(self.source, self.target, matrix, check=False)
-
-    def __neg__(self):
-        return ModuleMap(self.source, self.target,
-                         [[-a for a in r] for r in self.matrix], check=False)
-
-    def scale(self, c) -> "ModuleMap":
-        return ModuleMap(self.source, self.target,
-                         [[a.scale(c) for a in r] for r in self.matrix], check=False)
 
     # -- predicates ------------------------------------------------------------
 
@@ -304,9 +308,7 @@ class ModuleMap:
         """Equality as maps: difference columns lie in the target relations."""
         if self.source.gens != other.source.gens or self.target.gens != other.target.gens:
             return False
-        diff = self - other
-        return all(self.target.contains_column(diff.column(j))
-                   for j in range(self.source.gens))
+        return _equal_into(self.target, self.matrix, other.matrix)
 
     def is_zero_map(self) -> bool:
         return all(self.target.contains_column(self.column(j))
@@ -483,9 +485,10 @@ def direct_sum(modules):
 # ---------------------------------------------------------------------------
 # tensor structure
 
-# The most entries, generators times relation columns, a tensor product may
-# have: the tests build 512 x 4608 at most (the self-glued chart idal of the
-# (x, y) plane at power 3), where power 4 would take 4096 x 49152.
+# The most entries, generators times relation columns, of a presented tensor
+# product: carrier powers, chart pieces and the stage sources the workspace
+# loader and HomChain.interpret / shrink present.  The tests build 256 x 2048
+# at most (the 8th power of the (x, y) idal).
 MAX_TENSOR_ENTRIES = 1 << 22
 
 

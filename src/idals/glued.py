@@ -32,8 +32,11 @@ from .fpmod import (
     ModuleMap,
     PresentedModule,
     _block_sum,
+    _check_shape,
+    _equal_into,
     _identity_matrix,
     _kron,
+    _matmul,
     base_change_map,
     base_change_module,
     column_degree,
@@ -52,7 +55,7 @@ from .fpmod import (
     unit_module,
 )
 from .idal import Idal, cover_check, idal_product
-from .localize import HomChain, _saturated_stage, localized_ring, reflect
+from .localize import _saturated_stage, localized_ring, reflect
 from .polyring import Poly, PolyRing, QQ, RingHom, monomials_of_degree
 
 
@@ -181,27 +184,28 @@ def p1_scheme() -> TwoChartScheme:
 class OverlapDatum:
     """The overlap data of a glued module: Deligne elements of the scheme's
     overlap idal J between its overlap pieces, mutually inverse up to the
-    collapse J^{(x)(fwd_stage + bwd_stage)} -> O."""
+    collapse J^{(x)(fwd_stage + bwd_stage)} -> O.  Each is the matrix of
+    its staged map (see `Idal`), with Poly entries over the overlap ring."""
     fwd_stage: int
-    fwd: ModuleMap      # J^{(x)fwd_stage} (x) m1_overlap -> m2_overlap
+    fwd: list | tuple      # rows of J^{(x)fwd_stage} (x) m1_overlap -> m2_overlap
     bwd_stage: int
-    bwd: ModuleMap      # J^{(x)bwd_stage} (x) m2_overlap -> m1_overlap
+    bwd: list | tuple      # rows of J^{(x)bwd_stage} (x) m2_overlap -> m1_overlap
 
 
 # the name under which self-glued modules take their datum
 SelfGlueTau = OverlapDatum
 
 
-def _entries(f: ModuleMap):
-    return [[str(x) for x in row] for row in f.matrix]
+def _entries(matrix):
+    return [[str(x) for x in row] for row in matrix]
 
 
 class GluedModule:
     """Chart pieces m1, m2 glued by one OverlapDatum `datum` between their
     overlap pieces m1_overlap, m2_overlap.  An affine module may be given
     matrices over U1 instead, tau : m2_overlap -> m1_overlap and tau_inv,
-    the datum's bwd and fwd, which stay readable as `.tau` and `.tau_inv`;
-    a self-glued module's `.tau` is its datum."""
+    the datum's bwd and fwd, which stay readable as the maps `.tau` and
+    `.tau_inv`; a self-glued module's `.tau` is its datum."""
 
     def __init__(self, scheme: TwoChartScheme, m1: PresentedModule,
                  m2: PresentedModule, tau, tau_inv=None, validate: bool = True):
@@ -210,40 +214,41 @@ class GluedModule:
         self.m2 = m2
         if m1.ring != scheme.chart1 or m2.ring != scheme.chart2:
             raise RingMismatchError("chart pieces must live over the chart rings")
-        if isinstance(tau, OverlapDatum):
-            self.datum = tau
-        elif scheme.kind == "affine":
-            m1o, m2o = scheme.overlap_piece(1, m1), scheme.overlap_piece(2, m2)
-            bwd = self._as_overlap_map(tau, m2o, m1o)
-            self.datum = OverlapDatum(0, self._as_overlap_map(tau_inv, m1o, m2o), 0, bwd)
-        else:
-            raise AlgebraError("selfglue modules take a SelfGlueTau")
-        d = self.datum
-        self.m1_overlap, self.m2_overlap = d.bwd.target, d.fwd.target
-        self.tau, self.tau_inv = (d.bwd, d.fwd) if scheme.kind == "affine" else (d, None)
+        m1o = self.m1_overlap = scheme.overlap_piece(1, m1)
+        m2o = self.m2_overlap = scheme.overlap_piece(2, m2)
+        if not isinstance(tau, OverlapDatum):
+            if scheme.kind != "affine":
+                raise AlgebraError("selfglue modules take a SelfGlueTau")
+            bwd = self._overlap_matrix(tau, m2o, m1o)
+            tau = OverlapDatum(0, self._overlap_matrix(tau_inv, m1o, m2o), 0, bwd)
+        self.datum = tau
+        self.tau, self.tau_inv = (tau, None) if scheme.kind == "selfglue" else \
+            (ModuleMap(m2o, m1o, tau.bwd, check=False), ModuleMap(m1o, m2o, tau.fwd, check=False))
         if validate:
             self._validate()
 
     @staticmethod
-    def _as_overlap_map(data, source, target) -> ModuleMap:
+    def _overlap_matrix(data, source, target):
+        """The matrix of a well-defined map source -> target over U1."""
         if data is None:
             raise TauNotInvertibleError("overlap data must include both directions")
-        if isinstance(data, ModuleMap):
-            data = data.matrix
         if data == [] or data == ():
             # convenient zero overlap for degenerate (zero-module) charts
             data = [[source.ring.zero()] * source.gens for _ in range(target.gens)]
         try:
-            return ModuleMap(source, target, data, check=True)
+            return ModuleMap(source, target, data, check=True).matrix
         except WellDefinednessError as exc:
             raise TauNotWellDefinedError(str(exc)) from exc
 
     def _validate(self):
-        """bwd . (J^b (x) fwd) and fwd . (J^a (x) bwd) must be the collapses
+        """fwd and bwd must have the shapes of their stages, and
+        bwd . (J^b (x) fwd) and fwd . (J^a (x) bwd) must be the collapses
         J^{(x)(a+b)} (x) m -> m of the two overlap pieces."""
         J, one, two = self.scheme.idal, self.out_of(1), self.out_of(2)
-        for (a, first, M), (b, second, _) in ((one, two), (two, one)):
-            if not J.then(second, b, first, a, M).equals(J.collapse(M, a + b, 0)):
+        for (a, first, M), (b, second, N) in ((one, two), (two, one)):
+            _check_shape(first, N.gens, J.power_gens(a) * M.gens)
+            _check_shape(second, M.gens, J.power_gens(b) * N.gens)
+            if not _equal_into(M, J.then(second, b, first, a, M), J.collapse(M, a + b, 0)):
                 raise TauNotInvertibleError("overlap maps are not mutually inverse")
 
     def out_of(self, chart: int):
@@ -256,8 +261,8 @@ class GluedModule:
     def serialize(self):
         out = {"m1": self.m1.to_json(), "m2": self.m2.to_json()}
         if self.scheme.kind == "affine":
-            out["tau"] = _entries(self.tau)
-            out["tau_inv"] = _entries(self.tau_inv)
+            out["tau"] = _entries(self.tau.matrix)
+            out["tau_inv"] = _entries(self.tau_inv.matrix)
         else:
             d = self.datum
             out["tau"] = {"fwd_stage": d.fwd_stage, "fwd": _entries(d.fwd),
@@ -273,11 +278,9 @@ def glue(m1: PresentedModule, m2: PresentedModule, tau_data, scheme: TwoChartSch
 
 
 def o_glued(scheme: TwoChartScheme) -> GluedModule:
-    O1, O2 = unit_module(scheme.chart1), unit_module(scheme.chart2)
-    O1o, O2o = scheme.overlap_piece(1, O1), scheme.overlap_piece(2, O2)
-    one = [[O1o.ring.one()]]
-    return GluedModule(scheme, O1, O2, OverlapDatum(0, ModuleMap(O1o, O2o, one, check=False),
-                                                    0, ModuleMap(O2o, O1o, one, check=False)))
+    one = ((scheme.idal.ring.one(),),)
+    return GluedModule(scheme, unit_module(scheme.chart1), unit_module(scheme.chart2),
+                       OverlapDatum(0, one, 0, one))
 
 
 class GluedMap:
@@ -303,9 +306,9 @@ class GluedMap:
         c2 = scheme.overlap_map(2, self.c2, G.m2_overlap, H.m2_overlap)
         (a, f, M), (b, g, _) = G.out_of(1), H.out_of(1)
         N = max(a, b)
-        lhs = J.restage(c2.compose(f), M, a, N)
-        rhs = J.restage(J.then(g, b, c1, 0, M), M, b, N)
-        return lhs.equals(rhs)
+        lhs = J.restage(J.then(c2.matrix, 0, f, a, M), M, a, N)
+        rhs = J.restage(J.then(g, b, c1.matrix, 0, M), M, b, N)
+        return _equal_into(H.m2_overlap, lhs, rhs)
 
     def compose(self, other: "GluedMap") -> "GluedMap":
         return GluedMap(other.source, self.target,
@@ -333,35 +336,33 @@ def direct_sum_glued(summands):
     scheme = summands[0].scheme
     S1, incls1, _ = direct_sum([g.m1 for g in summands])
     S2, incls2, _ = direct_sum([g.m2 for g in summands])
-    S1o, S2o = scheme.overlap_piece(1, S1), scheme.overlap_piece(2, S2)
-    fwd = _block_diagonal(scheme.idal, [g.out_of(1) for g in summands], S1o, S2o)
-    bwd = _block_diagonal(scheme.idal, [g.out_of(2) for g in summands], S2o, S1o)
+    fwd = _block_diagonal(scheme.idal, [g.out_of(1) for g in summands])
+    bwd = _block_diagonal(scheme.idal, [g.out_of(2) for g in summands])
     G = GluedModule(scheme, S1, S2, OverlapDatum(*fwd, *bwd), validate=False)
     incls = [GluedMap(g, G, incls1[k], incls2[k], validate=False)
              for k, g in enumerate(summands)]
     return G, incls
 
 
-def _block_diagonal(J: Idal, staged, S_src: PresentedModule, S_tgt: PresentedModule):
+def _block_diagonal(J: Idal, staged):
     """(N, D) with D : J^{(x)N} (x) S_src -> S_tgt the block diagonal of the
     staged maps (stage, f : J^{(x)stage} (x) M -> T, M), each restaged to
-    the largest stage N."""
+    the largest stage N, for S_src and S_tgt the direct sums of the M and
+    of the T."""
     N = max(stage for stage, _, _ in staged)
-    src = J.stage_source(N, S_src)
-    zero = S_tgt.ring.zero()
-    matrix = [[zero] * src.gens for _ in range(S_tgt.gens)]
-    gN = J.carrier_power(N).gens
-    src_off = tgt_off = 0
+    gN, width = J.power_gens(N), sum(M.gens for _, _, M in staged)
+    zero = J.ring.zero()
+    matrix = []
+    src_off = 0
     for stage, f, M in staged:
-        pushed = J.restage(f, M, stage, N)
-        for r in range(f.target.gens):
+        for pushed in J.restage(f, M, stage, N):
+            row = [zero] * (gN * width)
             for t in range(gN):
-                for j in range(M.gens):
-                    matrix[tgt_off + r][t * S_src.gens + src_off + j] = \
-                        pushed.matrix[r][t * M.gens + j]
+                row[t * width + src_off:t * width + src_off + M.gens] = \
+                    pushed[t * M.gens:(t + 1) * M.gens]
+            matrix.append(row)
         src_off += M.gens
-        tgt_off += f.target.gens
-    return N, ModuleMap(src, S_tgt, matrix, check=False)
+    return N, matrix
 
 
 # ---------------------------------------------------------------------------
@@ -373,26 +374,23 @@ def tensor_glued(G: GluedModule, H: GluedModule) -> GluedModule:
         raise AlgebraError("tensor of glued modules on different schemes")
     scheme = G.scheme
     T1, T2 = tensor(G.m1, H.m1), tensor(G.m2, H.m2)
-    T1o, T2o = scheme.overlap_piece(1, T1), scheme.overlap_piece(2, T2)
-    fwd = _tensor_element(scheme.idal, G.out_of(1), H.out_of(1), T1o, T2o)
-    bwd = _tensor_element(scheme.idal, G.out_of(2), H.out_of(2), T2o, T1o)
+    fwd = _tensor_element(scheme.idal, G.out_of(1), H.out_of(1))
+    bwd = _tensor_element(scheme.idal, G.out_of(2), H.out_of(2))
     return GluedModule(scheme, T1, T2, OverlapDatum(*fwd, *bwd), validate=False)
 
 
-def _tensor_element(J: Idal, staged_f, staged_g, MN: PresentedModule,
-                    target: PresentedModule):
+def _tensor_element(J: Idal, staged_f, staged_g):
     """(a + b, f (x) g) for staged maps (a, f : J^{(x)a} (x) M -> X, M) and
-    (b, g : J^{(x)b} (x) N -> Y, N), as J^{(x)(a+b)} (x) MN -> target with
-    MN = M (x) N and target = X (x) Y: the Kronecker product of f and g, its
-    columns taken from the order (J^a, M, J^b, N) to (J^a, J^b, M, N)."""
+    (b, g : J^{(x)b} (x) N -> Y, N), as J^{(x)(a+b)} (x) (M (x) N) ->
+    X (x) Y: the Kronecker product of f and g, its columns taken from the
+    order (J^a, M, J^b, N) to (J^a, J^b, M, N)."""
     (a, f, M), (b, g, N) = staged_f, staged_g
-    ga, gb = J.carrier_power(a).gens, J.carrier_power(b).gens
+    J.power_gens(a + b)   # the bound of the result's stage
+    ga, gb = J.power_gens(a), J.power_gens(b)
     m, n = M.gens, N.gens
     order = [(ta * m + i) * gb * n + tb * n + j
              for ta in range(ga) for tb in range(gb) for i in range(m) for j in range(n)]
-    paired = _kron(MN.ring, f.matrix, g.matrix)
-    return a + b, ModuleMap(J.stage_source(a + b, MN), target,
-                            [[row[c] for c in order] for row in paired], check=False)
+    return a + b, [[row[c] for c in order] for row in _kron(J.ring, f, g)]
 
 
 def hom_glued(G: GluedModule, H: GluedModule) -> GluedModule:
@@ -422,22 +420,23 @@ def _conjugation(G: GluedModule, H: GluedModule, chart: int, homs):
     scheme, J = G.scheme, G.scheme.idal
     (hom_s, mod_s, _), (hom_t, mod_t, incl_t) = _oriented(chart, *homs)
     (p, pre, A), (q, post, C) = G.out_of(3 - chart), H.out_of(chart)
-    B, D = pre.target, post.target
-    src = J.stage_source(p + q, mod_s)
+    B = _oriented(chart, G.m1_overlap, G.m2_overlap)[0]
+    D = _oriented(chart, H.m1_overlap, H.m2_overlap)[1]
+    gpq = J.power_gens(p + q)
     zero = mod_t.ring.zero()
-    matrix = [[zero] * src.gens for _ in range(mod_t.gens)]
+    matrix = [[zero] * (gpq * mod_s.gens) for _ in range(mod_t.gens)]
     for k in range(mod_s.gens):
         phi = scheme.overlap_map(chart, hom_s.generator_map(k), B, C)
-        full = J.then(post, q, phi.compose(pre), p, A)
-        for t in range(J.carrier_power(p + q).gens):
-            piece = ModuleMap(A, D, [row[t * A.gens:(t + 1) * A.gens] for row in full.matrix],
+        full = J.then(post, q, J.then(phi.matrix, 0, pre, p, A), p, A)
+        for t in range(gpq):
+            piece = ModuleMap(A, D, [row[t * A.gens:(t + 1) * A.gens] for row in full],
                               check=False)
             coords = incl_t.lift(hom_t._flatten_map(piece))
             if coords is None:
                 raise LiftError("conjugated overlap map does not lie in the hom module")
             for r in range(mod_t.gens):
                 matrix[r][t * mod_s.gens + k] = coords[r]
-    return p + q, ModuleMap(src, mod_t, matrix, check=False)
+    return p + q, matrix
 
 
 # ---------------------------------------------------------------------------
@@ -524,15 +523,6 @@ def _sections_degree_table(G, sides):
     return table
 
 
-def _push_stage_element(chain: HomChain, vecmap: ModuleMap, idx_from: int,
-                        idx_to: int) -> ModuleMap:
-    """Push a map M -> stage(idx_from).module to stage idx_to (inverting the
-    stabilized transitions when pushing down)."""
-    if idx_from <= idx_to:
-        return chain.composite(idx_from, idx_to).compose(vecmap)
-    return invert_iso(chain.composite(idx_to, idx_from)).compose(vecmap)
-
-
 def _check_selfglue_reflection(r, n_max: int):
     if r.chain.stabilized_at is None:
         raise StabilizationError(
@@ -543,24 +533,23 @@ def _check_selfglue_reflection(r, n_max: int):
             "selfglue sections require an unsaturated stabilization")
 
 
-def induced_on_reflections(J: Idal, fwd: ModuleMap, stage_a: int,
-                           r_src, r_tgt) -> ModuleMap:
-    """The map R(m_src) -> R(m_tgt) induced by a Deligne element
-    fwd : J^{(x)a} (x) m_src -> m_tgt (a plain map at stage 0), read off the
-    hom chains of the two reflections."""
+def induced_on_reflections(J: Idal, fwd, stage_a: int, r_src, r_tgt) -> ModuleMap:
+    """The map R(m_src) -> R(m_tgt) induced by the matrix of a Deligne
+    element fwd : J^{(x)a} (x) m_src -> m_tgt (a plain map at stage 0), read
+    off the hom chains of the two reflections."""
     n_src = r_src.chain.stabilized_at
     chain_src, chain_tgt = r_src.hom_chain, r_tgt.hom_chain
+    n_big, n_tgt = n_src + stage_a, r_tgt.chain.stabilized_at
     hom_src = chain_src.stage(n_src)
     cols = []
     for k in range(hom_src.module.gens):
-        psi = chain_src.interpret(n_src, hom_src.module.unit_column(k))
-        chi = J.then(fwd, stage_a, psi, n_src, chain_tgt.mid)
-        cols.append(chain_tgt.express(n_src + stage_a, chi))
-    to_big = ModuleMap.from_columns(hom_src.module, chain_tgt.stage(n_src + stage_a).module,
-                                    cols)
-    pushed = _push_stage_element(chain_tgt, to_big, n_src + stage_a,
-                                 r_tgt.chain.stabilized_at)
-    return ModuleMap(r_src.value, r_tgt.value, pushed.matrix, check=False)
+        psi = chain_src.uncurry(n_src, hom_src.module.unit_column(k))
+        cols.append(chain_tgt.curry(n_big, J.then(fwd, stage_a, psi, n_src, chain_tgt.mid)))
+    to_big = ModuleMap.from_columns(hom_src.module, chain_tgt.stage(n_big).module, cols)
+    # to the target's stabilized stage, inverting its transitions to go down
+    push = chain_tgt.composite(n_big, n_tgt) if n_big <= n_tgt \
+        else invert_iso(chain_tgt.composite(n_tgt, n_big))
+    return ModuleMap(r_src.value, r_tgt.value, push.compose(to_big).matrix, check=False)
 
 
 def _selfglue_sections(G: GluedModule, degree_bound: int, n_max: int) -> SectionsResult:
@@ -765,12 +754,11 @@ def _roundtrip_exact(A, I, J, IJ, M, rI, rJ, rIJ, n_max) -> RoundtripResult:
 
     def comparison(chain_side, V_side, use_first):
         # (I (x) J)^{(x)N} (x) O -> I^{(x)N} (x) O, or onto J^{(x)N} (x) O
-        rho = ModuleMap(IJ.stage_source(N, chainIJ.mid),
-                        chain_side.J.stage_source(N, chain_side.mid),
-                        _rho_matrix(I, J, N, use_first), check=False)
+        rho = _rho_matrix(I, J, N, use_first)
+        width = IJ.power_gens(N) * chainIJ.mid.gens
         stage = chain_side.stage(N).module
-        cols = [chainIJ.express(N, chain_side.interpret(N, stage.unit_column(k)).compose(rho))
-                for k in range(stage.gens)]
+        psis = (chain_side.uncurry(N, stage.unit_column(k)) for k in range(stage.gens))
+        cols = [chainIJ.curry(N, _matmul(A, psi, rho, width)) for psi in psis]
         return ModuleMap.from_columns(V_side, VIJ, cols)
 
     a = comparison(chainI, VI, True)
@@ -857,15 +845,15 @@ def chart_idal(scheme: TwoChartScheme, which: int, power: int = 1):
     else:
         J = scheme.idal
         near, far = unit_module(scheme.chart1), J.carrier_power(power)
-        # validating L builds J^{(x)2 power} (x) J^{(x)power}; its bounds, which
-        # include that of power_map(2 * power), hold before any stage is built
+        # validating L works at stage 2 * power on J^{(x)power}, on matrices
+        # of g^power rows and g^(3 power) columns; the bounds of that stage
+        # as a presented module (MAX_POWER_GENS at 2 * power among them)
+        # make large powers fail at once
         J.check_stage(2 * power, far)
         # overlap data: J^power (x) O -> J^power is the identity on generators,
         # and J^power (x) J^power -> O applies e at all 2 * power slots
-        to_far = ModuleMap(J.stage_source(power, near), far,
-                           _identity_matrix(near.ring, far.gens), check=False)
-        to_near = ModuleMap(J.stage_source(power, far), near, J.power_map(2 * power).matrix,
-                            check=False)
+        to_far = _identity_matrix(near.ring, far.gens)
+        to_near = J.collapse(near, 2 * power, 0)
         fwd, bwd = _oriented(which, to_far, to_near)
         L = GluedModule(scheme, *_oriented(which, near, far), OverlapDatum(power, fwd, power, bwd))
         e_far = ModuleMap(far, near, J.power_map(power).matrix, check=False)
@@ -934,7 +922,7 @@ def idal_generation(G: GluedModule, n_max: int = 8) -> GenerationResult:
                 matrix = [[p] for p in col]
             else:
                 # J^k (x) O -> far, read on L_far = J^k
-                matrix = scheme.idal.then(step, k, unit, 0, L_near).matrix
+                matrix = scheme.idal.then(step, k, unit.matrix, 0, L_near)
             other = ModuleMap(L_far, far, matrix, check=False)
             blocks.append(GenerationBlock(chart, k,
                                           GluedMap(L, G, *_oriented(chart, unit, other))))

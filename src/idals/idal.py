@@ -15,6 +15,7 @@ from .fpmod import (
     PresentedModule,
     _identity_matrix,
     _kron,
+    _matmul,
     base_change_module,
     check_tensor_size,
     cokernel,
@@ -83,7 +84,6 @@ class Idal:
         self.e = e
         self.ring = carrier.ring
         self._powers: dict = {0: unit_module(self.ring), 1: carrier}
-        self._stage_sources: dict = {}
         self._chains: dict = {}   # localize's hom chains, keyed by (id(mid), id(target))
         self._e_powers = [[[self.ring.one()]]]   # e^{(x)k}, a 1 x g^k matrix
 
@@ -111,7 +111,9 @@ class Idal:
     def check_stage(self, n: int, M: PresentedModule):
         """An AlgebraError unless J^{(x)n} (x) M is within MAX_POWER_GENS and
         MAX_TENSOR_ENTRIES, from counts alone: J^{(x)n} has g^n generators and
-        n g^(n-1) r relation columns for a carrier of g and r."""
+        n g^(n-1) r relation columns for a carrier of g and r.  It guards
+        `stage_source`, and `chart_idal` keeps it for the stage its validation
+        works on, so that large powers fail at once."""
         self._check_power(n)
         if n:
             g, r = self.carrier.gens, len(self.carrier.relations)
@@ -142,47 +144,46 @@ class Idal:
         return _kron(self.ring, ident, self._e_powers[n - m])
 
     # -- Deligne stages: maps out of J^{(x)n} (x) M ---------------------------
+    # A staged map J^{(x)n} (x) M -> T is its T.gens x g^n M.gens matrix, with
+    # generator (t, j) at column t * M.gens + j: composing and comparing staged
+    # maps reads no relation of their source, so none presents it.
+
+    def power_gens(self, n: int) -> int:
+        """g^n, the generators of J^{(x)n}, counted without presenting it; an
+        AlgebraError past MAX_POWER_GENS."""
+        self._check_power(n)
+        return self.carrier.gens ** n
 
     def stage_source(self, n: int, M: PresentedModule) -> PresentedModule:
-        """J^{(x)n} (x) M, one object per (n, M) for the life of the idal, so
-        that staged maps built on it compose by identity; M itself at n = 0."""
+        """J^{(x)n} (x) M presented in full (M at n = 0), to read its relations."""
         if n == 0:
             return M
-        key = (n, id(M))
-        if key not in self._stage_sources:
-            self.check_stage(n, M)
-            # M is kept with its source, so its id cannot be reused
-            self._stage_sources[key] = (M, tensor(self.carrier_power(n), M))
-        return self._stage_sources[key][1]
+        self.check_stage(n, M)
+        return tensor(self.carrier_power(n), M)
 
-    def _staged(self, matrix, M: PresentedModule, n: int, target: PresentedModule):
-        return ModuleMap(self.stage_source(n, M), target, matrix, check=False)
-
-    def collapse(self, M: PresentedModule, n: int, m: int) -> ModuleMap:
+    def collapse(self, M: PresentedModule, n: int, m: int):
         """J^{(x)n} (x) M -> J^{(x)m} (x) M applying e at the last n-m slots."""
-        if n == m:
-            return ModuleMap.identity(self.stage_source(n, M))
-        return self._staged(self._collapse_matrix(M, n, m), M, n, self.stage_source(m, M))
+        self._check_power(n)
+        return _kron(self.ring, self._transition_matrix(n, m),
+                     _identity_matrix(self.ring, M.gens))
 
-    def _collapse_matrix(self, M: PresentedModule, n: int, m: int):
-        ident = _identity_matrix(self.ring, M.gens)
-        return _kron(self.ring, self._transition_matrix(n, m), ident)
-
-    def restage(self, f: ModuleMap, M: PresentedModule, a: int, n: int) -> ModuleMap:
+    def restage(self, f, M: PresentedModule, a: int, n: int):
         """f : J^{(x)a} (x) M -> T moved to stage n >= a, as
         f . collapse(M, n, a) : J^{(x)n} (x) M -> T; f itself at n = a."""
         if n == a:
             return f
-        return f.compose(self._staged(self._collapse_matrix(M, n, a), M, n, f.source))
+        return _matmul(self.ring, f, self.collapse(M, n, a), self.power_gens(n) * M.gens)
 
-    def then(self, g: ModuleMap, b: int, f: ModuleMap, a: int,
-             M: PresentedModule) -> ModuleMap:
+    def then(self, g, b: int, f, a: int, M: PresentedModule):
         """g . (J^{(x)b} (x) f) : J^{(x)(a+b)} (x) M -> T for
-        f : J^{(x)a} (x) M -> X and g : J^{(x)b} (x) X -> T."""
-        if b == 0:
-            return g.compose(f)
-        ident = _identity_matrix(self.ring, self.carrier.gens ** b)
-        return g.compose(self._staged(_kron(self.ring, ident, f.matrix), M, a + b, g.source))
+        f : J^{(x)a} (x) M -> X and g : J^{(x)b} (x) X -> T.  J^{(x)b} (x) f
+        is block diagonal, so column block t of the result is g's column
+        block t times f."""
+        self._check_power(a + b)
+        width, x = self.power_gens(a) * M.gens, len(f)
+        blocks = [_matmul(self.ring, [row[t * x:(t + 1) * x] for row in g], f, width)
+                  for t in range(self.carrier.gens ** b)]
+        return [[p for block in blocks for p in block[r]] for r in range(len(g))]
 
     def power_map(self, n: int) -> ModuleMap:
         """The full composite I^{(x)n} -> O."""
@@ -226,8 +227,6 @@ def idal_reflect(f: ModuleMap):
     """
     if f.target.gens != 1 or f.target.relations:
         raise AlgebraError("reflection input must map to the rank-1 free module")
-    A = f.source
-    ring = f.ring
     _, lmap, rmap = _law_sides(f)
     diff = lmap - rmap
     I, pi = cokernel(diff)

@@ -77,8 +77,10 @@ class HomChain:
 
     The outermost HOM is the first slot of J^{(x)n}; with row-major
     flattening, column block j of a staged map J^{(x)n} (x) mid -> target
-    belongs to generator j of that slot.  `interpret` and `express` move
-    between stage-n elements and such staged maps.
+    belongs to generator j of that slot.  `uncurry` and `curry` move
+    between stage-n elements and the matrices of such staged maps;
+    `interpret` and `express` do the same for maps out of the presented
+    J^{(x)n} (x) mid.
     """
 
     def __init__(self, J: Idal, mid: PresentedModule, target: PresentedModule):
@@ -111,7 +113,8 @@ class HomChain:
     def shrink(self, n: int) -> ModuleMap:
         """J^{(x)(n+1)} (x) mid -> J^{(x)n} (x) mid applying e at the last slot:
         precomposing with it is the transition stated on the staged maps."""
-        return self.J.collapse(self.mid, n + 1, n)
+        return ModuleMap(self.J.stage_source(n + 1, self.mid), self.J.stage_source(n, self.mid),
+                         self.J.collapse(self.mid, n + 1, n), check=False)
 
     def transition(self, n: int) -> ModuleMap:
         if n not in self._transitions:
@@ -129,25 +132,27 @@ class HomChain:
     def interpret(self, n: int, coeffs) -> ModuleMap:
         """The staged map J^{(x)n} (x) mid -> target of a stage-n element."""
         return ModuleMap(self.J.stage_source(n, self.mid), self.target,
-                         self._uncurry(n, coeffs), check=False)
+                         self.uncurry(n, coeffs), check=False)
 
-    def _uncurry(self, n: int, coeffs):
+    def uncurry(self, n: int, coeffs):
+        """The matrix of the staged map of a stage-n element."""
         phi = self.stage(n).interpret(coeffs)
         if n == 0:
             return phi.matrix
-        blocks = [self._uncurry(n - 1, phi.column(j)) for j in range(phi.source.gens)]
+        blocks = [self.uncurry(n - 1, phi.column(j)) for j in range(phi.source.gens)]
         return [[p for b in blocks for p in b[r]] for r in range(self.target.gens)]
 
     def express(self, n: int, f: ModuleMap):
         """Stage-n coordinates of a staged map f : J^{(x)n} (x) mid -> target."""
-        return self._curry(n, f.matrix)
+        return self.curry(n, f.matrix)
 
-    def _curry(self, n: int, matrix):
+    def curry(self, n: int, matrix):
+        """Stage-n coordinates of the matrix of a staged map."""
         H = self.stage(n)
         if n == 0:
             return H.express(ModuleMap(H.source, H.target, matrix, check=False))
         w = self.J.carrier.gens ** (n - 1) * self.mid.gens
-        cols = [self._curry(n - 1, [row[j * w:(j + 1) * w] for row in matrix])
+        cols = [self.curry(n - 1, [row[j * w:(j + 1) * w] for row in matrix])
                 for j in range(self.J.carrier.gens)]
         return H.express(ModuleMap.from_columns(H.source, H.target, cols))
 

@@ -331,11 +331,14 @@ class PolyRing:
         raise AlgebraError(f"cannot build polynomial from {source!r}")
 
     def reduce_terms(self, terms: dict) -> dict:
-        """Normal form of a raw term dict modulo the quotient ideal."""
+        """Normal form of a raw term dict modulo the quotient ideal: the dict
+        itself when no leading monomial of the quotient divides a term."""
         if not self.quotient_gb or not terms:
             return terms
-        vec = _poly_to_vec(terms)
-        red, _ = _vec_reduce(vec, self._quotient_divisors(1), self._free)
+        divs = self._quotient_divisors(1)
+        if not any(mono_divides(d.exps, e) for e in terms for d in divs):
+            return terms
+        red, _ = _vec_reduce(_poly_to_vec(terms), divs, self._free)
         return _vec_to_poly_terms(red)
 
     def _quotient_divisors(self, rank: int):

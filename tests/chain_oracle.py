@@ -16,6 +16,8 @@ from idals.errors import LiftError
 from idals.fpmod import ModuleMap, hom_module
 from idals.localize import _saturated_kernel
 
+import staged_oracle as staged
+
 
 def canonical_stage_map(J, M, hom, n):
     """M -> HOM(J^{(x)n} (x) O, M) sending m to (t |-> powermap(t) * m)."""
@@ -51,7 +53,7 @@ class OldHomChain:
         self._saturated: dict = {}
 
     def source_at(self, n):
-        return self.J.stage_source(n, self.mid)
+        return staged.stage_source(self.J, n, self.mid)
 
     def stage(self, n):
         if n not in self._stages:

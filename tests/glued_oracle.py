@@ -19,6 +19,11 @@ Test-only oracle for `test_glued_differential.py`.
   `GluedModule` constructor, in the argument forms it had: overlap matrices
   for affine schemes and a `SelfGlueTau` for self-glued ones.
 
+Staged maps are `ModuleMap`s out of presented stage sources here, built,
+composed and compared by the frozen stage operations of `staged_oracle.py`;
+a self-glued datum, which the present code holds as matrices, is read into
+such maps by `staged_maps` and handed back to `SelfGlueTau` as matrices.
+
 The present code must give the same results entry for entry.  Do not
 optimise this file; its value is that it stays as it was.
 """
@@ -56,6 +61,17 @@ from idals.glued import (
     o_glued,
 )
 from idals.polyring import Poly
+
+import staged_oracle as staged
+from staged_oracle import compose, equals
+
+
+def staged_maps(scheme, m1, m2, tau):
+    """(fwd, bwd) of a self-glued datum as maps out of the frozen stage
+    sources J^{(x)fwd_stage} (x) m1 and J^{(x)bwd_stage} (x) m2."""
+    J = scheme.idal
+    return (ModuleMap(staged.stage_source(J, tau.fwd_stage, m1), m2, tau.fwd, check=False),
+            ModuleMap(staged.stage_source(J, tau.bwd_stage, m2), m1, tau.bwd, check=False))
 
 
 def f2_image_in_U1(ov):
@@ -101,17 +117,17 @@ def chart_idal(scheme: TwoChartScheme, which: int, power: int = 1):
     Jc = J.carrier_power(power)
     # overlap data: J^power (x) O1 -> Jc is the identity on generators, and
     # J^power (x) Jc -> O1 applies e at all 2 * power slots
-    to_Jc = ModuleMap(J.stage_source(power, O1), Jc, _identity_matrix(O1.ring, Jc.gens),
-                      check=False)
-    to_O1 = ModuleMap(J.stage_source(power, Jc), O1, J.power_map(2 * power).matrix,
+    to_Jc = ModuleMap(staged.stage_source(J, power, O1), Jc,
+                      _identity_matrix(O1.ring, Jc.gens), check=False)
+    to_O1 = ModuleMap(staged.stage_source(J, power, Jc), O1, J.power_map(2 * power).matrix,
                       check=False)
     if which == 1:
         # trivial on chart 1, J^power on chart 2
-        L = GluedModule(scheme, O1, Jc, SelfGlueTau(power, to_Jc, power, to_O1))
+        L = GluedModule(scheme, O1, Jc, SelfGlueTau(power, to_Jc.matrix, power, to_O1.matrix))
         e = GluedMap(L, O, ModuleMap.identity(O1),
                      ModuleMap(Jc, O1, J.power_map(power).matrix, check=False))
     elif which == 2:
-        L = GluedModule(scheme, Jc, O1, SelfGlueTau(power, to_O1, power, to_Jc))
+        L = GluedModule(scheme, Jc, O1, SelfGlueTau(power, to_O1.matrix, power, to_Jc.matrix))
         e = GluedMap(L, O, ModuleMap(Jc, O1, J.power_map(power).matrix, check=False),
                      ModuleMap.identity(O1))
     else:
@@ -193,13 +209,14 @@ def idal_generation(G: GluedModule, n_max: int = 8) -> GenerationResult:
         J = scheme.idal
         blocks = []
         a, b = G.tau.fwd_stage, G.tau.bwd_stage
+        fwd, bwd = staged_maps(scheme, G.m1, G.m2, G.tau)
         for gidx in range(G.m1.gens):
             L, _ = chart_idal(scheme, 1, a) if a else (o_glued(scheme), None)
             gmap = ModuleMap(L.m1, G.m1,
                              [[scheme.chart1.one() if i == gidx else scheme.chart1.zero()]
                               for i in range(G.m1.gens)], check=False)
             # J^a (x) O -> G.m2, read on L.m2 = J^a
-            c2 = J.then(G.tau.fwd, a, gmap, 0, L.m1)
+            c2 = staged.then(J, fwd, a, gmap, 0, L.m1)
             c2 = ModuleMap(L.m2, G.m2, c2.matrix, check=False)
             blocks.append(GenerationBlock(1, a, GluedMap(L, G, gmap, c2)))
         for gidx in range(G.m2.gens):
@@ -207,7 +224,7 @@ def idal_generation(G: GluedModule, n_max: int = 8) -> GenerationResult:
             gmap = ModuleMap(L.m2, G.m2,
                              [[scheme.chart2.one() if i == gidx else scheme.chart2.zero()]
                               for i in range(G.m2.gens)], check=False)
-            c1 = J.then(G.tau.bwd, b, gmap, 0, L.m2)
+            c1 = staged.then(J, bwd, b, gmap, 0, L.m2)
             c1 = ModuleMap(L.m1, G.m1, c1.matrix, check=False)
             blocks.append(GenerationBlock(2, b, GluedMap(L, G, c1, gmap)))
     else:
@@ -266,18 +283,19 @@ def glued_module_verdict(scheme, m1, m2, tau, tau_inv=None):
             m2_overlap = base_change_module(m2, ov.chart2_to_U1)
             t = _as_overlap_map(tau, m2_overlap, m1_overlap)
             t_inv = _as_overlap_map(tau_inv, m1_overlap, m2_overlap)
-            if not t.compose(t_inv).equals(ModuleMap.identity(m1_overlap)) \
-                    or not t_inv.compose(t).equals(ModuleMap.identity(m2_overlap)):
+            if not equals(compose(t, t_inv), ModuleMap.identity(m1_overlap)) \
+                    or not equals(compose(t_inv, t), ModuleMap.identity(m2_overlap)):
                 raise TauNotInvertibleError("overlap maps are not mutually inverse")
         else:
             J = scheme.idal
             a, b = tau.fwd_stage, tau.bwd_stage
-            left = J.then(tau.bwd, b, tau.fwd, a, m1)
-            if not left.equals(J.collapse(m1, a + b, 0)):
+            fwd, bwd = staged_maps(scheme, m1, m2, tau)
+            left = staged.then(J, bwd, b, fwd, a, m1)
+            if not equals(left, staged.collapse(J, m1, a + b, 0)):
                 raise TauNotInvertibleError(
                     "selfglue overlap elements are not mutually inverse")
-            right = J.then(tau.fwd, a, tau.bwd, b, m2)
-            if not right.equals(J.collapse(m2, a + b, 0)):
+            right = staged.then(J, fwd, a, bwd, b, m2)
+            if not equals(right, staged.collapse(J, m2, a + b, 0)):
                 raise TauNotInvertibleError(
                     "selfglue overlap elements are not mutually inverse")
     except AlgebraError as exc:
@@ -291,13 +309,15 @@ def is_compatible(f: GluedMap) -> bool:
         ov = G.scheme.overlap
         c1o = base_change_map(f.c1, ov.incl1, G.m1_overlap, H.m1_overlap)
         c2o = base_change_map(f.c2, ov.chart2_to_U1, G.m2_overlap, H.m2_overlap)
-        return H.tau.compose(c2o).equals(c1o.compose(G.tau))
+        return equals(compose(H.tau, c2o), compose(c1o, G.tau))
     J = G.scheme.idal
     a, b = G.tau.fwd_stage, H.tau.fwd_stage
     N = max(a, b)
-    lhs = J.restage(f.c2.compose(G.tau.fwd), G.m1, a, N)
-    rhs = J.restage(J.then(H.tau.fwd, b, f.c1, 0, G.m1), G.m1, b, N)
-    return lhs.equals(rhs)
+    G_fwd, H_fwd = staged_maps(G.scheme, G.m1, G.m2, G.tau)[0], \
+        staged_maps(H.scheme, H.m1, H.m2, H.tau)[0]
+    lhs = staged.restage(J, compose(f.c2, G_fwd), G.m1, a, N)
+    rhs = staged.restage(J, staged.then(J, H_fwd, b, f.c1, 0, G.m1), G.m1, b, N)
+    return equals(lhs, rhs)
 
 
 def direct_sum_glued(summands):
@@ -326,11 +346,15 @@ def direct_sum_glued(summands):
     else:
         a = max(g.tau.fwd_stage for g in summands)
         b = max(g.tau.bwd_stage for g in summands)
+        maps = [staged_maps(scheme, g.m1, g.m2, g.tau) for g in summands]
         fwd = _blockdiag_selfglue(scheme, [g.m1 for g in summands], [g.m2 for g in summands],
-                                  [(g.tau.fwd_stage, g.tau.fwd) for g in summands], a, S1, S2)
+                                  [(g.tau.fwd_stage, m[0]) for g, m in zip(summands, maps)],
+                                  a, S1, S2)
         bwd = _blockdiag_selfglue(scheme, [g.m2 for g in summands], [g.m1 for g in summands],
-                                  [(g.tau.bwd_stage, g.tau.bwd) for g in summands], b, S2, S1)
-        G = GluedModule(scheme, S1, S2, SelfGlueTau(a, fwd, b, bwd), validate=False)
+                                  [(g.tau.bwd_stage, m[1]) for g, m in zip(summands, maps)],
+                                  b, S2, S1)
+        G = GluedModule(scheme, S1, S2, SelfGlueTau(a, fwd.matrix, b, bwd.matrix),
+                        validate=False)
     incls = []
     for k, g in enumerate(summands):
         incls.append(GluedMap(g, G, incls1[k], incls2[k], validate=False))
@@ -340,14 +364,14 @@ def direct_sum_glued(summands):
 def _blockdiag_selfglue(scheme, sources, targets, staged_maps, N, S_src, S_tgt) -> ModuleMap:
     """Block diagonal of Deligne elements, each pushed to the common stage N."""
     J = scheme.idal
-    src = J.stage_source(N, S_src)
+    src = staged.stage_source(J, N, S_src)
     zero = scheme.chart1.zero()
     matrix = [[zero] * src.gens for _ in range(S_tgt.gens)]
     gN = J.carrier_power(N).gens
     src_off = 0
     tgt_off = 0
     for (stage, m), piece_src, piece_tgt in zip(staged_maps, sources, targets):
-        pushed = J.restage(m, piece_src, stage, N)
+        pushed = staged.restage(J, m, piece_src, stage, N)
         for r in range(piece_tgt.gens):
             for t in range(gN):
                 for j in range(piece_src.gens):
@@ -368,13 +392,15 @@ def tensor_glued(G: GluedModule, H: GluedModule) -> GluedModule:
         tau = tensor_map(G.tau, H.tau)
         tau_inv = tensor_map(G.tau_inv, H.tau_inv)
         return GluedModule(scheme, T1, T2, tau.matrix, tau_inv.matrix, validate=False)
-    fwd = _selfglue_tensor_element(scheme, G.tau.fwd_stage, G.tau.fwd, G.m1,
-                                   H.tau.fwd_stage, H.tau.fwd, H.m1, T1, T2)
-    bwd = _selfglue_tensor_element(scheme, G.tau.bwd_stage, G.tau.bwd, G.m2,
-                                   H.tau.bwd_stage, H.tau.bwd, H.m2, T2, T1)
+    G_fwd, G_bwd = staged_maps(scheme, G.m1, G.m2, G.tau)
+    H_fwd, H_bwd = staged_maps(scheme, H.m1, H.m2, H.tau)
+    fwd = _selfglue_tensor_element(scheme, G.tau.fwd_stage, G_fwd, G.m1,
+                                   H.tau.fwd_stage, H_fwd, H.m1, T1, T2)
+    bwd = _selfglue_tensor_element(scheme, G.tau.bwd_stage, G_bwd, G.m2,
+                                   H.tau.bwd_stage, H_bwd, H.m2, T2, T1)
     return GluedModule(scheme, T1, T2,
-                       SelfGlueTau(G.tau.fwd_stage + H.tau.fwd_stage, fwd,
-                                   G.tau.bwd_stage + H.tau.bwd_stage, bwd),
+                       SelfGlueTau(G.tau.fwd_stage + H.tau.fwd_stage, fwd.matrix,
+                                   G.tau.bwd_stage + H.tau.bwd_stage, bwd.matrix),
                        validate=False)
 
 
@@ -387,8 +413,8 @@ def _selfglue_tensor_element(scheme, a, fwd_a, Ma, b, fwd_b, Mb, MaMb, NaNb) -> 
     shuffle = tensor_permutation(factors, perm)
     paired = tensor_map(fwd_a, fwd_b)
     paired = ModuleMap(paired.source, NaNb, paired.matrix, check=False)
-    return paired.compose(ModuleMap(J.stage_source(a + b, MaMb), paired.source,
-                                    shuffle.matrix, check=False))
+    return compose(paired, ModuleMap(staged.stage_source(J, a + b, MaMb), paired.source,
+                                     shuffle.matrix, check=False))
 
 
 def hom_glued(G: GluedModule, H: GluedModule, n_max: int = 8) -> GluedModule:
@@ -417,7 +443,7 @@ def _hom_overlap_map(hom_src, src_to_U1, hom_tgt, tgt_to_U1, pre: ModuleMap, pos
     cols = []
     for k in range(src_mod.gens):
         phi = base_change_map(hom_src.generator_map(k), src_to_U1, pre.target, post.source)
-        cols.append(incl_bc.lift(hom_tgt._flatten_map(post.compose(phi).compose(pre))))
+        cols.append(incl_bc.lift(hom_tgt._flatten_map(compose(compose(post, phi), pre))))
         if cols[-1] is None:
             raise AlgebraError("hom base change failed to lift (overlap hom mismatch)")
     return ModuleMap.from_columns(src_mod, tgt_mod, cols).matrix
@@ -425,15 +451,17 @@ def _hom_overlap_map(hom_src, src_to_U1, hom_tgt, tgt_to_U1, pre: ModuleMap, pos
 
 def _hom_glued_selfglue(G, H, hom1, hom2, n_max: int) -> GluedModule:
     J = G.scheme.idal
+    G_fwd, G_bwd = staged_maps(G.scheme, G.m1, G.m2, G.tau)
+    H_fwd, H_bwd = staged_maps(H.scheme, H.m1, H.m2, H.tau)
     fwd = _conjugate_hom_element(J, hom1, hom2, G.m2, H.m2,
-                                 G.tau.bwd, G.tau.bwd_stage,
-                                 H.tau.fwd, H.tau.fwd_stage)
+                                 G_bwd, G.tau.bwd_stage,
+                                 H_fwd, H.tau.fwd_stage)
     bwd = _conjugate_hom_element(J, hom2, hom1, G.m1, H.m1,
-                                 G.tau.fwd, G.tau.fwd_stage,
-                                 H.tau.bwd, H.tau.bwd_stage)
+                                 G_fwd, G.tau.fwd_stage,
+                                 H_bwd, H.tau.bwd_stage)
     return GluedModule(G.scheme, hom1.module, hom2.module,
-                       SelfGlueTau(G.tau.bwd_stage + H.tau.fwd_stage, fwd,
-                                   G.tau.fwd_stage + H.tau.bwd_stage, bwd),
+                       SelfGlueTau(G.tau.bwd_stage + H.tau.fwd_stage, fwd.matrix,
+                                   G.tau.fwd_stage + H.tau.bwd_stage, bwd.matrix),
                        validate=False)
 
 
@@ -443,14 +471,14 @@ def _conjugate_hom_element(J, hom_src, hom_tgt, A: PresentedModule, D: Presented
     post . (id (x) (h . pre)) at t, where pre : J^p (x) A -> B and
     post : J^q (x) C -> D."""
     c = p + q
-    src = J.stage_source(c, hom_src.module)
+    src = staged.stage_source(J, c, hom_src.module)
     zero = A.ring.zero()
     matrix = [[zero] * src.gens for _ in range(hom_tgt.module.gens)]
     gC = J.carrier_power(c).gens
     for k in range(hom_src.module.gens):
         h = hom_src.generator_map(k)
-        step = h.compose(pre)         # J^p (x) A -> C
-        full = J.then(post, q, step, p, A)
+        step = compose(h, pre)        # J^p (x) A -> C
+        full = staged.then(J, post, q, step, p, A)
         for t in range(gC):
             sub = [[full.matrix[r][t * A.gens + j] for j in range(A.gens)]
                    for r in range(D.gens)]

@@ -1,20 +1,27 @@
 """Frozen copies of the index loops and hand-built staged composites that
 `Idal.stage_source` / `collapse` / `restage` / `then` and `fpmod._kron`
-replaced.
+replaced, and of those four stage operations as they were while staged
+maps were `ModuleMap`s out of a presented J^{(x)n} (x) M.
 
-Test-only oracle for `test_staged_differential.py`: the power transition,
-the two sides of the idal law, the product row, the round-trip comparison
-matrix `_rho_matrix`, `tensor_map`, and the `_rebind(tensor_map(...))`
-composites of the self-glue validation, the glued-map compatibility check
-and the block diagonal of staged maps.  The present code must give every
-matrix entry for entry.  Do not optimise this file; its value is that it
-stays as it was.  (Methods of `Idal` became functions taking the idal.)
+Test-only oracle for `test_staged_differential.py` and `glued_oracle.py`:
+the power transition, the two sides of the idal law, the product row, the
+round-trip comparison matrix `_rho_matrix`, `tensor_map`, the
+`_rebind(tensor_map(...))` composites of the self-glue validation, the
+glued-map compatibility check and the block diagonal of staged maps; then
+the `ModuleMap`-valued `stage_source` (one presented source per (n, M) for
+the life of the idal), `collapse`, `restage` and `then`, with the
+`ModuleMap.compose` and `ModuleMap.equals` they composed and compared by.
+The present code must give every matrix entry for entry.  Do not optimise
+this file; its value is that it stays as it was.  (Methods of `Idal` became
+functions taking the idal; the stage sources are kept per idal here.)
 """
 
 from __future__ import annotations
 
+import weakref
+
 from idals.errors import AlgebraError
-from idals.fpmod import ModuleMap, PresentedModule, tensor
+from idals.fpmod import ModuleMap, PresentedModule, _identity_matrix, _kron, tensor
 from idals.idal import idal_product
 
 
@@ -191,3 +198,84 @@ def _blockdiag_selfglue(J, sources, targets, staged_maps, N, S_src, S_tgt) -> Mo
         src_off += piece_src.gens
         tgt_off += piece_tgt.gens
     return ModuleMap(src, S_tgt, matrix, check=False)
+
+
+# ---------------------------------------------------------------------------
+# the ModuleMap-valued stage operations
+
+
+def compose(g: ModuleMap, f: ModuleMap) -> ModuleMap:
+    """`ModuleMap.compose`: g after f, column by column."""
+    if f.target is not g.source and f.target != g.source:
+        raise AlgebraError("non-composable maps")
+    cols = []
+    for j in range(f.source.gens):
+        col = f.column(j)
+        out = []
+        for i in range(g.target.gens):
+            acc = g.ring.zero()
+            for k in range(g.source.gens):
+                m = g.matrix[i][k]
+                if not m.is_zero() and not col[k].is_zero():
+                    acc = acc + m * col[k]
+            out.append(acc)
+        cols.append(tuple(out))
+    return ModuleMap.from_columns(f.source, g.target, cols)
+
+
+def equals(f: ModuleMap, g: ModuleMap) -> bool:
+    """`ModuleMap.equals`: difference columns lie in the target relations."""
+    if f.source.gens != g.source.gens or f.target.gens != g.target.gens:
+        return False
+    diff = f - g
+    return all(f.target.contains_column(diff.column(j)) for j in range(f.source.gens))
+
+
+_STAGE_SOURCES = weakref.WeakKeyDictionary()   # idal -> {(n, id(M)): (M, source)}
+
+
+def stage_source(J, n: int, M: PresentedModule) -> PresentedModule:
+    """J^{(x)n} (x) M, one object per (n, M) for the life of the idal, so
+    that staged maps built on it compose by identity; M itself at n = 0."""
+    if n == 0:
+        return M
+    sources = _STAGE_SOURCES.setdefault(J, {})
+    key = (n, id(M))
+    if key not in sources:
+        J.check_stage(n, M)
+        # M is kept with its source, so its id cannot be reused
+        sources[key] = (M, tensor(J.carrier_power(n), M))
+    return sources[key][1]
+
+
+def _staged(J, matrix, M: PresentedModule, n: int, target: PresentedModule):
+    return ModuleMap(stage_source(J, n, M), target, matrix, check=False)
+
+
+def collapse(J, M: PresentedModule, n: int, m: int) -> ModuleMap:
+    """J^{(x)n} (x) M -> J^{(x)m} (x) M applying e at the last n-m slots."""
+    if n == m:
+        return ModuleMap.identity(stage_source(J, n, M))
+    return _staged(J, _collapse_matrix(J, M, n, m), M, n, stage_source(J, m, M))
+
+
+def _collapse_matrix(J, M: PresentedModule, n: int, m: int):
+    ident = _identity_matrix(J.ring, M.gens)
+    return _kron(J.ring, power_transition(J, n, m).matrix, ident)
+
+
+def restage(J, f: ModuleMap, M: PresentedModule, a: int, n: int) -> ModuleMap:
+    """f : J^{(x)a} (x) M -> T moved to stage n >= a, as
+    f . collapse(M, n, a) : J^{(x)n} (x) M -> T; f itself at n = a."""
+    if n == a:
+        return f
+    return compose(f, _staged(J, _collapse_matrix(J, M, n, a), M, n, f.source))
+
+
+def then(J, g: ModuleMap, b: int, f: ModuleMap, a: int, M: PresentedModule) -> ModuleMap:
+    """g . (J^{(x)b} (x) f) : J^{(x)(a+b)} (x) M -> T for
+    f : J^{(x)a} (x) M -> X and g : J^{(x)b} (x) X -> T."""
+    if b == 0:
+        return compose(g, f)
+    ident = _identity_matrix(J.ring, J.carrier.gens ** b)
+    return compose(g, _staged(J, _kron(J.ring, ident, f.matrix), M, a + b, g.source))

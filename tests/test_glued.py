@@ -255,7 +255,7 @@ class TestRoundtrip:
             rP = reflect(idal_obj, piece, 8)
             fwd = ModuleMap(tensor(idal_obj.carrier_power(0), M), piece,
                             proj.matrix, check=False)
-            induced = induced_on_reflections(idal_obj, fwd, 0, rM, rP)
+            induced = induced_on_reflections(idal_obj, fwd.matrix, 0, rM, rP)
             assert is_iso(induced)
 
 
@@ -415,3 +415,41 @@ class TestSymtrivial:
         assert not symtrivial_check(free_module(R2, 2))
         ideal = PresentedModule(R2, 2, [("y", R2.poly("-x"))], grading=[1, 1])
         assert not symtrivial_check(ideal)
+
+
+class TestStagedMapsAreMatrices:
+    def test_no_stage_source_is_presented(self, monkeypatch, R1):
+        """Staged maps compose and compare as matrices, so chart idals, their
+        sums, tensors and homs, compatibility, self-glued sections and an
+        exact round trip present no J^{(x)n} (x) M with n >= 1."""
+        present = Idal.stage_source
+
+        def refuse(J, n, M):
+            if n >= 1:
+                raise AssertionError(f"presented a stage source at n = {n}")
+            return present(J, n, M)
+
+        monkeypatch.setattr(Idal, "stage_source", refuse)
+        R = PolyRing(QQ, ["x", "y"])
+        dop = TwoChartScheme.selfglue(R, idal_from_ideal(["x", "y"], R))
+        O = o_glued(dop)
+        idals = {(which, power): chart_idal(dop, which, power)
+                 for which in (1, 2) for power in (1, 2, 3)}
+        for L, e in idals.values():
+            assert e.is_compatible()
+            wrong = GluedMap(L, O, ModuleMap(L.m1, O.m1, [[R.var("x") * p for p in row]
+                                                        for row in e.c1.matrix]),
+                             e.c2, validate=False)
+            assert not wrong.is_compatible()
+        for power in (1, 2, 3):
+            G, H = idals[(1, power)][0], idals[(2, power)][0]
+            S, incls = direct_sum_glued([G, H])
+            assert all(f.is_compatible() for f in incls)
+            for X in (S, tensor_glued(G, H), hom_glued(G, H)):
+                if X.tau.fwd_stage + X.tau.bwd_stage <= 8:   # within MAX_POWER_GENS
+                    GluedModule(dop, X.m1, X.m2, X.tau)   # revalidates the datum
+        assert global_sections(O, 3).by_degree == {0: 1, 1: 2, 2: 3, 3: 4}
+        I, J = idal_from_ideal(["x"], R1), idal_from_ideal(["x-1"], R1)
+        M = PresentedModule(R1, 2, [("x", "0"), ("0", "x-1")])
+        res = roundtrip_check(R1, I, J, M, 8, 6)
+        assert res.ok and res.mode == "exact"

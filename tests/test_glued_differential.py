@@ -166,7 +166,7 @@ def dop_modules():
     sky = PresentedModule(dop.chart1, 1, [("x",), ("y",)])
     one = [["1"]]
     out.append(("dop-sky0", GluedModule(dop, sky, sky, SelfGlueTau(
-        0, ModuleMap(sky, sky, one), 0, ModuleMap(sky, sky, one)))))
+        0, ModuleMap(sky, sky, one).matrix, 0, ModuleMap(sky, sky, one).matrix))))
     return out
 
 
@@ -286,8 +286,8 @@ def validation_cases():
     J, O = dop.idal, unit_module(dop.chart1)
 
     def staged(a, fwd, b, bwd, m1=O, m2=O):
-        return SelfGlueTau(a, ModuleMap(J.stage_source(a, m1), m2, fwd),
-                           b, ModuleMap(J.stage_source(b, m2), m1, bwd))
+        return SelfGlueTau(a, ModuleMap(J.stage_source(a, m1), m2, fwd).matrix,
+                           b, ModuleMap(J.stage_source(b, m2), m1, bwd).matrix)
 
     cases += [("dop-O", dop, O, O, staged(0, [["1"]], 0, [["1"]]), None),
               ("dop-e,1", dop, O, O, staged(1, [["x", "y"]], 0, [["1"]]), None),

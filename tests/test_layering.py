@@ -4,9 +4,10 @@ the layers above them lift, reduce and compare columns through
 `span_key`, never through the engine's helpers.
 
 Only idal knows how Deligne stages J^{(x)n} (x) M are flattened: the layers
-above it build stage sources and staged maps through `Idal.stage_source` /
-`collapse` / `restage` / `then`, never from `power_transition` or a tensor
-of a carrier power.
+above it build staged maps, which are matrices, through `Idal.collapse` /
+`restage` / `then`, never from `power_transition` or a tensor of a carrier
+power.  They present a stage source by `Idal.stage_source` only where its
+relations are read: `HomChain.interpret` / `shrink` and the workspace loader.
 
 The glued constructions that work on the overlap datum are written once for
 both scheme kinds: no `.kind` comparison inside them."""
@@ -104,6 +105,53 @@ def test_stage_guard_sees_what_it_forbids(tmp_path):
     assert [what for _, what in stage_uses(sample)] == [
         "calls power_transition", "tensors a carrier power"]
     assert stage_uses(SRC / "idal.py")         # the stages' own layer is exempt
+
+
+STAGE_SOURCE_CALLERS = {"localize": {"HomChain.interpret", "HomChain.shrink"},
+                        "cli": {"Workspace._build_glued"}}
+
+
+def stage_source_calls(path):
+    """Sorted (enclosing function or `Class.method`, line) of every
+    `stage_source(...)` call in the file."""
+    found = []
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{name}.{child.name}" if name else child.name)
+                continue
+            if isinstance(child, ast.Call) and _call_name(child) == "stage_source":
+                found.append((name, child.lineno))
+            visit(child, name)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "idal.py"),
+                         ids=lambda p: p.stem)
+def test_stage_sources_are_presented_only_where_read(path):
+    allowed = STAGE_SOURCE_CALLERS.get(path.stem, set())
+    calls = stage_source_calls(path)
+    assert [c for c in calls if c[0] not in allowed] == [], f"{path.name} presents a stage"
+
+
+def test_stage_source_guard_sees_what_it_forbids(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "class HomChain:\n"
+        "    def interpret(self, n):\n"
+        "        return self.J.stage_source(n, self.mid)\n"
+        "    def stage(self, n):\n"
+        "        return hom(self.J.stage_source(n, self.mid), self.target)\n"
+        "def tensor_glued(J, M):\n"
+        "    return [J.stage_source(k, M) for k in range(2)]\n")
+    assert stage_source_calls(sample) == [
+        ("HomChain.interpret", 3), ("HomChain.stage", 5), ("tensor_glued", 7)]
+    # the calls the rule allows are seen in the real modules
+    for layer, allowed in STAGE_SOURCE_CALLERS.items():
+        assert {name for name, _ in stage_source_calls(SRC / f"{layer}.py")} == allowed
 
 
 # GluedModule validation, compatibility, direct sum, tensor and hom, with

@@ -122,6 +122,27 @@ def test_quotient_ring_reduction_matches_oracle(field, order):
                        oracle.buchberger(vecs, free, rank, track=True))
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+@pytest.mark.parametrize("order", ORDERS)
+def test_reduce_terms_matches_the_full_reduction(field, order):
+    """`PolyRing.reduce_terms` hands back a term dict that no leading monomial
+    of the quotient divides as it is; with divisible terms or without, it
+    must equal the normal form `_vec_reduce` gives."""
+    rng = random.Random(f"reduce-terms-{field.p}-{order}")
+    Q = PolyRing(field, ["x", "y"], order, quotient=["x^2*y - y", "y^3 + x"])
+    free, divs = Q.free(), Q._quotient_divisors(1)
+    divisible = []
+    for _ in range(200):
+        terms = {e: c for (_, e), c in random_vec(free, 1, rng, terms=4, deg=4).items()}
+        full, _ = _vec_reduce({(0, e): c for e, c in terms.items()}, divs, free)
+        got = Q.reduce_terms(dict(terms))
+        assert got == {e: c for (_, e), c in full.items()}
+        divisible.append(any(polyring.mono_divides(d.exps, e) for e in terms for d in divs))
+        if not divisible[-1]:
+            assert items(got) == items(terms)
+    assert 20 <= sum(divisible) <= 180   # both kinds of input are met
+
+
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("elim_rank", [None, 1, 2])
 def test_term_key_sorts_like_the_oracle_order(order, elim_rank):
