@@ -115,8 +115,8 @@ class PresentedModule:
         if self._graded_lts is None:
             self.rel_gb()
             lts = [[] for _ in range(self.gens)]
-            for g in self._rel_prepared:
-                if len({self.ring.mono_degree(e) + self.grading[p] for p, e in g.vec}) > 1:
+            for v, g in zip(self._rel_gb, self._rel_prepared):
+                if len({self.ring.mono_degree(e) + self.grading[p] for p, e in v}) > 1:
                     raise AlgebraError(
                         "internal: relation Groebner basis is not homogeneous for the grading")
                 lts[g.pos].append(g.exps)

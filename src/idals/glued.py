@@ -844,12 +844,12 @@ def chart_idal(scheme: TwoChartScheme, which: int, power: int = 1):
         e_far = ModuleMap(far, far, [[f ** power]], check=False)
     else:
         J = scheme.idal
+        # validating L multiplies matrices of g^power rows and g^(3 power)
+        # columns, at stage 2 * power; that stage's bound, g^(2 power) at
+        # most MAX_POWER_GENS, keeps them within 16 x 4096 entries and,
+        # checked before anything is built, makes large powers fail at once
+        J.power_gens(2 * power)
         near, far = unit_module(scheme.chart1), J.carrier_power(power)
-        # validating L works at stage 2 * power on J^{(x)power}, on matrices
-        # of g^power rows and g^(3 power) columns; the bounds of that stage
-        # as a presented module (MAX_POWER_GENS at 2 * power among them)
-        # make large powers fail at once
-        J.check_stage(2 * power, far)
         # overlap data: J^power (x) O -> J^power is the identity on generators,
         # and J^power (x) J^power -> O applies e at all 2 * power slots
         to_far = _identity_matrix(near.ring, far.gens)

@@ -112,8 +112,7 @@ class Idal:
         """An AlgebraError unless J^{(x)n} (x) M is within MAX_POWER_GENS and
         MAX_TENSOR_ENTRIES, from counts alone: J^{(x)n} has g^n generators and
         n g^(n-1) r relation columns for a carrier of g and r.  It guards
-        `stage_source`, and `chart_idal` keeps it for the stage its validation
-        works on, so that large powers fail at once."""
+        `stage_source`."""
         self._check_power(n)
         if n:
             g, r = self.carrier.gens, len(self.carrier.relations)

@@ -12,16 +12,19 @@ vectors.  The module order is position-over-term with descending positions
 (position 0 is largest).  Quotient rings are handled by appending the
 quotient generators, placed in every position, to the divisor sets.  Over
 the rationals the engine computes on integers (`_pseudo_reduce`) and hands
-out Fractions.
+out Fractions.  Inside the engine each term is one packed int (`_Packing`):
+comparing terms, multiplying by a monomial and testing divisibility are int
+operations, and raw vectors are converted where they enter and leave.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm as int_lcm
-from operator import add, itemgetter, le, neg, sub
+from operator import attrgetter, itemgetter, mul
 
 from .errors import (
     AlgebraError,
@@ -336,18 +339,34 @@ class PolyRing:
         if not self.quotient_gb or not terms:
             return terms
         divs = self._quotient_divisors(1)
-        if not any(mono_divides(d.exps, e) for e in terms for d in divs):
+        packing = divs[0].packing
+        packed, low, guard = packing.packed, packing.low, packing.guard
+        for e in terms:
+            try:
+                fields = packed[0, e] & low
+            except _Overflow:
+                # no divisor has an exponent above top, so capping is exact
+                fields = packing.pack(0, [min(x, packing.top) for x in e]) & low
+            for d in divs:
+                if not (fields - d.fields) & guard:
+                    break
+            else:
+                continue
+            break
+        else:
             return terms
         red, _ = _vec_reduce(_poly_to_vec(terms), divs, self._free)
         return _vec_to_poly_terms(red)
 
     def _quotient_divisors(self, rank: int):
         """Quotient generators placed in each of `rank` positions, prepared
-        once per rank."""
+        once per rank with one packing."""
         divs = self._qdivs.get(rank)
         if divs is None:
-            divs = self._qdivs[rank] = [_prepare(v, self.free())
-                                        for v in _quotient_vecs(self, rank)]
+            divs = [_prepare(v, self.free()) for v in _quotient_vecs(self, rank)]
+            if divs:
+                divs = _repacked(divs, max((d.packing for d in divs), key=attrgetter("width")))
+            self._qdivs[rank] = divs
         return divs
 
     def contains_one(self, gens) -> bool:
@@ -732,6 +751,22 @@ def _parse_poly(text: str, ring: PolyRing) -> dict:
 #
 # vec: dict[(pos, exps)] -> coeff.  Module order: position-over-term with
 # position 0 largest; ties broken by the ring's monomial order.
+#
+# Inside the engine every term (pos, exps) is one int, built by a `_Packing`:
+#
+#     pos << high  +  key << (bits below the key)  +  exponent fields
+#
+# Each exponent has a field of `width` bits topped by a guard bit; `key` is
+# the monomial-order key, offset to be nonnegative and oriented so that a
+# smaller key is a larger monomial.  A smaller int is therefore a larger term,
+# and all three parts are linear in the exponents: multiplying by a monomial
+# adds a fixed int (t - s is the shift from s to a multiple t), and s divides
+# t exactly when both lie in one position and subtracting the fields of s
+# from those of t sets no guard bit.  Two exponents below 2^width sum to
+# less than 2^(width + 1), so a product never carries into the next field: a
+# new term whose exponent outgrows the width shows a set guard bit, and the
+# engine raises `_Overflow` and starts again at twice the width.  The steps
+# taken do not depend on the width, so the rerun gives the same result.
 
 
 def _poly_to_vec(terms: dict, pos: int = 0) -> dict:
@@ -742,73 +777,166 @@ def _vec_to_poly_terms(vec: dict) -> dict:
     return {e: c for (_, e), c in vec.items()}
 
 
-def _vkey(ring: PolyRing, elim_rank: int | None = None):
-    """Key of a term (pos, exps) that sorts terms from the largest down.
+class _Overflow(Exception):
+    """A term outgrew the field width of its packing."""
 
-    The module order is position-over-term, position 0 largest, then the
-    ring's monomial order.  With elim_rank, terms in positions below
-    elim_rank come before all others (the elimination order of
-    `_syzygy_vecs`).  Smallest key = largest term, so `_vec_reduce` can keep
-    terms in a min-heap by this key.
-    """
-    if ring.order == "grevlex":
-        def key(t):
-            e = t[1]
-            return (t[0], -sum(e), e[::-1])
-    elif ring.order == "grlex":
-        def key(t):
-            e = t[1]
-            return (t[0], -sum(e), tuple(map(neg, e)))
-    else:
-        def key(t):
-            return (t[0], tuple(map(neg, t[1])))
-    if elim_rank is None:
-        return key
 
-    def elim_key(t):
-        return (-1 if t[0] < elim_rank else 0, key(t))
-    return elim_key
+# The width packing starts from, and the most conversions a packing keeps in
+# each direction before it forgets them all: reductions convert the same few
+# terms in call after call.
+START_WIDTH = 8
+PACK_MEMO_MAX = 1 << 12
+
+
+class _Memo(dict):
+    """convert(key) for each key, computed on first use and kept until more
+    than PACK_MEMO_MAX are kept."""
+
+    __slots__ = ("convert",)
+
+    def __init__(self, convert):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, key):
+        if len(self) > PACK_MEMO_MAX:
+            self.clear()
+        value = self[key] = self.convert(key)
+        return value
+
+
+class _Packing:
+    """Terms (pos, exps) of one monomial order and variable count, packed
+    into ints with `width`-bit exponent fields.
+
+    The fields sit below the key, variable i at bit i * (width + 1).  Under
+    grevlex the key is minus the degree, and the fields, compared from the
+    last variable down, break ties as grevlex does.  Under lex the key is
+    minus the exponents read as digits of base 2^width, the first variable
+    most significant; grlex puts minus the degree above those digits.  The
+    offset is the largest such sum over exponents of at most 2^width - 1, so
+    the degree digit is wider than any degree the guard admits.
+
+    `packed[(pos, exps)]` is the packed term, or `_Overflow` for an exponent
+    above `top`; `unpacked[term]` is (pos, exps)."""
+
+    __slots__ = ("width", "top", "offsets", "incr", "base", "high", "low", "guard",
+                 "packed", "unpacked")
+
+    def __init__(self, order: str, nvars: int, width: int):
+        span = width + 1
+        top = (1 << width) - 1
+        offsets = tuple(i * span for i in range(nvars))
+        if order == "grevlex":
+            keys = (1,) * nvars
+            koff = nvars * top
+        else:
+            keys = tuple(1 << (nvars - 1 - i) * width for i in range(nvars))
+            koff = (1 << nvars * width) - 1
+            if order == "grlex":
+                keys = tuple(k + (1 << nvars * width) for k in keys)
+                koff += nvars * top << nvars * width
+        below = nvars * span
+        self.width = width
+        self.top = top                  # the largest exponent a field holds
+        self.offsets = offsets
+        self.incr = tuple((1 << o) - (k << below) for o, k in zip(offsets, keys))
+        self.base = koff << below
+        self.high = below + koff.bit_length()
+        self.low = (1 << below) - 1     # the exponent fields
+        self.guard = sum(1 << o + width for o in offsets)
+
+        def pack_checked(key):
+            pos, exps = key
+            if exps and max(exps) > top:
+                raise _Overflow
+            return self.pack(pos, exps)
+
+        self.packed = _Memo(pack_checked)
+        self.unpacked = _Memo(lambda t: (t >> self.high, self.exps(t)))
+
+    def pack(self, pos: int, exps) -> int:
+        """The packed term; its exponents must be at most top."""
+        return (pos << self.high) + self.base + sum(map(mul, exps, self.incr))
+
+    def exps(self, t) -> tuple:
+        """The exponents of a term, or of the monomial a shift multiplies by."""
+        top = self.top
+        return tuple([t >> o & top for o in self.offsets])
+
+    def degree(self, t) -> int:
+        top = self.top
+        return sum([t >> o & top for o in self.offsets])
+
+
+@cache
+def _packing(order: str, nvars: int, width: int) -> _Packing:
+    return _Packing(order, nvars, width)
+
+
+def _packed(vec: dict, packing: _Packing, p: int):
+    """(packed, den): vec with its terms packed, over QQ multiplied by den,
+    the least common denominator, so that its coefficients are integers;
+    key order is kept."""
+    packed = packing.packed
+    if p:
+        return {packed[k]: c for k, c in vec.items()}, 1
+    den = int_lcm(*(c.denominator for c in vec.values()))
+    return {packed[k]: c.numerator * (den // c.denominator) for k, c in vec.items()}, den
 
 
 class _Prepared:
-    """A divisor with cached leading-term data.
+    """A divisor with cached leading-term data, its terms packed by `packing`.
 
     `vec` is the divisor as the reduction loop uses it: over QQ a primitive
     integer vector, over GF(p) the vector itself; `unit` is the scalar with
     unit * vec equal to the divisor a caller prepared (1 inside Buchberger).
-    `tail` holds the terms of vec other than the leading one as
-    (pos, exps, coeff)."""
+    `lt` is the packed leading term, `pos` and `exps` its position and
+    exponents, `fields` its exponent fields, and `tail` holds the other terms
+    of vec as (term, coeff).  Inside Buchberger an element also carries its
+    track and its sugar, the largest degree of its terms."""
 
-    __slots__ = ("vec", "lt", "lc", "pos", "exps", "sugar", "track", "tail", "unit")
+    __slots__ = ("vec", "packing", "lt", "lc", "pos", "exps", "fields", "sugar", "track",
+                 "tail", "unit")
 
-    def __init__(self, vec, keyf, track=None, unit=1):
+    def __init__(self, vec, packing: _Packing, track=None, unit=1):
         self.vec = vec
-        self.lt = lt = min(vec, key=keyf)
+        self.packing = packing
+        self.lt = lt = min(vec)
         self.lc = vec[lt]
-        self.pos, self.exps = lt
-        self.sugar = max(sum(e) for (_, e) in vec)
+        self.pos, self.exps = packing.unpacked[lt]
+        self.fields = lt & packing.low
+        self.sugar = None
         self.track = track
-        self.tail = [(p, e, c) for (p, e), c in vec.items() if (p, e) != lt]
+        self.tail = [(t, c) for t, c in vec.items() if t != lt]
         self.unit = unit
+
+    def repacked(self, packing: _Packing) -> "_Prepared":
+        packed, unpacked = packing.packed, self.packing.unpacked
+        return _Prepared({packed[unpacked[t]]: c for t, c in self.vec.items()}, packing,
+                         unit=self.unit)
+
+
+def _repacked(divisors: list, packing: _Packing) -> list:
+    return [d if d.packing is packing else d.repacked(packing) for d in divisors]
 
 
 def _prepare(vec, ring) -> _Prepared:
     """A divisor for `_vec_reduce` under the ring's module order."""
-    keyf = _vkey(ring)
-    if ring.field.p:
-        return _Prepared(vec, keyf)
-    ints, den = _integral(vec)
+    p, width = ring.field.p, START_WIDTH
+    while True:
+        packing = _packing(ring.order, ring.nvars, width)
+        try:
+            ints, den = _packed(vec, packing, p)
+            break
+        except _Overflow:
+            width *= 2
+    if p:
+        return _Prepared(ints, packing)
     content = gcd(*ints.values())
     if content != 1:
         ints = {k: c // content for k, c in ints.items()}
-    return _Prepared(ints, keyf, unit=Fraction(content, den))
-
-
-def _integral(vec: dict):
-    """(ints, den) with ints == den * vec integral, den the least common
-    denominator of vec's rational coefficients; key order is kept."""
-    den = int_lcm(*(c.denominator for c in vec.values()))
-    return {k: c.numerator * (den // c.denominator) for k, c in vec.items()}, den
+    return _Prepared(ints, packing, unit=Fraction(content, den))
 
 
 def _exact(num, den):
@@ -817,8 +945,15 @@ def _exact(num, den):
     return Fraction(num, den) if r else q
 
 
-def _vec_scale_shift(vec: dict, coeff, shift, field) -> dict:
-    return {(p, mono_mul(e, shift)): field.mul(c, coeff) for (p, e), c in vec.items()}
+def _shifted(vec: dict, coeff, shift: int, p: int, guard: int) -> dict:
+    """coeff * vec multiplied by the monomial that `shift` adds."""
+    out = {}
+    for t, c in vec.items():
+        t += shift
+        if t & guard:
+            raise _Overflow
+        out[t] = c * coeff % p if p else c * coeff
+    return out
 
 
 def _vec_sub_inplace(target: dict, other: dict, field):
@@ -830,49 +965,42 @@ def _vec_sub_inplace(target: dict, other: dict, field):
             target.pop(k, None)
 
 
-def _pseudo_reduce(vec: dict, divisors: list, keyf, p: int, track_len: int = 0,
-                   memo: dict | None = None):
-    """Normal form of vec by the prepared divisors, up to a nonzero scalar.
+def _pseudo_reduce(vec: dict, divisors: list, packing: _Packing, p: int, track_len: int = 0):
+    """Normal form of the packed vec by the prepared divisors, up to a
+    nonzero scalar.
 
     Returns (remainder, cofactors, scale) with
     scale * vec == sum of cofactors[i] * divisors[i].vec + remainder,
     the sum running over every divisor (a cofactor is kept for each of the
-    first track_len divisors only).  Over GF(p) scale is 1 and a term is
-    cancelled by the inverse of the divisor's leading coefficient lc.  Over
-    QQ the coefficients are integers: with g = gcd(c, lc), the work, the
-    remainder and the cofactors are multiplied by lc // g and c // g times
-    the shifted divisor is subtracted (primitive pseudo-reduction), so the
-    loop divides nothing.  Every step depends on leading monomials only,
-    hence both take the steps a reduction by field division takes, with
-    every intermediate value multiplied by the scale reached so far.
+    first track_len divisors only, keyed by the shift its monomial adds).
+    Over GF(p) scale is 1 and a term is cancelled by the inverse of the
+    divisor's leading coefficient lc.  Over QQ the coefficients are integers:
+    with g = gcd(c, lc), the work, the remainder and the cofactors are
+    multiplied by lc // g and c // g times the shifted divisor is subtracted
+    (primitive pseudo-reduction), so the loop divides nothing.  Every step
+    depends on leading monomials only, hence both take the steps a reduction
+    by field division takes, with every intermediate value multiplied by the
+    scale reached so far.
 
-    The leading term is popped from a heap of (key, term); a term that
+    The leading term is popped from a heap of packed terms; a term that
     cancels leaves its entry behind, and the entry is skipped when popped.
     Each step reduces by the first divisor whose leading term divides.
-    `memo` maps terms to keys; callers reducing many vectors under one key
-    function pass the same dict to compute each key once.
     """
-    if memo is None:
-        memo = {}
+    high, low, guard = packing.high, packing.low, packing.guard
     work = dict(vec)
-    heap = []
-    for t in work:
-        k = memo.get(t)
-        if k is None:
-            k = memo[t] = keyf(t)
-        heap.append((k, t))
+    heap = list(work)
     heapify(heap)
     remainder: dict = {}
     cof = [dict() for _ in range(track_len)]
     scale = 1
     while heap:
-        t = heappop(heap)[1]
+        t = heappop(heap)
         c = work.pop(t, None)
         if c is None:
             continue
-        pos, exps = t
+        pos, fields = t >> high, t & low
         for i, d in enumerate(divisors):
-            if d.pos == pos and all(map(le, d.exps, exps)):
+            if d.pos == pos and not (fields - d.fields) & guard:
                 break
         else:
             remainder[t] = c
@@ -888,18 +1016,17 @@ def _pseudo_reduce(vec: dict, divisors: list, keyf, p: int, track_len: int = 0,
                 for part in (work, remainder, *cof):
                     for k in part:
                         part[k] *= m
-        shift = tuple(map(sub, exps, d.exps))
-        for dpos, de, dc in d.tail:
-            nt = (dpos, tuple(map(add, de, shift)))
+        shift = t - d.lt
+        for nt, dc in d.tail:
+            nt += shift
             old = work.get(nt)
             if old is None:
+                if nt & guard:
+                    raise _Overflow
                 s = -dc * factor % p if p else -dc * factor
                 if s:
                     work[nt] = s
-                    k = memo.get(nt)
-                    if k is None:
-                        k = memo[nt] = keyf(nt)
-                    heappush(heap, (k, nt))
+                    heappush(heap, nt)
             else:
                 s = (old - dc * factor) % p if p else old - dc * factor
                 if s:
@@ -926,26 +1053,37 @@ def _vec_reduce(vec: dict, divisors: list, ring: PolyRing, track_len: int = 0):
     prepared (empty when track_len is 0).  Over QQ the remainder and the
     cofactors are Fractions; the reduction itself runs on integers.
     """
-    keyf = _vkey(ring)
     p = ring.field.p
+    # the divisors usually share one packing; one that does not is repacked,
+    # and one too wide for it makes the loop widen
+    packing = divisors[0].packing if divisors else _packing(ring.order, ring.nvars, START_WIDTH)
+    while True:
+        try:
+            ints, den = _packed(vec, packing, p)
+            rem, cof, scale = _pseudo_reduce(ints, _repacked(divisors, packing), packing, p,
+                                             track_len)
+            break
+        except _Overflow:
+            packing = _packing(ring.order, ring.nvars, 2 * packing.width)
+    unpacked, exps = packing.unpacked, packing.exps
     if p:
-        rem, cof, _ = _pseudo_reduce(vec, divisors, keyf, p, track_len)
-        return rem, cof
-    ints, den = _integral(vec)
-    rem, cof, scale = _pseudo_reduce(ints, divisors, keyf, 0, track_len)
+        return ({unpacked[t]: c for t, c in rem.items()},
+                [{exps(s): c for s, c in ci.items()} for ci in cof])
     scale *= den   # scale * vec == sum of cofactor * d.vec + remainder
-    rem = {k: Fraction(c, scale) for k, c in rem.items()}
+    rem = {unpacked[t]: Fraction(c, scale) for t, c in rem.items()}
     out = []
     for d, ci in zip(divisors, cof):
         # the prepared divisor is d.unit * d.vec
         num, dnm = d.unit.denominator, scale * d.unit.numerator
-        out.append({k: Fraction(c * num, dnm) for k, c in ci.items()})
+        out.append({exps(s): Fraction(c * num, dnm) for s, c in ci.items()})
     return rem, out
 
 
-def _track_combine(track_target: dict, track_src: dict, coeff, shift, field):
-    for (i, e), c in track_src.items():
-        k = (i, mono_mul(e, shift))
+def _track_combine(track_target: dict, track_src: dict, coeff, shift: int, field, guard: int):
+    for k, c in track_src.items():
+        k += shift
+        if k & guard:
+            raise _Overflow
         s = field.add(track_target.get(k, 0), field.mul(c, coeff))
         if s:
             track_target[k] = s
@@ -953,7 +1091,7 @@ def _track_combine(track_target: dict, track_src: dict, coeff, shift, field):
             track_target.pop(k, None)
 
 
-def _buchberger(vecs: list, ring: PolyRing, rank: int, keyf=None, track: bool = False):
+def _buchberger(vecs: list, ring: PolyRing, rank: int, track: bool = False):
     """Reduced Groebner basis of the submodule generated by vecs.
 
     With track=True, also returns representations: for each basis element a
@@ -966,75 +1104,87 @@ def _buchberger(vecs: list, ring: PolyRing, rank: int, keyf=None, track: bool = 
     reduces by `_pseudo_reduce`; over GF(p) it holds g itself.  Every choice
     depends on leading monomials only, so both fields take the steps of
     Buchberger's algorithm on monic elements.  Over QQ the returned basis
-    and tracks are divided by lambda, as Fractions, at the end.
+    and tracks are divided by lambda, as Fractions, at the end.  Tracks are
+    packed too, the input index in the place of the position.
     """
+    width = START_WIDTH
+    while True:
+        try:
+            return _buchberger_packed(vecs, ring, rank, track,
+                                      _packing(ring.order, ring.nvars, width))
+        except _Overflow:
+            width *= 2
+
+
+def _buchberger_packed(vecs: list, ring: PolyRing, rank: int, track: bool, packing: _Packing):
     field = ring.field
     p = field.p
-    keyf = keyf or _vkey(ring)
-    memo: dict = {}   # term -> keyf(term), shared by every reduction below
+    guard, low = packing.guard, packing.low
 
     def loop_form(vec, tr) -> _Prepared:
         """A new element as the loop holds it, its track divided alike:
         primitive over QQ, monic over GF(p)."""
-        prep = _Prepared(vec, keyf, tr)
-        s = prep.lc if p else gcd(*vec.values())
-        if s == 1:
-            return prep
-        if p:
-            inv = field.inv(s)
-            vec = {k: c * inv % p for k, c in vec.items()}
-            if tr is not None:
-                tr = {k: c * inv % p for k, c in tr.items()}
-        else:
-            vec = {k: c // s for k, c in vec.items()}
-            if tr is not None:
-                tr = {k: _exact(c, s) for k, c in tr.items()}
-        return _Prepared(vec, keyf, tr)
+        s = vec[min(vec)] if p else gcd(*vec.values())
+        if s != 1:
+            if p:
+                inv = field.inv(s)
+                vec = {k: c * inv % p for k, c in vec.items()}
+                if tr is not None:
+                    tr = {k: c * inv % p for k, c in tr.items()}
+            else:
+                vec = {k: c // s for k, c in vec.items()}
+                if tr is not None:
+                    tr = {k: _exact(c, s) for k, c in tr.items()}
+        prep = _Prepared(vec, packing, tr)
+        prep.sugar = max(map(packing.degree, vec))
+        return prep
 
     G: list[_Prepared] = []
+    one = (0,) * ring.nvars
     for i, v in enumerate(vecs):
         if not v:
             continue
-        v, den = (dict(v), 1) if p else _integral(v)
-        G.append(loop_form(v, {(i, (0,) * ring.nvars): den} if track else None))
+        v, den = _packed(v, packing, p)
+        G.append(loop_form(v, {packing.pack(i, one): den} if track else None))
 
     pairs: list = []
     done_pairs: set = set()
 
-    def pair_key(i, j):
-        gi, gj = G[i], G[j]
-        lcm = mono_lcm(gi.exps, gj.exps)
-        sugar = max(sum(mono_div(lcm, gi.exps)) + gi.sugar,
-                    sum(mono_div(lcm, gj.exps)) + gj.sugar)
-        return (sugar, tuple(lcm), i, j)
-
     def push_pairs_with(j):
+        """Queue (sugar, lcm, i, j) for every i < j in the same position;
+        the sugar of a pair is the degree of the lcm plus the larger excess
+        of an element's sugar over the degree of its leading monomial."""
         gj = G[j]
         for i in range(j):
             gi = G[i]
             if gi.pos != gj.pos:
                 continue
-            heappush(pairs, (*pair_key(i, j), i, j))
+            lcm = tuple(map(max, gi.exps, gj.exps))
+            sugar = sum(lcm) + max(gi.sugar - sum(gi.exps), gj.sugar - sum(gj.exps))
+            heappush(pairs, (sugar, lcm, i, j))
 
     for j in range(len(G)):
         push_pairs_with(j)
 
+    # a field is nonzero exactly when adding `top` to it sets its guard bit
+    ones = sum(packing.top << o for o in packing.offsets)
     while pairs:
-        *_, i, j = heappop(pairs)
+        _, lcm, i, j = heappop(pairs)
         if (i, j) in done_pairs:
             continue
         done_pairs.add((i, j))
         gi, gj = G[i], G[j]
-        lcm = mono_lcm(gi.exps, gj.exps)
         # product criterion: valid for ring elements (rank-1 leading data)
-        if rank == 1 and all(a == 0 or b == 0 for a, b in zip(gi.exps, gj.exps)):
+        if rank == 1 and not (gi.fields + ones) & (gj.fields + ones) & guard:
             continue
+        lcm = packing.pack(gi.pos, lcm)
+        lcm_fields = lcm & low
         # chain criterion
         skip = False
         for k, gk in enumerate(G):
             if k in (i, j) or gk.pos != gi.pos:
                 continue
-            if mono_divides(gk.exps, lcm):
+            if not (lcm_fields - gk.fields) & guard:
                 a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
                 if a in done_pairs and b in done_pairs:
                     skip = True
@@ -1042,22 +1192,22 @@ def _buchberger(vecs: list, ring: PolyRing, rank: int, keyf=None, track: bool = 
         if skip:
             continue
         # S-vector ai * x^si * gi - aj * x^sj * gj; ai == aj == 1 over GF(p)
-        si, sj = mono_div(lcm, gi.exps), mono_div(lcm, gj.exps)
+        si, sj = lcm - gi.lt, lcm - gj.lt
         common = gcd(gi.lc, gj.lc)
         ai, aj = gj.lc // common, gi.lc // common
-        spoly = _vec_scale_shift(gi.vec, ai, si, field)
-        _vec_sub_inplace(spoly, _vec_scale_shift(gj.vec, aj, sj, field), field)
-        red, cof, scale = _pseudo_reduce(spoly, G, keyf, p, len(G) if track else 0, memo)
+        spoly = _shifted(gi.vec, ai, si, p, guard)
+        _vec_sub_inplace(spoly, _shifted(gj.vec, aj, sj, p, guard), field)
+        red, cof, scale = _pseudo_reduce(spoly, G, packing, p, len(G) if track else 0)
         if not red:
             continue
         rtrack = None
         if track:
             rtrack = {}
-            _track_combine(rtrack, gi.track, field.mul(scale, ai), si, field)
-            _track_combine(rtrack, gj.track, field.neg(field.mul(scale, aj)), sj, field)
+            _track_combine(rtrack, gi.track, field.mul(scale, ai), si, field, guard)
+            _track_combine(rtrack, gj.track, field.neg(field.mul(scale, aj)), sj, field, guard)
             for d, cterms in zip(G, cof):
                 for shift, c in cterms.items():
-                    _track_combine(rtrack, d.track, field.neg(c), shift, field)
+                    _track_combine(rtrack, d.track, field.neg(c), shift, field, guard)
         G.append(loop_form(red, rtrack))
         push_pairs_with(len(G) - 1)
 
@@ -1069,8 +1219,8 @@ def _buchberger(vecs: list, ring: PolyRing, rank: int, keyf=None, track: bool = 
             if k == idx:
                 continue
             other = G[k]
-            if other.pos == g.pos and mono_divides(other.exps, g.exps):
-                if other.exps == g.exps and k > idx:
+            if other.pos == g.pos and not (g.fields - other.fields) & guard:
+                if other.fields == g.fields and k > idx:
                     continue
                 lt_divisible = True
                 break
@@ -1083,16 +1233,16 @@ def _buchberger(vecs: list, ring: PolyRing, rank: int, keyf=None, track: bool = 
     reduced = []
     for idx, g in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1:]
-        rem, cof, scale = _pseudo_reduce(g.vec, others, keyf, p,
-                                         len(others) if track else 0, memo)
+        rem, cof, scale = _pseudo_reduce(g.vec, others, packing, p,
+                                         len(others) if track else 0)
         tr = None
         if track:
             tr = {k: field.mul(c, scale) for k, c in g.track.items()}
             for d, cterms in zip(others, cof):
                 for shift, c in cterms.items():
-                    _track_combine(tr, d.track, field.neg(c), shift, field)
+                    _track_combine(tr, d.track, field.neg(c), shift, field, guard)
         if rem:
-            lt = min(rem, key=keyf)
+            lt = min(rem)
             if not p:
                 # g's leading term is irreducible by the others, so over
                 # GF(p) rem is monic like g; over QQ it is made monic here
@@ -1100,12 +1250,14 @@ def _buchberger(vecs: list, ring: PolyRing, rank: int, keyf=None, track: bool = 
                 rem = {k: Fraction(c, lc) for k, c in rem.items()}
                 if tr is not None:
                     tr = {k: Fraction(c, lc) for k, c in tr.items()}
-            reduced.append((keyf(lt), rem, tr))
+            reduced.append((lt, rem, tr))
 
     reduced.sort(key=itemgetter(0))
+    unpacked = packing.unpacked
+    basis = [{unpacked[t]: c for t, c in v.items()} for _, v, _ in reduced]
     if track:
-        return [v for _, v, _ in reduced], [t for _, _, t in reduced]
-    return [v for _, v, _ in reduced]
+        return basis, [{unpacked[k]: c for k, c in t.items()} for _, _, t in reduced]
+    return basis
 
 
 # Equal presentations are rebuilt as new objects throughout the layers above,
@@ -1156,7 +1308,9 @@ def _syzygy_vecs(columns: list, ring: PolyRing, rank: int) -> list:
         work = [dict(c) for c in columns] + _quotient_vecs(ring, rank)
         for i, v in enumerate(work):
             v[(rank + i, (0,) * ring.nvars)] = ring.field.one()
-        gb = _buchberger(work, free, rank + len(work), keyf=_vkey(free, elim_rank=rank))
+        # position-over-term with positions 0..rank-1 largest is already an
+        # elimination order for the columns' positions
+        gb = _buchberger(work, free, rank + len(work))
         out = []
         for g in gb:
             if all(p >= rank for (p, _) in g):

@@ -201,26 +201,45 @@ def test_oversized_stage_exits_one_quickly(capsys, tmp_path):
         assert "256" in report["result"]["message"]
 
 
-@pytest.mark.parametrize("stage", [4, 7])
-def test_large_chart_idal_power_exits_one_quickly(capsys, tmp_path, stage):
-    # O on both charts of the self-glued (x, y) plane, glued by e^{(x)stage}
-    # forward and 1 back; idal generation needs the chart idal at that
-    # power, whose validation would tensor 2^(3 stage) generators
+def staged_o_workspace(tmp_path, stage):
+    """A workspace gluing O on both charts of the self-glued (x, y) plane by
+    e^{(x)stage} forward and 1 back; idal generation needs the chart idal
+    at that power."""
     x_y = load_preset("double-origin-plane")["idals"]["Jxy"]["ideal_generators"]
     row = ["*".join(f"({g})" for g in idx) for idx in itertools.product(x_y, repeat=stage)]
     spec = dict(load_preset("double-origin-plane")["glued"]["O_double"])
     spec["tau"] = {"fwd_stage": stage, "fwd": [row], "bwd_stage": 0, "bwd": [["1"]]}
     path = tmp_path / "tau.json"
     path.write_text(json.dumps({"glued": {"G": spec}}))
-    code, report = invoke(capsys, "glue", "G", "--workspace", str(path),
+    return str(path)
+
+
+@pytest.mark.parametrize("stage", [5, 7])
+def test_large_chart_idal_power_exits_one_quickly(capsys, tmp_path, stage):
+    # validating the chart idal at that power works at stage 2 * stage,
+    # past MAX_POWER_GENS = 2^8 generators
+    path = staged_o_workspace(tmp_path, stage)
+    code, report = invoke(capsys, "glue", "G", "--workspace", path,
                           "--preset", "double-origin-plane")
     assert code == 0 and report["result"]["valid"] is True
     started = time.perf_counter()
-    code, report = invoke(capsys, "idal-generate", "G", "--workspace", str(path),
+    code, report = invoke(capsys, "idal-generate", "G", "--workspace", path,
                           "--preset", "double-origin-plane")
     assert time.perf_counter() - started < 1.0
     assert code == 1 and report["result"]["error"] == "AlgebraError"
-    assert ("4194304" if stage == 4 else "256") in report["result"]["message"]
+    assert f"tensor power {2 * stage} " in report["result"]["message"]
+    assert "256" in report["result"]["message"]
+
+
+def test_chart_idal_power_four_generates(capsys, tmp_path):
+    # its validation matrices have 2^4 rows and 2^12 columns, at stage 8
+    path = staged_o_workspace(tmp_path, 4)
+    code, report = invoke(capsys, "idal-generate", "G", "--workspace", path,
+                          "--preset", "double-origin-plane")
+    assert code == 0
+    assert report["result"] == {"blocks": [{"chart": 1, "power": 4},
+                                           {"chart": 2, "power": 0}],
+                                "surjective": True}
 
 
 @pytest.mark.parametrize("p,message", [

@@ -12,7 +12,9 @@ sp = pytest.importorskip("sympy")
 
 from sympy import QQ as SQQ
 
-from idals import FreeVector, PolyRing, QQ, divide_with_cofactors, groebner, syzygies
+from idals import (FreeVector, ModuleMap, PolyRing, PresentedModule, QQ, cokernel,
+                   divide_with_cofactors, groebner, syzygies)
+from idals.fpmod import iso_failure_certificate
 from idals.polyring import SubmoduleLifter
 
 from conftest import random_poly
@@ -105,3 +107,34 @@ def test_syzygy_modules_agree():
             v = FreeVector(R, entries)
             if not v.is_zero():
                 assert lifter is not None and lifter.contains(v.to_vec())
+
+
+@pytest.mark.parametrize("case", ["projection", "onto-quotient"])
+def test_kernel_element_certificate(case):
+    """The kernel_element kind of `iso_failure_certificate`, re-checked in
+    sympy: for a map with zero cokernel and a nonzero kernel, the column is
+    sent into the target's relations and is not in the source's."""
+    R = PolyRing(QQ, ["x", "y"])
+    if case == "projection":            # O^2 -> O onto the first summand
+        src, tgt, matrix = PresentedModule(R, 2), PresentedModule(R, 1), [["1", "0"]]
+    else:                               # O^2/(xy, 0) -> O/(x), kernel (-y, 1) and (x, 0)
+        src = PresentedModule(R, 2, [("x*y", "0")])
+        tgt, matrix = PresentedModule(R, 1, [("x",)]), [["1", "y"]]
+    phi = ModuleMap(src, tgt, matrix)
+    assert cokernel(phi)[0].is_zero_module()
+    cert = iso_failure_certificate(phi)
+    assert cert["kind"] == "kernel_element"
+
+    def sym(text):
+        return sp.sympify(text, locals={"x": X, "y": Y})
+
+    col = [sym(p) for p in cert["column"]]
+    ring_sp = SQQ.old_poly_ring(X, Y)
+
+    def relations(M):
+        return ring_sp.free_module(M.gens).submodule(
+            *[[_to_sympy(R.poly(p)) for p in rel] for rel in M.relations])
+
+    image = [sp.expand(sum(sym(str(a)) * c for a, c in zip(row, col))) for row in matrix]
+    assert relations(tgt).contains(image)
+    assert not relations(src).contains(col)

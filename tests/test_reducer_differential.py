@@ -12,8 +12,8 @@ from math import gcd
 import pytest
 
 from idals import GF, QQ, PolyRing, polyring
-from idals.polyring import (SubmoduleLifter, _buchberger, _prepare, _syzygy_vecs,
-                            _vec_reduce, _vkey)
+from idals.polyring import (SubmoduleLifter, _buchberger, _packing, _prepare, _syzygy_vecs,
+                            _vec_reduce)
 
 import reducer_oracle as oracle
 
@@ -95,7 +95,7 @@ def test_elimination_key_matches_oracle(ring, rank, rng):
         v[(rank + i, (0,) * ring.nvars)] = ring.field.one()
         work.append(v)
     total = rank + len(columns)
-    assert_same_gb(_buchberger(work, ring, total, keyf=_vkey(ring, elim_rank=rank)),
+    assert_same_gb(_buchberger(work, ring, total),
                    oracle.buchberger(work, ring, total, keyf=oracle.vkey(ring, elim_rank=rank)))
 
 
@@ -146,12 +146,20 @@ def test_reduce_terms_matches_the_full_reduction(field, order):
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("elim_rank", [None, 1, 2])
 def test_term_key_sorts_like_the_oracle_order(order, elim_rank):
+    """A smaller packed term is a larger term.  The oracle's elimination key
+    orders terms the same way: positions below elim_rank are the smallest
+    positions, so position-over-term already puts them first."""
     ring = PolyRing(QQ, ["x", "y", "z"], order)
     rng = random.Random(7)
     terms = {(rng.randrange(4), tuple(rng.randrange(4) for _ in range(3)))
              for _ in range(300)}
-    assert (sorted(terms, key=_vkey(ring, elim_rank))
-            == sorted(terms, key=oracle.vkey(ring, elim_rank), reverse=True))
+    for width in (8, 16):
+        packing = _packing(order, 3, width)
+        top = packing.top   # exponents at the top of the fields sort right too
+        wide = terms | {(pos, tuple(top if x == 3 else x for x in e)) for pos, e in terms}
+        for ts in (terms, wide):
+            assert (sorted(ts, key=lambda t: packing.pack(*t))
+                    == sorted(ts, key=oracle.vkey(ring, elim_rank), reverse=True))
 
 
 # -- the integer kernel over QQ ----------------------------------------------
@@ -252,7 +260,7 @@ def test_integer_syzygies_match_oracle(pool, rank, monkeypatch):
         work.append(v)
     total = rank + len(columns)
     old = oracle.buchberger(work, ring, total, keyf=oracle.vkey(ring, elim_rank=rank))
-    new = _buchberger(work, ring, total, keyf=_vkey(ring, elim_rank=rank))
+    new = _buchberger(work, ring, total)
     assert_same_gb(new, old)
     assert_fractions(new)
     want = [{(p - rank, e): c for (p, e), c in g.items()} for g in old
@@ -311,3 +319,124 @@ def test_standard_systems_over_qq_match_oracle(system, track):
     new = _buchberger(vecs, ring, 1, track=track)
     assert_same_gb(new, oracle.buchberger(vecs, ring, 1, track=track))
     assert_fractions(new)
+
+
+# -- packed terms whose width grows ------------------------------------------
+#
+# The kernel packs exponents into 8-bit fields first and packs again at twice
+# the width whenever a term outgrows them: at the input, or mid-run when a
+# product of in-range terms overflows.  Nothing it returns may depend on it.
+
+def spy_on_widths(monkeypatch):
+    """The field width of every Buchberger run started."""
+    widths = []
+    original = polyring._buchberger_packed
+
+    def spy(vecs, ring, rank, track, packing):
+        widths.append(packing.width)
+        return original(vecs, ring, rank, track, packing)
+
+    monkeypatch.setattr(polyring, "_buchberger_packed", spy)
+    return widths
+
+
+def binomial(ring, a, b, pos=0):
+    """x^a - y^b-style vector: monomial a minus monomial b, in position pos."""
+    one = ring.field.one()
+    return {(pos, tuple(a)): one, (pos, tuple(b)): ring.field.neg(one)}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("track", [False, True])
+def test_width_grows_mid_run_under_lex(field, track, monkeypatch):
+    # x^200 - y and y^2 - x fit 8-bit fields; under lex the basis holds
+    # y^400 - y, whose exponent does not
+    widths = spy_on_widths(monkeypatch)
+    ring = PolyRing(field, ["x", "y"], "lex")
+    vecs = [binomial(ring, (200, 0), (0, 1)), binomial(ring, (0, 2), (1, 0))]
+    new = _buchberger(vecs, ring, 1, track=track)
+    assert_same_gb(new, oracle.buchberger(vecs, ring, 1, track=track))
+    assert widths == [8, 16]
+    assert any(e == (0, 400) for v in (new[0] if track else new) for _, e in v)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_reduction_widens_mid_run(field):
+    # x^250 * y reduced by x - y^2 (lex) passes through y^501, and the
+    # divisors were prepared at 8 bits
+    ring = PolyRing(field, ["x", "y"], "lex")
+    divs = [binomial(ring, (1, 0), (0, 2)), binomial(ring, (0, 3), (0, 0))]
+    prepared = [_prepare(d, ring) for d in divs]
+    assert [d.packing.width for d in prepared] == [8, 8]
+    vec = {(0, (250, 1)): ring.field.one(), (0, (3, 0)): ring.field.of(2)}
+    for track_len in (0, 2):
+        new = _vec_reduce(vec, prepared, ring, track_len=track_len)
+        old = oracle.vec_reduce(vec, [oracle.prepare(d, ring) for d in divs], ring, 1,
+                                track_len=track_len)
+        assert items(new[0]) == items(old[0])
+        assert [items(c) for c in new[1]] == [items(c) for c in old[1] or []]
+    assert max(max(e) for c in new[1] for e in c) > 255   # the cofactors outgrew 8 bits
+
+
+def big_exponent_systems(ring):
+    """x^70000 - y and y^2 - x, and x^70000*y - 1 with y^2 - x, built
+    through the API: 70000 needs fields of 32 bits."""
+    x, y = ring.var("x"), ring.var("y")
+    big = ring.monomial((70000, 0))
+    return [[big - y, y * y - x], [big * y - 1, y * y - x]]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("order", ["grevlex", "grlex"])
+def test_exponents_past_two_to_the_sixteen(field, order):
+    ring = PolyRing(field, ["x", "y"], order)
+    for gens in big_exponent_systems(ring):
+        vecs = [{(0, e): c for e, c in g.terms.items()} for g in gens]
+        for track in (False, True):
+            assert_same_gb(_buchberger(vecs, ring, 1, track=track),
+                           oracle.buchberger(vecs, ring, 1, track=track))
+        want = oracle.buchberger(vecs, ring, 1)
+        assert ([items(g.terms) for g in polyring.groebner(gens, ring)]
+                == [[(e, c) for (_, e), c in v.items()] for v in want])
+        vec = {(0, (70003, 5)): ring.field.one(), (0, (2, 7)): ring.field.of(3)}
+        new = _vec_reduce(vec, [_prepare(v, ring) for v in vecs], ring, track_len=2)
+        old = oracle.vec_reduce(vec, [oracle.prepare(v, ring) for v in vecs], ring, 1,
+                                track_len=2)
+        assert items(new[0]) == items(old[0])
+        assert [items(c) for c in new[1]] == [items(c) for c in old[1]]
+
+
+def test_exponents_past_two_to_the_sixteen_under_lex():
+    # x - y^2 eliminates x: each basis holds y^140000 and comes from a
+    # reduction of 70000 steps (the tracked runs of these take minutes)
+    ring = PolyRing(GF(32003), ["x", "y"], "lex")
+    for gens in big_exponent_systems(ring):
+        vecs = [{(0, e): c for e, c in g.terms.items()} for g in gens]
+        new = _buchberger(vecs, ring, 1)
+        assert_same_gb(new, oracle.buchberger(vecs, ring, 1))
+        assert max(e[1] for v in new for _, e in v) >= 140000
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_rank_three_syzygies_with_widening(field, monkeypatch):
+    """`_syzygy_vecs` of rank-3 columns whose S-vectors reach y^299: the
+    Buchberger run starts at 8 bits and widens, and its output is the
+    oracle basis of the tagged input under the elimination key, projected."""
+    widths = spy_on_widths(monkeypatch)
+    ring = PolyRing(field, ["x", "y"])
+    rank = 3
+    c0 = {(0, (200, 1)): field.one(), (1, (0, 100)): field.of(2)}
+    c1 = {(0, (1, 200)): field.one(), (2, (100, 0)): field.of(3)}
+    columns = [c0, c1, {**c0, **c1}, {(p, (a, b + 1)): c for (p, (a, b)), c in c1.items()}]
+    work = []
+    for i, col in enumerate(columns):
+        v = dict(col)
+        v[(rank + i, (0, 0))] = field.one()
+        work.append(v)
+    old = oracle.buchberger(work, ring, rank + len(columns),
+                            keyf=oracle.vkey(ring, elim_rank=rank))
+    want = [{(p - rank, e): c for (p, e), c in g.items()} for g in old
+            if all(p >= rank for (p, _) in g)]
+    assert len(want) == 2
+    assert [items(v) for v in _syzygy_vecs(columns, ring, rank)] == [items(v) for v in want]
+    assert widths == [8, 16]
