@@ -752,21 +752,17 @@ def _parse_poly(text: str, ring: PolyRing) -> dict:
 # vec: dict[(pos, exps)] -> coeff.  Module order: position-over-term with
 # position 0 largest; ties broken by the ring's monomial order.
 #
-# Inside the engine every term (pos, exps) is one int, built by a `_Packing`:
-#
-#     pos << high  +  key << (bits below the key)  +  exponent fields
-#
-# Each exponent has a field of `width` bits topped by a guard bit; `key` is
-# the monomial-order key, offset to be nonnegative and oriented so that a
-# smaller key is a larger monomial.  A smaller int is therefore a larger term,
-# and all three parts are linear in the exponents: multiplying by a monomial
-# adds a fixed int (t - s is the shift from s to a multiple t), and s divides
-# t exactly when both lie in one position and subtracting the fields of s
-# from those of t sets no guard bit.  Two exponents below 2^width sum to
-# less than 2^(width + 1), so a product never carries into the next field: a
-# new term whose exponent outgrows the width shows a set guard bit, and the
-# engine raises `_Overflow` and starts again at twice the width.  The steps
-# taken do not depend on the width, so the rerun gives the same result.
+# Inside the engine every term (pos, exps) is one int (`_Packing`): the
+# position above the order key above one field per exponent, each topped by
+# a guard bit.  A smaller int is a larger term, and all parts are linear in
+# the exponents: multiplying by a monomial adds a fixed int (t - s is the
+# shift from s to a multiple t), and s divides t exactly when both lie in
+# one position and subtracting the fields of s from those of t sets no guard
+# bit.  Two exponents below 2^width sum to less than 2^(width + 1), so a
+# product never carries into the next field: a new term whose exponent
+# outgrows the width shows a set guard bit, and the engine raises
+# `_Overflow` and starts again at twice the width.  The steps taken do not
+# depend on the width, so the rerun gives the same result.
 
 
 def _poly_to_vec(terms: dict, pos: int = 0) -> dict:
@@ -1117,6 +1113,8 @@ def _buchberger(vecs: list, ring: PolyRing, rank: int, track: bool = False):
 
 
 def _buchberger_packed(vecs: list, ring: PolyRing, rank: int, track: bool, packing: _Packing):
+    """`_buchberger` with its terms packed by `packing`; `_Overflow` when a
+    term outgrows it."""
     field = ring.field
     p = field.p
     guard, low = packing.guard, packing.low

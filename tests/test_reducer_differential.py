@@ -361,6 +361,21 @@ def test_width_grows_mid_run_under_lex(field, track, monkeypatch):
 
 
 @pytest.mark.parametrize("field", FIELDS)
+def test_tracks_alone_outgrow_the_width(field, monkeypatch):
+    # every basis exponent fits 8 bits, but the tracks reach x^444
+    widths = spy_on_widths(monkeypatch)
+    ring = PolyRing(field, ["x", "y"], "grlex")
+    vecs = [{(0, (14, 238)): field.of(3), (0, (26, 80)): field.of(2)},
+            {(0, (190, 240)): field.of(1), (0, (194, 52)): field.of(2)},
+            {(0, (127, 6)): field.of(4), (0, (208, 143)): field.of(2)}]
+    new = _buchberger(vecs, ring, 1, track=True)
+    assert_same_gb(new, oracle.buchberger(vecs, ring, 1, track=True))
+    assert widths == [8, 16]
+    assert max(max(e) for v in new[0] for _, e in v) <= 255
+    assert max(max(e) for t in new[1] for _, e in t) > 255
+
+
+@pytest.mark.parametrize("field", FIELDS)
 def test_reduction_widens_mid_run(field):
     # x^250 * y reduced by x - y^2 (lex) passes through y^501, and the
     # divisors were prepared at 8 bits
