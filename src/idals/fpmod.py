@@ -105,7 +105,7 @@ class PresentedModule:
         if self._rel_gb is None:
             self._rel_gb = _module_gb([_column_vec(c) for c in self.relations],
                                       self.ring, self.gens)
-            self._rel_prepared = [_prepare(v, self.ring.free()) for v in self._rel_gb]
+            self._rel_prepared = _prepare(self._rel_gb, self.ring.free())
         return self._rel_gb
 
     def _graded_leading_terms(self):

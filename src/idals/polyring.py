@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm as int_lcm
-from operator import attrgetter, itemgetter, mul
+from operator import itemgetter, mul
 
 from .errors import (
     AlgebraError,
@@ -208,15 +208,6 @@ def mono_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_div(a, b):
-    """Exponent vector of a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def make_order_key(order: str):
     """Sort key monotone with the monomial order: bigger key = bigger monomial.
 
@@ -339,34 +330,17 @@ class PolyRing:
         if not self.quotient_gb or not terms:
             return terms
         divs = self._quotient_divisors(1)
-        packing = divs[0].packing
-        packed, low, guard = packing.packed, packing.low, packing.guard
-        for e in terms:
-            try:
-                fields = packed[0, e] & low
-            except _Overflow:
-                # no divisor has an exponent above top, so capping is exact
-                fields = packing.pack(0, [min(x, packing.top) for x in e]) & low
-            for d in divs:
-                if not (fields - d.fields) & guard:
-                    break
-            else:
-                continue
-            break
-        else:
+        if not any(mono_divides(d.exps, e) for e in terms for d in divs):
             return terms
         red, _ = _vec_reduce(_poly_to_vec(terms), divs, self._free)
         return _vec_to_poly_terms(red)
 
     def _quotient_divisors(self, rank: int):
         """Quotient generators placed in each of `rank` positions, prepared
-        once per rank with one packing."""
+        once per rank."""
         divs = self._qdivs.get(rank)
         if divs is None:
-            divs = [_prepare(v, self.free()) for v in _quotient_vecs(self, rank)]
-            if divs:
-                divs = _repacked(divs, max((d.packing for d in divs), key=attrgetter("width")))
-            self._qdivs[rank] = divs
+            divs = self._qdivs[rank] = _prepare(_quotient_vecs(self, rank), self.free())
         return divs
 
     def contains_one(self, gens) -> bool:
@@ -777,28 +751,13 @@ class _Overflow(Exception):
     """A term outgrew the field width of its packing."""
 
 
-# The width packing starts from, and the most conversions a packing keeps in
-# each direction before it forgets them all: reductions convert the same few
-# terms in call after call.
+# The width packing starts from, and the most recent conversions a packing
+# keeps in each direction.  Many small reductions convert the same few terms
+# again and again (on perfbench's workloads nearly every lookup hits, and no
+# packing sees more than a few hundred distinct terms); a full pair of
+# caches holds about 1.7 MB.
 START_WIDTH = 8
 PACK_MEMO_MAX = 1 << 12
-
-
-class _Memo(dict):
-    """convert(key) for each key, computed on first use and kept until more
-    than PACK_MEMO_MAX are kept."""
-
-    __slots__ = ("convert",)
-
-    def __init__(self, convert):
-        super().__init__()
-        self.convert = convert
-
-    def __missing__(self, key):
-        if len(self) > PACK_MEMO_MAX:
-            self.clear()
-        value = self[key] = self.convert(key)
-        return value
 
 
 class _Packing:
@@ -813,8 +772,8 @@ class _Packing:
     offset is the largest such sum over exponents of at most 2^width - 1, so
     the degree digit is wider than any degree the guard admits.
 
-    `packed[(pos, exps)]` is the packed term, or `_Overflow` for an exponent
-    above `top`; `unpacked[term]` is (pos, exps)."""
+    `packed(key)` and `unpacked(t)` are `pack(*key)` and `unpack(t)`, kept
+    for the last PACK_MEMO_MAX terms."""
 
     __slots__ = ("width", "top", "offsets", "incr", "base", "high", "low", "guard",
                  "packed", "unpacked")
@@ -841,19 +800,18 @@ class _Packing:
         self.high = below + koff.bit_length()
         self.low = (1 << below) - 1     # the exponent fields
         self.guard = sum(1 << o + width for o in offsets)
-
-        def pack_checked(key):
-            pos, exps = key
-            if exps and max(exps) > top:
-                raise _Overflow
-            return self.pack(pos, exps)
-
-        self.packed = _Memo(pack_checked)
-        self.unpacked = _Memo(lambda t: (t >> self.high, self.exps(t)))
+        self.packed = lru_cache(PACK_MEMO_MAX)(lambda key: self.pack(*key))
+        self.unpacked = lru_cache(PACK_MEMO_MAX)(self.unpack)
 
     def pack(self, pos: int, exps) -> int:
-        """The packed term; its exponents must be at most top."""
+        """The packed term; `_Overflow` for an exponent above top."""
+        if exps and max(exps) > self.top:
+            raise _Overflow
         return (pos << self.high) + self.base + sum(map(mul, exps, self.incr))
+
+    def unpack(self, t) -> tuple:
+        """(pos, exps) of a packed term."""
+        return t >> self.high, self.exps(t)
 
     def exps(self, t) -> tuple:
         """The exponents of a term, or of the monomial a shift multiplies by."""
@@ -876,9 +834,9 @@ def _packed(vec: dict, packing: _Packing, p: int):
     key order is kept."""
     packed = packing.packed
     if p:
-        return {packed[k]: c for k, c in vec.items()}, 1
+        return {packed(k): c for k, c in vec.items()}, 1
     den = int_lcm(*(c.denominator for c in vec.values()))
-    return {packed[k]: c.numerator * (den // c.denominator) for k, c in vec.items()}, den
+    return {packed(k): c.numerator * (den // c.denominator) for k, c in vec.items()}, den
 
 
 class _Prepared:
@@ -900,7 +858,7 @@ class _Prepared:
         self.packing = packing
         self.lt = lt = min(vec)
         self.lc = vec[lt]
-        self.pos, self.exps = packing.unpacked[lt]
+        self.pos, self.exps = packing.unpacked(lt)
         self.fields = lt & packing.low
         self.sugar = None
         self.track = track
@@ -909,7 +867,7 @@ class _Prepared:
 
     def repacked(self, packing: _Packing) -> "_Prepared":
         packed, unpacked = packing.packed, self.packing.unpacked
-        return _Prepared({packed[unpacked[t]]: c for t, c in self.vec.items()}, packing,
+        return _Prepared({packed(unpacked(t)): c for t, c in self.vec.items()}, packing,
                          unit=self.unit)
 
 
@@ -917,22 +875,26 @@ def _repacked(divisors: list, packing: _Packing) -> list:
     return [d if d.packing is packing else d.repacked(packing) for d in divisors]
 
 
-def _prepare(vec, ring) -> _Prepared:
-    """A divisor for `_vec_reduce` under the ring's module order."""
-    p, width = ring.field.p, START_WIDTH
-    while True:
-        packing = _packing(ring.order, ring.nvars, width)
-        try:
-            ints, den = _packed(vec, packing, p)
-            break
-        except _Overflow:
-            width *= 2
-    if p:
-        return _Prepared(ints, packing)
-    content = gcd(*ints.values())
-    if content != 1:
-        ints = {k: c // content for k, c in ints.items()}
-    return _Prepared(ints, packing, unit=Fraction(content, den))
+def _prepare(vecs: list, ring) -> list:
+    """Divisors for `_vec_reduce` under the ring's module order, all on one
+    packing: the narrowest whose fields hold every exponent of the vecs."""
+    p = ring.field.p
+    big = max((x for v in vecs for _, e in v for x in e), default=0)
+    width = START_WIDTH
+    while big >> width:
+        width *= 2
+    packing = _packing(ring.order, ring.nvars, width)
+    out = []
+    for vec in vecs:
+        ints, den = _packed(vec, packing, p)
+        if p:
+            out.append(_Prepared(ints, packing))
+            continue
+        content = gcd(*ints.values())
+        if content != 1:
+            ints = {k: c // content for k, c in ints.items()}
+        out.append(_Prepared(ints, packing, unit=Fraction(content, den)))
+    return out
 
 
 def _exact(num, den):
@@ -1050,9 +1012,10 @@ def _vec_reduce(vec: dict, divisors: list, ring: PolyRing, track_len: int = 0):
     cofactors are Fractions; the reduction itself runs on integers.
     """
     p = ring.field.p
-    # the divisors usually share one packing; one that does not is repacked,
-    # and one too wide for it makes the loop widen
-    packing = divisors[0].packing if divisors else _packing(ring.order, ring.nvars, START_WIDTH)
+    # the divisors of one `_prepare` call share one packing; the loop starts
+    # at the widest packing given and repacks any narrower divisor
+    width = max((d.packing.width for d in divisors), default=START_WIDTH)
+    packing = _packing(ring.order, ring.nvars, width)
     while True:
         try:
             ints, den = _packed(vec, packing, p)
@@ -1063,10 +1026,10 @@ def _vec_reduce(vec: dict, divisors: list, ring: PolyRing, track_len: int = 0):
             packing = _packing(ring.order, ring.nvars, 2 * packing.width)
     unpacked, exps = packing.unpacked, packing.exps
     if p:
-        return ({unpacked[t]: c for t, c in rem.items()},
+        return ({unpacked(t): c for t, c in rem.items()},
                 [{exps(s): c for s, c in ci.items()} for ci in cof])
     scale *= den   # scale * vec == sum of cofactor * d.vec + remainder
-    rem = {unpacked[t]: Fraction(c, scale) for t, c in rem.items()}
+    rem = {unpacked(t): Fraction(c, scale) for t, c in rem.items()}
     out = []
     for d, ci in zip(divisors, cof):
         # the prepared divisor is d.unit * d.vec
@@ -1252,9 +1215,9 @@ def _buchberger_packed(vecs: list, ring: PolyRing, rank: int, track: bool, packi
 
     reduced.sort(key=itemgetter(0))
     unpacked = packing.unpacked
-    basis = [{unpacked[t]: c for t, c in v.items()} for _, v, _ in reduced]
+    basis = [{unpacked(t): c for t, c in v.items()} for _, v, _ in reduced]
     if track:
-        return basis, [{unpacked[k]: c for k, c in t.items()} for _, _, t in reduced]
+        return basis, [{unpacked(k): c for k, c in t.items()} for _, _, t in reduced]
     return basis
 
 
@@ -1336,7 +1299,7 @@ class SubmoduleLifter:
         def compute():
             vecs = [dict(c) for c in columns] + _quotient_vecs(ring, rank)
             gb, reprs = _buchberger(vecs, free, rank, track=True)
-            return gb, reprs, [_prepare(v, free) for v in gb]
+            return gb, reprs, _prepare(gb, free)
 
         self._gb, self._reprs, self._prepared = _gb_memoized(
             ring, "lift", rank, columns, compute)
@@ -1453,9 +1416,9 @@ def divide_with_cofactors(v: FreeVector, basis: list):
         if b.rank != rank:
             raise RankMismatchError("basis element with different ambient rank")
     free = ring.free()
-    divisors = [_prepare(b.to_vec(), free) for b in basis if not b.is_zero()]
+    vecs = [b.to_vec() for b in basis if not b.is_zero()]
     index_map = [i for i, b in enumerate(basis) if not b.is_zero()]
-    divisors += ring._quotient_divisors(rank)
+    divisors = _prepare(vecs + _quotient_vecs(ring, rank), free)
     rem, cof = _vec_reduce(v.to_vec(), divisors, free, track_len=len(index_map))
     cofactors = [ring.zero()] * len(basis)
     for slot, terms in enumerate(cof):

@@ -11,7 +11,16 @@ from __future__ import annotations
 
 import heapq
 
-from idals.polyring import mono_div, mono_divides, mono_lcm, mono_mul
+from idals.polyring import mono_divides, mono_mul
+
+
+def mono_div(a, b):
+    """Exponent vector of a / b; caller guarantees divisibility."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def vkey(ring, elim_rank=None):

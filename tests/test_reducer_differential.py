@@ -68,8 +68,7 @@ def test_reduce_matches_oracle(ring, rank, rng):
         track_len = rng.randint(0, len(divs))
         for _ in range(3):
             vec = random_vec(ring, rank, rng, terms=6, deg=4)
-            new = _vec_reduce(vec, [_prepare(d, ring) for d in divs], ring,
-                              track_len=track_len)
+            new = _vec_reduce(vec, _prepare(divs, ring), ring, track_len=track_len)
             old = oracle.vec_reduce(vec, [oracle.prepare(d, ring) for d in divs], ring, rank,
                                     track_len=track_len)
             assert items(new[0]) == items(old[0])
@@ -235,8 +234,7 @@ def test_integer_reduction_matches_oracle(pool, order, rank):
         divs = [pool_vec(ring, rank, rng, pool) for _ in range(rng.randint(1, 4))]
         track_len = rng.randint(0, len(divs))
         vec = pool_vec(ring, rank, rng, pool, terms=6, deg=4)
-        new = _vec_reduce(vec, [_prepare(d, ring) for d in divs], ring,
-                          track_len=track_len)
+        new = _vec_reduce(vec, _prepare(divs, ring), ring, track_len=track_len)
         old = oracle.vec_reduce(vec, [oracle.prepare(d, ring) for d in divs], ring, rank,
                                 track_len=track_len)
         assert items(new[0]) == items(old[0])
@@ -381,7 +379,7 @@ def test_reduction_widens_mid_run(field):
     # divisors were prepared at 8 bits
     ring = PolyRing(field, ["x", "y"], "lex")
     divs = [binomial(ring, (1, 0), (0, 2)), binomial(ring, (0, 3), (0, 0))]
-    prepared = [_prepare(d, ring) for d in divs]
+    prepared = _prepare(divs, ring)
     assert [d.packing.width for d in prepared] == [8, 8]
     vec = {(0, (250, 1)): ring.field.one(), (0, (3, 0)): ring.field.of(2)}
     for track_len in (0, 2):
@@ -391,6 +389,32 @@ def test_reduction_widens_mid_run(field):
         assert items(new[0]) == items(old[0])
         assert [items(c) for c in new[1]] == [items(c) for c in old[1] or []]
     assert max(max(e) for c in new[1] for e in c) > 255   # the cofactors outgrew 8 bits
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_divisors_share_the_widest_packing(field, monkeypatch):
+    # y - 1 fits 8 bits and x^300 - y needs 16: prepared together both sit
+    # at 16 bits; prepared apart, a reduction by both packs its input once,
+    # at 16, with no failed attempt at 8
+    ring = PolyRing(field, ["x", "y"], "lex")
+    divs = [binomial(ring, (0, 1), (0, 0)), binomial(ring, (300, 0), (0, 1))]
+    assert [d.packing.width for d in _prepare(divs, ring)] == [16, 16]
+    apart = _prepare(divs[:1], ring) + _prepare(divs[1:], ring)
+    assert [d.packing.width for d in apart] == [8, 16]
+    widths = []
+    original = polyring._packed
+
+    def spy(vec, packing, p):
+        widths.append(packing.width)
+        return original(vec, packing, p)
+
+    monkeypatch.setattr(polyring, "_packed", spy)
+    vec = {(0, (301, 2)): ring.field.one(), (0, (0, 5)): ring.field.of(2)}
+    new = _vec_reduce(vec, apart, ring, track_len=2)
+    old = oracle.vec_reduce(vec, [oracle.prepare(d, ring) for d in divs], ring, 1, track_len=2)
+    assert items(new[0]) == items(old[0])
+    assert [items(c) for c in new[1]] == [items(c) for c in old[1]]
+    assert widths == [16]
 
 
 def big_exponent_systems(ring):
@@ -414,7 +438,7 @@ def test_exponents_past_two_to_the_sixteen(field, order):
         assert ([items(g.terms) for g in polyring.groebner(gens, ring)]
                 == [[(e, c) for (_, e), c in v.items()] for v in want])
         vec = {(0, (70003, 5)): ring.field.one(), (0, (2, 7)): ring.field.of(3)}
-        new = _vec_reduce(vec, [_prepare(v, ring) for v in vecs], ring, track_len=2)
+        new = _vec_reduce(vec, _prepare(vecs, ring), ring, track_len=2)
         old = oracle.vec_reduce(vec, [oracle.prepare(v, ring) for v in vecs], ring, 1,
                                 track_len=2)
         assert items(new[0]) == items(old[0])
