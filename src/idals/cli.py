@@ -23,7 +23,7 @@ from .fpmod import (
     ModuleMap,
     PresentedModule,
     free_module,
-    graded_dim,
+    graded_dims,
     is_iso,
     iso_failure_certificate,
     unit_module,
@@ -287,8 +287,8 @@ def _cmd_localize(ws, args):
     out = localization_oracle(f, M)
     result = {"module": _mod_json(out), "is_zero": out.is_zero_module()}
     if out.grading is not None:
-        result["graded_dims"] = {str(d): graded_dim(out, d)
-                                 for d in range(-args.degree_bound, args.degree_bound + 1)}
+        dims = graded_dims(out, range(-args.degree_bound, args.degree_bound + 1))
+        result["graded_dims"] = {str(d): v for d, v in dims.items()}
     return result, {}, True
 
 
@@ -312,8 +312,8 @@ def _cmd_quotient(ws, args):
     Q = quotient_functor(I, M)
     result = {"module": _mod_json(Q), "is_zero": Q.is_zero_module()}
     if Q.grading is not None:
-        result["graded_dims"] = {str(d): graded_dim(Q, d)
-                                 for d in range(0, args.degree_bound + 1)}
+        dims = graded_dims(Q, range(0, args.degree_bound + 1))
+        result["graded_dims"] = {str(d): v for d, v in dims.items()}
     return result, {}, True
 
 

@@ -31,8 +31,8 @@ from .polyring import (
     _prepare,
     _syzygy_vecs,
     _vec_reduce,
+    iter_window,
     mono_divides,
-    monomials_of_degree,
 )
 
 
@@ -777,22 +777,42 @@ def ring_is_graded(ring: PolyRing) -> bool:
     return True
 
 
-def graded_dim(M: PresentedModule, d: int) -> int:
-    """Base-field dimension of the degree-d component.
+def graded_dims(M: PresentedModule, degrees) -> dict:
+    """{d: base-field dimension of the degree-d component} for each d in
+    degrees.
 
     By Macaulay's theorem the standard monomials, the pairs (generator i,
     monomial m) that no leading term of `rel_gb` in position i divides, form
     a basis of M; with homogeneous relations they form one of each graded
-    component, so dim M_d counts those of degree d."""
+    component, so dim M_d counts those of degree d.  One enumeration covers
+    every degree d - shift that some generator needs, and each monomial is
+    counted as it comes, so a wide window holds no more than the counts."""
     if M.grading is None:
         raise UngradedError("module carries no grading")
     ring = M.ring
     if not ring_is_graded(ring):
         raise UngradedError("ring quotient ideal is not homogeneous")
-    count = 0
-    for i in range(M.gens):
-        monos = monomials_of_degree(ring, d - M.grading[i])
-        if monos:
-            lts = M._graded_leading_terms()[i]
-            count += sum(1 for m in monos if not any(mono_divides(lt, m) for lt in lts))
-    return count
+    dims = dict.fromkeys(degrees, 0)
+    # monomial degree k -> the (position, module degree) pairs it counts for
+    wants: dict = {}
+    for d in dims:
+        for i, a in enumerate(M.grading):
+            wants.setdefault(d - a, []).append((i, d))
+    if not wants:
+        return dims
+    lts = None
+    for m, k in iter_window(ring, min(wants), max(wants)):
+        pairs = wants.get(k)
+        if pairs is None:
+            continue
+        if lts is None:
+            lts = M._graded_leading_terms()
+        for i, d in pairs:
+            if not any(mono_divides(lt, m) for lt in lts[i]):
+                dims[d] += 1
+    return dims
+
+
+def graded_dim(M: PresentedModule, d: int) -> int:
+    """Base-field dimension of the degree-d component (see `graded_dims`)."""
+    return graded_dims(M, (d,))[d]

@@ -43,7 +43,7 @@ from .fpmod import (
     cokernel,
     direct_sum,
     free_module,
-    graded_dim,
+    graded_dims,
     hom_module,
     is_iso,
     invert_iso,
@@ -56,7 +56,7 @@ from .fpmod import (
 )
 from .idal import Idal, cover_check, idal_product
 from .localize import _saturated_stage, localized_ring, reflect
-from .polyring import Poly, PolyRing, QQ, RingHom, monomials_of_degree
+from .polyring import Poly, PolyRing, QQ, RingHom, monomials_in_window
 
 
 # ---------------------------------------------------------------------------
@@ -453,13 +453,12 @@ class SectionsResult:
 
 def _window_candidates(M: PresentedModule, bound: int):
     """(generator, monomial, degree) triples spanning the window |deg| <= bound."""
+    if not M.gens or bound < 0:
+        return []
     shifts = M.grading if M.grading is not None else (0,) * M.gens
-    out = []
-    for i in range(M.gens):
-        for d in range(-bound, bound + 1):
-            for m in monomials_of_degree(M.ring, d - shifts[i]):
-                out.append((i, m, d))
-    return out
+    window = monomials_in_window(M.ring, -bound - max(shifts), bound - min(shifts))
+    return [(i, m, d) for i, a in enumerate(shifts)
+            for d in range(-bound, bound + 1) for m in window[d - a]]
 
 
 def _candidate_columns(M: PresentedModule, cands):
@@ -562,8 +561,8 @@ def _selfglue_sections(G: GluedModule, degree_bound: int, n_max: int) -> Section
         S = _block_sum(J.ring, [G.m1, G.m2])
         table = None
         if S.grading is not None:
-            table = {d: graded_dim(S, d) for d in range(-degree_bound, degree_bound + 1)}
-            table = {d: v for d, v in table.items() if v}
+            dims = graded_dims(S, range(-degree_bound, degree_bound + 1))
+            table = {d: v for d, v in dims.items() if v}
         return SectionsResult("selfglue", None, table, S)
     _check_selfglue_reflection(ra, n_max)
     _check_selfglue_reflection(rb, n_max)
@@ -573,8 +572,8 @@ def _selfglue_sections(G: GluedModule, degree_bound: int, n_max: int) -> Section
     by_degree = None
     if P.grading is not None:
         try:
-            by_degree = {d: graded_dim(P, d) for d in range(-degree_bound, degree_bound + 1)}
-            by_degree = {d: v for d, v in by_degree.items() if v}
+            dims = graded_dims(P, range(-degree_bound, degree_bound + 1))
+            by_degree = {d: v for d, v in dims.items() if v}
         except UngradedError:
             by_degree = None
     return SectionsResult("selfglue", None, by_degree, P)

@@ -23,7 +23,7 @@ from .fpmod import (
     PresentedModule,
     base_change_module,
     cokernel,
-    graded_dim,
+    graded_dims,
     hom_module,
     is_iso,
     kernel,
@@ -348,7 +348,7 @@ def deligne_window_dims(J: Idal, M: PresentedModule, N: PresentedModule,
     """Graded dimensions of the stage-n Deligne hom module on a degree window."""
     chain = HomChain.of(J, M, N)
     stage = chain.stage(n).module
-    return {d: graded_dim(stage, d) for d in degrees}
+    return graded_dims(stage, degrees)
 
 
 # ---------------------------------------------------------------------------

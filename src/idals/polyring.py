@@ -933,9 +933,10 @@ def _pseudo_reduce(vec: dict, divisors: list, packing: _Packing, p: int, track_l
     first track_len divisors only, keyed by the shift its monomial adds).
     Over GF(p) scale is 1 and a term is cancelled by the inverse of the
     divisor's leading coefficient lc.  Over QQ the coefficients are integers:
-    with g = gcd(c, lc), the work, the remainder and the cofactors are
-    multiplied by lc // g and c // g times the shifted divisor is subtracted
-    (primitive pseudo-reduction), so the loop divides nothing.  Every step
+    with g = gcd(c, lc) given the sign of lc, the work, the remainder and the
+    cofactors are multiplied by lc // g > 0 and c // g times the shifted
+    divisor is subtracted (primitive pseudo-reduction), so the loop divides
+    nothing, and a divisor with lc = -1 rescales nothing.  Every step
     depends on leading monomials only, hence both take the steps a reduction
     by field division takes, with every intermediate value multiplied by the
     scale reached so far.
@@ -967,7 +968,7 @@ def _pseudo_reduce(vec: dict, divisors: list, packing: _Packing, p: int, track_l
         if p:
             factor = c if lc == 1 else c * pow(lc, p - 2, p) % p
         else:
-            g = gcd(c, lc)
+            g = gcd(c, lc) if lc > 0 else -gcd(c, lc)
             m, factor = lc // g, c // g
             if m != 1:
                 scale *= m
@@ -1451,6 +1452,8 @@ class RingHom:
         self.src = src
         self.dst = dst
         self.images = {v: dst.poly(images[v]) for v in src.variables}
+        # (variable, exponent) -> image ** exponent; a hom never changes
+        self._powers = {}
         for q in src.quotient_gb:
             img = self._apply_terms(dict(q))
             if not img.is_zero():
@@ -1459,12 +1462,16 @@ class RingHom:
                     f"maps to {img} != 0")
 
     def _apply_terms(self, terms: dict) -> Poly:
+        powers = self._powers
         out = self.dst.zero()
         for exps, c in terms.items():
             m = self.dst.constant(c)
             for name, e in zip(self.src.variables, exps):
                 if e:
-                    m = m * (self.images[name] ** e)
+                    power = powers.get((name, e))
+                    if power is None:
+                        power = powers[name, e] = self.images[name] ** e
+                    m = m * power
             out = out + m
         return out
 
@@ -1493,18 +1500,27 @@ class RingHom:
 # ---------------------------------------------------------------------------
 # bounded-degree monomial enumeration (for exact graded linear algebra)
 
-def monomials_of_degree(ring: PolyRing, d: int) -> list:
-    """All quotient-normal-form monomials of weighted degree d, sorted by the
-    ring's order (descending).
+def iter_window(ring: PolyRing, lo: int, hi: int):
+    """Yields (m, k) once for every quotient-normal-form monomial m whose
+    weighted degree k lies in lo..hi, in no particular order.
 
-    Supported ring shapes (the graded components are finite exactly there):
-    all weights positive, or a single positive-weight variable together with
-    inverse variables t_j of negative weight whose quotient leading monomials
-    have the localization shape t_j * (positive-block monomial).
+    One pass walks the whole window: each variable is bounded by the far end
+    of the window, and a leaf is kept under the degree its weighted sum has.
+    The monomials are yielded as they are reached, so a caller that only
+    counts holds none of them.  Supported ring shapes (the graded components
+    are finite exactly there): all weights positive, or a single
+    positive-weight variable together with inverse variables t_j of negative
+    weight whose quotient leading monomials have the localization shape
+    t_j * (positive-block monomial).  An empty window (lo > hi) yields
+    nothing and checks nothing.
     """
+    if lo > hi:
+        return
     n = ring.nvars
     if n == 0:
-        return [()] if d == 0 else []
+        if lo <= 0 <= hi:
+            yield (), 0
+        return
     weights = ring.weights
     lms = [max(q, key=ring.monomial_key) for q in ring.quotient_gb]
     # zero-weight variables are only allowed when eliminated by the quotient
@@ -1512,80 +1528,94 @@ def monomials_of_degree(ring: PolyRing, d: int) -> list:
     for i in range(n):
         if weights[i] == 0:
             unit_vec = tuple(1 if j == i else 0 for j in range(n))
-            if not any(mono_divides(lm, unit_vec) and lm == unit_vec for lm in lms):
+            if unit_vec not in lms:
                 raise AlgebraError(
                     "monomial enumeration requires nonzero or eliminated variable weights")
 
-    def irreducible(exps) -> bool:
-        return not any(mono_divides(lm, exps) for lm in lms)
-
     pos = [i for i in range(n) if weights[i] > 0]
     neg = [i for i in range(n) if weights[i] < 0]
-    out = []
 
-    def dfs_block(var_list, target, base_exps, collect):
-        """Exponent vectors over var_list with weighted sum == target.
+    def block(var_list, k, cur, tlo, thi, far, exps):
+        """(exps, sum) for the completions of exps over var_list[k:] whose
+        weighted sum, cur so far, lies in tlo..thi.
 
-        All weights in var_list must have one sign; each variable is bounded
-        by the remaining budget since the rest moves the sum the same way.
-        """
-        exps = list(base_exps)
+        All weights in var_list have one sign, so each variable is bounded by
+        the budget left to the far end of the range."""
+        i = var_list[k]
+        w = weights[i]
+        last = k == len(var_list) - 1
+        for e in range(max((far - cur) // w, -1) + 1):  # none when the sign cannot work out
+            exps[i] = e
+            s = cur + e * w
+            if not last:
+                yield from block(var_list, k + 1, s, tlo, thi, far, exps)
+            elif tlo <= s <= thi:
+                yield tuple(exps), s
+        exps[i] = 0
 
-        def rec(k, cur):
-            if k == len(var_list):
-                if cur == target:
-                    collect(tuple(exps))
-                return
-            i = var_list[k]
-            w = weights[i]
-            bound = (target - cur) // w  # negative when the sign cannot work out
-            for e in range(max(bound, -1) + 1):
-                exps[i] = e
-                rec(k + 1, cur + e * w)
-                exps[i] = 0
-
-        rec(0, 0)
-
-    if not neg:
-        dfs_block(pos, d, [0] * n, lambda m: out.append(m) if irreducible(m) else None)
-    else:
+    def candidates():
+        """(m, k) before the quotient filter."""
+        if not neg:
+            if pos:
+                yield from block(pos, 0, 0, lo, hi, hi, [0] * n)
+            elif lo <= 0 <= hi:
+                yield (0,) * n, 0
+            return
         if len(pos) > 1:
             raise AlgebraError(
                 "graded components over rings with several positive-weight and "
                 "some negative-weight variables are not finite in general")
-        # positive-block degree cap for monomials that use an inverse variable:
-        # every inverse variable t_j has a leading monomial t_j * m_j, so a
-        # positive exponent >= deg(m_j) together with t_j >= 1 is reducible
+        # pure positive-block monomials
+        if pos:
+            i = pos[0]
+            w = weights[i]
+            for a in range(max(-(-lo // w), 0), hi // w + 1):
+                e = [0] * n
+                e[i] = a
+                yield tuple(e), a * w
+        # positive-block degree cap for monomials that use an inverse
+        # variable: every inverse variable t_j has a leading monomial
+        # t_j * m_j, so a positive exponent >= deg(m_j) together with t_j >= 1
+        # is reducible
         cap = 0
         for lm in lms:
             if any(lm[j] for j in neg):
                 cap = max(cap, sum(lm[i] for i in pos))
-        # pure positive-block monomial
-        if pos:
-            i = pos[0]
-            w = weights[i]
-            if d % w == 0 and d // w >= 0:
-                e = [0] * n
-                e[i] = d // w
-                if irreducible(tuple(e)):
-                    out.append(tuple(e))
-        elif d == 0:
-            out.append((0,) * n)
-        # monomials with at least one inverse variable
-        a_values = range(cap) if pos else [0]
-        for a in a_values:
+        # monomials with at least one inverse variable: the negative block
+        # must contribute <= -1
+        for a in (range(cap) if pos else [0]):
             base = [0] * n
+            shift = 0
             if pos:
                 base[pos[0]] = a
-            target = d - (a * weights[pos[0]] if pos else 0)
-            if target >= 0:
-                # at least one inverse variable is required, so the negative
-                # block must contribute <= -1
-                continue
-            def keep(m, _a=a):
-                if any(m[j] for j in neg) and irreducible(m):
-                    out.append(m)
-            dfs_block(neg, target, base, keep)
+                shift = a * weights[pos[0]]
+            tlo, thi = lo - shift, min(hi - shift, -1)
+            if tlo <= thi:
+                for m, s in block(neg, 0, 0, tlo, thi, tlo, base):
+                    yield m, shift + s
 
-    out.sort(key=ring.monomial_key, reverse=True)
+    if neg and not pos and lo <= 0 <= hi:
+        # the constant of a ring of inverse variables is kept unfiltered
+        yield (0,) * n, 0
+    for m, k in candidates():
+        if not any(mono_divides(lm, m) for lm in lms):
+            yield m, k
+
+
+def monomials_in_window(ring: PolyRing, lo: int, hi: int) -> dict:
+    """{k: the quotient-normal-form monomials of weighted degree k} for every
+    k in lo..hi, each list sorted by the ring's order (descending); see
+    `iter_window`."""
+    out = {k: [] for k in range(lo, hi + 1)}
+    for m, k in iter_window(ring, lo, hi):
+        out[k].append(m)
+    for monos in out.values():
+        if len(monos) > 1:
+            monos.sort(key=ring.monomial_key, reverse=True)
     return out
+
+
+def monomials_of_degree(ring: PolyRing, d: int) -> list:
+    """All quotient-normal-form monomials of weighted degree d, sorted by the
+    ring's order (descending): the one-degree window of `monomials_in_window`."""
+    return monomials_in_window(ring, d, d)[d]

@@ -358,6 +358,29 @@ def test_width_grows_mid_run_under_lex(field, track, monkeypatch):
     assert any(e == (0, 400) for v in (new[0] if track else new) for _, e in v)
 
 
+def test_divisor_with_leading_coefficient_minus_one_keeps_the_scale_positive():
+    # y^2 - x leads with -x under lex; reducing x^3 by it must not negate the
+    # work at every step: the scale stays 1 and the remainder is y^6
+    ring = PolyRing(QQ, ["x", "y"], "lex")
+    (div,) = _prepare([binomial(ring, (0, 2), (1, 0))], ring)
+    assert div.lc == -1
+    packing = div.packing
+    vec = {packing.packed((0, (3, 0))): 1}
+    rem, cof, scale = polyring._pseudo_reduce(vec, [div], packing, 0, track_len=1)
+    assert scale == 1
+    assert {packing.unpacked(t): c for t, c in rem.items()} == {(0, (0, 6)): 1}
+    assert sorted(cof[0].values()) == [-1, -1, -1]
+
+
+@pytest.mark.parametrize("track", [False, True])
+def test_lex_family_with_negative_leading_coefficients(track):
+    # x^n - y, y^2 - x over QQ: every reduction by y^2 - x has lc = -1
+    ring = PolyRing(QQ, ["x", "y"], "lex")
+    vecs = [binomial(ring, (1200, 0), (0, 1)), binomial(ring, (0, 2), (1, 0))]
+    assert_same_gb(_buchberger(vecs, ring, 1, track=track),
+                   oracle.buchberger(vecs, ring, 1, track=track))
+
+
 @pytest.mark.parametrize("field", FIELDS)
 def test_tracks_alone_outgrow_the_width(field, monkeypatch):
     # every basis exponent fits 8 bits, but the tracks reach x^444
