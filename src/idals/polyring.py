@@ -1595,7 +1595,8 @@ def iter_window(ring: PolyRing, lo: int, hi: int):
                     yield m, shift + s
 
     if neg and not pos and lo <= 0 <= hi:
-        # the constant of a ring of inverse variables is kept unfiltered
+        # listed without the quotient test: in a ring of inverse variables
+        # only the unit ideal could reduce 1
         yield (0,) * n, 0
     for m, k in candidates():
         if not any(mono_divides(lm, m) for lm in lms):
