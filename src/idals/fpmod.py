@@ -141,14 +141,6 @@ class PresentedModule:
             cols[pos][e] = c
         return tuple(Poly(self.ring, t) for t in cols)
 
-    def coordinates(self, columns):
-        """Dense base-field rows, one per column, of the columns' normal
-        forms, over the union of their (position, monomial) supports."""
-        reduced = [self.reduce_vec(_column_vec(c)) for c in columns]
-        support = sorted({k for r in reduced for k in r})
-        zero = self.ring.field.zero()
-        return [[r.get(k, zero) for k in support] for r in reduced]
-
     def span_key(self, extra_cols):
         """A value that is equal for two column lists over this module's
         generators exactly when the relations plus the columns span the same
@@ -816,3 +808,42 @@ def graded_dims(M: PresentedModule, degrees) -> dict:
 def graded_dim(M: PresentedModule, d: int) -> int:
     """Base-field dimension of the degree-d component (see `graded_dims`)."""
     return graded_dims(M, (d,))[d]
+
+
+def column_rank(*blocks) -> int:
+    """Base-field rank of columns taken modulo module relations.
+
+    Each block is a (module, columns) pair, every block holding the same
+    number of columns; column j is the stack of the j-th column of each
+    block, so modules over different rings with one base field are ranked
+    together.  Elimination runs on the sparse normal forms, keyed by
+    (block, (position, monomial)): a row pivots on its largest key, a new
+    pivot row is scaled to 1 there, and each step touches only the nonzero
+    entries of the pivot row."""
+    if not blocks:
+        return 0
+    field = blocks[0][0].ring.field
+    if any(M.ring.field != field for M, _ in blocks):
+        raise RingMismatchError("stacked columns over different base fields")
+    if len({len(cols) for _, cols in blocks}) > 1:
+        raise AlgebraError("stacked blocks hold different numbers of columns")
+    zero = field.zero()
+    reduced = [[M.reduce_vec(_column_vec(c)) for c in cols] for M, cols in blocks]
+    pivots: dict = {}
+    for parts in zip(*reduced):
+        row = {(b, k): c for b, part in enumerate(parts) for k, c in part.items()}
+        while row:
+            key = max(row)
+            lead = row[key]
+            pivot = pivots.get(key)
+            if pivot is None:
+                inv = field.inv(lead)
+                pivots[key] = {k: field.mul(c, inv) for k, c in row.items()}
+                break
+            for k, c in pivot.items():
+                v = field.sub(row.get(k, zero), field.mul(lead, c))
+                if v:
+                    row[k] = v
+                else:
+                    row.pop(k, None)
+    return len(pivots)

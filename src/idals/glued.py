@@ -27,7 +27,6 @@ from .errors import (
     UngradedError,
     WellDefinednessError,
 )
-from . import linalg
 from .fpmod import (
     ModuleMap,
     PresentedModule,
@@ -40,6 +39,7 @@ from .fpmod import (
     base_change_map,
     base_change_module,
     column_degree,
+    column_rank,
     cokernel,
     direct_sum,
     free_module,
@@ -469,7 +469,7 @@ def _candidate_columns(M: PresentedModule, cands):
 def _nullity(module: PresentedModule, columns) -> int:
     """Dimension of the base-field relations among the columns' images in
     the module."""
-    return len(columns) - linalg.rank(module.coordinates(columns), module.ring.field)
+    return len(columns) - column_rank((module, columns))
 
 
 def global_sections(G: GluedModule, degree_bound: int = 6, n_max: int = 8) -> SectionsResult:
@@ -719,18 +719,21 @@ def roundtrip_check(A: PolyRing, I: Idal, J: Idal, M: PresentedModule,
                     n_max: int = 8, degree_bound: int = 6) -> RoundtripResult:
     """Whether M -> R_I(M) x_{R_{I(x)J}(M)} R_J(M) is an isomorphism.
 
-    Exact when all three reflectors stabilize; otherwise decided by windowed
-    dimension comparison against the principal-localization oracles.
+    The reflectors are scanned in the order I, J, I (x) J.  Exact when all
+    three stabilize; at the first one that truncates the rest are skipped,
+    and the answer is a windowed dimension comparison against the
+    principal-localization oracles, which reads no reflection.
     """
     if not cover_check(I, J):
         raise AlgebraError("cover check fails: the idals do not cover")
     IJ = idal_product(I, J)
-    rI = reflect(I, M, n_max)
-    rJ = reflect(J, M, n_max)
-    rIJ = reflect(IJ, M, n_max)
-    if rI.stabilized and rJ.stabilized and rIJ.stabilized:
-        return _roundtrip_exact(A, I, J, IJ, M, rI, rJ, rIJ, n_max)
-    return _roundtrip_windowed(A, I, J, M, degree_bound)
+    reflections = []
+    for K in (I, J, IJ):
+        r = reflect(K, M, n_max)
+        if not r.stabilized:
+            return _roundtrip_windowed(A, I, J, M, degree_bound)
+        reflections.append(r)
+    return _roundtrip_exact(A, I, J, IJ, M, *reflections, n_max)
 
 
 def _roundtrip_exact(A, I, J, IJ, M, rI, rJ, rIJ, n_max) -> RoundtripResult:
@@ -804,9 +807,7 @@ def _roundtrip_windowed(A, I, J, M, bound) -> RoundtripResult:
     dimW = _nullity(Mfg, fg_cols) - _nullity(Mf, colsF) - _nullity(Mg, colsG)
 
     # rank and injectivity of the windowed image of M in Mf (+) Mg
-    rowsF = Mf.coordinates(hf.apply_matrix(colsM))
-    rowsG = Mg.coordinates(hg.apply_matrix(colsM))
-    rk_img = linalg.rank([rf + rg for rf, rg in zip(rowsF, rowsG)], A.field)
+    rk_img = column_rank((Mf, hf.apply_matrix(colsM)), (Mg, hg.apply_matrix(colsM)))
     injective = (len(colsM) - rk_img) == _nullity(M, colsM)
     ok = injective and (rk_img == dimW)
     return RoundtripResult(ok, "windowed",

@@ -13,9 +13,10 @@ its value is that it stays as it was.
 
 from __future__ import annotations
 
-from idals import linalg
 from idals.errors import AlgebraError, UngradedError
 from idals.fpmod import PresentedModule, column_degree, ring_is_graded
+
+import rank_oracle as linalg
 
 
 def mono_divides(a, b):

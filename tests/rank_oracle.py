@@ -1,8 +1,19 @@
-"""Exact dense linear algebra over QQ or F_p (Gaussian elimination only)."""
+"""Frozen copy of the dense base-field rank that `fpmod.column_rank`
+replaced.
+
+Test-only oracle for `test_fpmod.py`, `graded_oracle.py` and
+`roundtrip_oracle.py`: `linalg.row_reduce` / `rank` were `Fraction` (or
+mod-p) Gauss-Jordan on dense rows, and `PresentedModule.coordinates` wrote
+the normal forms of a list of columns as dense rows over the union of
+their (position, monomial) supports.  The sparse rank on the normal forms
+must give the same numbers.  Do not optimise this file; its value is that
+it stays as it was.
+"""
 
 from __future__ import annotations
 
-from .polyring import BaseField
+from idals.fpmod import _column_vec
+from idals.polyring import BaseField
 
 
 def row_reduce(rows: list, field: BaseField):
@@ -40,3 +51,12 @@ def row_reduce(rows: list, field: BaseField):
 
 def rank(rows: list, field: BaseField) -> int:
     return len(row_reduce(rows, field)[0])
+
+
+def coordinates(module, columns):
+    """Dense base-field rows, one per column, of the columns' normal
+    forms, over the union of their (position, monomial) supports."""
+    reduced = [module.reduce_vec(_column_vec(c)) for c in columns]
+    support = sorted({k for r in reduced for k in r})
+    zero = module.ring.field.zero()
+    return [[r.get(k, zero) for k in support] for r in reduced]

@@ -83,6 +83,23 @@ def test_roundtrip_command(capsys):
     assert code == 0 and report["result"]["roundtrip"] is True
 
 
+def test_roundtrip_large_window(capsys):
+    code, report = invoke(capsys, "roundtrip", "I", "J", "O", "--preset",
+                          "double-origin-line", "--degree-bound", "200")
+    assert code == 0
+    assert report["result"] == {"mode": "windowed", "roundtrip": True}
+    assert report["certificates"] == {"injective_on_window": True,
+                                      "window_dim_pullback": 201, "window_rank_image": 201}
+
+
+def test_sections_large_window(capsys):
+    code, report = invoke(capsys, "sections", "O2twist", "--preset", "p1",
+                          "--degree-bound", "100")
+    assert code == 0
+    assert report["result"]["total"] == 3
+    assert report["result"]["by_degree"] == {"0": 1, "1": 1, "2": 1}
+
+
 def test_believes_false_exit(capsys):
     code, report = invoke(capsys, "believes", "I", "O", "--preset", "double-origin-line")
     assert code == 2

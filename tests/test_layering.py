@@ -1,7 +1,7 @@
 """Only polyring and fpmod know the raw-vector format `{(pos, exps): coeff}`:
-the layers above them lift, reduce and compare columns through
-`ModuleMap.lift` and `PresentedModule.normal_form` / `coordinates` /
-`span_key`, never through the engine's helpers.
+the layers above them lift, reduce, rank and compare columns through
+`ModuleMap.lift`, `PresentedModule.normal_form` / `span_key` and
+`fpmod.column_rank`, never through the engine's helpers.
 
 Only idal knows how Deligne stages J^{(x)n} (x) M are flattened: the layers
 above it build staged maps, which are matrices, through `Idal.collapse` /
