@@ -820,8 +820,6 @@ def column_rank(*blocks) -> int:
     (block, (position, monomial)): a row pivots on its largest key, a new
     pivot row is scaled to 1 there, and each step touches only the nonzero
     entries of the pivot row."""
-    if not blocks:
-        return 0
     field = blocks[0][0].ring.field
     if any(M.ring.field != field for M, _ in blocks):
         raise RingMismatchError("stacked columns over different base fields")

@@ -110,7 +110,6 @@ def test_stacked_two_ring_rank_matches_dense_oracle(field_name, seed):
 def test_empty_inputs(field_name):
     R = rings(FIELDS[field_name])[1]
     M = PresentedModule(R, 2, [("x", "y")])
-    assert column_rank() == 0
     assert column_rank((M, [])) == 0 == dense_rank((M, []))
     assert column_rank((M, []), (unit_module(rings(FIELDS[field_name])[0]), [])) == 0
 
