@@ -14,9 +14,11 @@ from importlib import resources
 
 from .errors import (
     AlgebraError,
+    LiftError,
     StabilizationError,
     TauNotInvertibleError,
     TauNotWellDefinedError,
+    WellDefinednessError,
     WorkspaceError,
 )
 from .fpmod import (
@@ -39,6 +41,7 @@ from .idal import (
     nilpotency_check,
 )
 from .localize import (
+    HomChain,
     canonical_to_hom,
     deligne_hom,
     idal_comparison_search,
@@ -75,6 +78,10 @@ COMMANDS = (
 )
 
 PRESETS = ("p1", "double-origin-line", "double-origin-plane")
+
+# The largest --degree-bound.  Graded windows count every degree up to it, and
+# at 10^8 the process runs out of memory before it writes a report.
+MAX_DEGREE_BOUND = 10_000
 
 
 class Workspace:
@@ -194,13 +201,27 @@ class Workspace:
             J = scheme.idal
             try:
                 fwd_stage, bwd_stage = int(tau["fwd_stage"]), int(tau["bwd_stage"])
-                fwd = ModuleMap(J.stage_source(fwd_stage, m1), m2, tau["fwd"], check=True)
-                bwd = ModuleMap(J.stage_source(bwd_stage, m2), m1, tau["bwd"], check=True)
+                fwd = _staged_matrix(J, fwd_stage, m1, m2, tau["fwd"])
+                bwd = _staged_matrix(J, bwd_stage, m2, m1, tau["bwd"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise WorkspaceError(f"bad staged tau: {exc}") from exc
-            return GluedModule(scheme, m1, m2,
-                               SelfGlueTau(fwd_stage, fwd.matrix, bwd_stage, bwd.matrix))
+            return GluedModule(scheme, m1, m2, SelfGlueTau(fwd_stage, fwd, bwd_stage, bwd))
         return GluedModule(scheme, m1, m2, tau, spec.get("tau_inv"))
+
+
+def _staged_matrix(J: Idal, n: int, M: PresentedModule, T: PresentedModule, rows):
+    """The matrix of a staged map J^{(x)n} (x) M -> T read from workspace
+    rows, checked well defined by currying it into the idal's hom chain
+    without presenting J^{(x)n} (x) M."""
+    width = J.power_gens(n) * M.gens
+    chain = HomChain.of(J, M, T)
+    matrix = ModuleMap(free_module(J.ring, width), T, rows, check=False).matrix
+    try:
+        chain.curry(n, matrix)
+    except LiftError as exc:
+        raise WellDefinednessError(
+            "matrix does not send source relations into target relations") from exc
+    return matrix
 
 
 def load_preset(name: str) -> dict:
@@ -516,6 +537,8 @@ def run(argv=None) -> int:
     try:
         if args.n_max < 1 or args.degree_bound < 0:
             raise WorkspaceError("flags out of range: need n-max >= 1, degree-bound >= 0")
+        if args.degree_bound > MAX_DEGREE_BOUND:
+            raise WorkspaceError(f"flags out of range: need degree-bound <= {MAX_DEGREE_BOUND}")
         ws = Workspace()
         for preset in args.preset:
             ws.load(load_preset(preset))

@@ -478,17 +478,9 @@ def direct_sum(modules):
 # tensor structure
 
 # The most entries, generators times relation columns, of a presented tensor
-# product: carrier powers, chart pieces and the stage sources the workspace
-# loader and HomChain.interpret / shrink present.  The tests build 256 x 2048
+# product, such as carrier powers and chart pieces.  The tests build 256 x 2048
 # at most (the 8th power of the (x, y) idal).
 MAX_TENSOR_ENTRIES = 1 << 22
-
-
-def check_tensor_size(gens: int, n_rels: int):
-    """An AlgebraError for a tensor product past MAX_TENSOR_ENTRIES."""
-    if gens * n_rels > MAX_TENSOR_ENTRIES:
-        raise AlgebraError(f"tensor product too large: {gens} generators x {n_rels} relation "
-                           f"columns exceeds {MAX_TENSOR_ENTRIES} entries")
 
 
 def tensor(M: PresentedModule, N: PresentedModule) -> PresentedModule:
@@ -497,7 +489,10 @@ def tensor(M: PresentedModule, N: PresentedModule) -> PresentedModule:
         raise RingMismatchError("tensor over different rings")
     ring = M.ring
     g = M.gens * N.gens
-    check_tensor_size(g, len(M.relations) * N.gens + M.gens * len(N.relations))
+    n_rels = len(M.relations) * N.gens + M.gens * len(N.relations)
+    if g * n_rels > MAX_TENSOR_ENTRIES:
+        raise AlgebraError(f"tensor product too large: {g} generators x {n_rels} relation "
+                           f"columns exceeds {MAX_TENSOR_ENTRIES} entries")
     rels = []
     for col in M.relations:
         for j in range(N.gens):

@@ -17,7 +17,6 @@ from .fpmod import (
     _kron,
     _matmul,
     base_change_module,
-    check_tensor_size,
     cokernel,
     free_module,
     is_iso,
@@ -108,17 +107,6 @@ class Idal:
             raise AlgebraError(f"tensor power {n} of a {g}-generator idal carrier is out "
                                f"of range: need n >= 0 and {g}^n <= {MAX_POWER_GENS}")
 
-    def check_stage(self, n: int, M: PresentedModule):
-        """An AlgebraError unless J^{(x)n} (x) M is within MAX_POWER_GENS and
-        MAX_TENSOR_ENTRIES, from counts alone: J^{(x)n} has g^n generators and
-        n g^(n-1) r relation columns for a carrier of g and r.  It guards
-        `stage_source`."""
-        self._check_power(n)
-        if n:
-            g, r = self.carrier.gens, len(self.carrier.relations)
-            check_tensor_size(g ** n * M.gens,
-                              n * g ** (n - 1) * r * M.gens + g ** n * len(M.relations))
-
     def carrier_power(self, n: int) -> PresentedModule:
         """I^{(x)n}; an AlgebraError past MAX_POWER_GENS generators."""
         self._check_power(n)
@@ -152,13 +140,6 @@ class Idal:
         AlgebraError past MAX_POWER_GENS."""
         self._check_power(n)
         return self.carrier.gens ** n
-
-    def stage_source(self, n: int, M: PresentedModule) -> PresentedModule:
-        """J^{(x)n} (x) M presented in full (M at n = 0), to read its relations."""
-        if n == 0:
-            return M
-        self.check_stage(n, M)
-        return tensor(self.carrier_power(n), M)
 
     def collapse(self, M: PresentedModule, n: int, m: int):
         """J^{(x)n} (x) M -> J^{(x)m} (x) M applying e at the last n-m slots."""

@@ -14,6 +14,7 @@ two-consecutive-isomorphisms rule.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from .errors import AlgebraError, LiftError, RingMismatchError
@@ -78,15 +79,14 @@ class HomChain:
     The outermost HOM is the first slot of J^{(x)n}; with row-major
     flattening, column block j of a staged map J^{(x)n} (x) mid -> target
     belongs to generator j of that slot.  `uncurry` and `curry` move
-    between stage-n elements and the matrices of such staged maps;
-    `interpret` and `express` do the same for maps out of the presented
-    J^{(x)n} (x) mid.
+    between stage-n elements and the matrices of such staged maps; `curry`
+    raises LiftError on a matrix whose staged map is not well defined.
     """
 
     def __init__(self, J: Idal, mid: PresentedModule, target: PresentedModule):
         if J.ring != mid.ring or J.ring != target.ring:
             raise RingMismatchError("chain data over different rings")
-        self.J = J
+        self._idal = weakref.ref(J)   # weak: the idal keeps its chains (`of`)
         self.mid = mid
         self.target = target
         self.ring = J.ring
@@ -104,17 +104,24 @@ class HomChain:
             J._chains[key] = HomChain(J, mid, target)
         return J._chains[key]
 
+    @property
+    def J(self) -> Idal:
+        J = self._idal()
+        if J is None:
+            raise ReferenceError("the hom chain's idal has been freed")
+        return J
+
     def stage(self, n: int) -> HomModule:
         if n not in self._stages:
             self._stages[n] = hom_module(self.mid, self.target) if n == 0 \
                 else hom_module(self.J.carrier, self.stage(n - 1).module)
         return self._stages[n]
 
-    def shrink(self, n: int) -> ModuleMap:
-        """J^{(x)(n+1)} (x) mid -> J^{(x)n} (x) mid applying e at the last slot:
-        precomposing with it is the transition stated on the staged maps."""
-        return ModuleMap(self.J.stage_source(n + 1, self.mid), self.J.stage_source(n, self.mid),
-                         self.J.collapse(self.mid, n + 1, n), check=False)
+    def shrink(self, n: int):
+        """The matrix of J^{(x)(n+1)} (x) mid -> J^{(x)n} (x) mid applying e
+        at the last slot: precomposing with it is the transition stated on the
+        staged maps."""
+        return self.J.collapse(self.mid, n + 1, n)
 
     def transition(self, n: int) -> ModuleMap:
         if n not in self._transitions:
@@ -129,11 +136,6 @@ class HomChain:
             comp = self.transition(k).compose(comp)
         return comp
 
-    def interpret(self, n: int, coeffs) -> ModuleMap:
-        """The staged map J^{(x)n} (x) mid -> target of a stage-n element."""
-        return ModuleMap(self.J.stage_source(n, self.mid), self.target,
-                         self.uncurry(n, coeffs), check=False)
-
     def uncurry(self, n: int, coeffs):
         """The matrix of the staged map of a stage-n element."""
         phi = self.stage(n).interpret(coeffs)
@@ -142,12 +144,9 @@ class HomChain:
         blocks = [self.uncurry(n - 1, phi.column(j)) for j in range(phi.source.gens)]
         return [[p for b in blocks for p in b[r]] for r in range(self.target.gens)]
 
-    def express(self, n: int, f: ModuleMap):
-        """Stage-n coordinates of a staged map f : J^{(x)n} (x) mid -> target."""
-        return self.curry(n, f.matrix)
-
     def curry(self, n: int, matrix):
-        """Stage-n coordinates of the matrix of a staged map."""
+        """Stage-n coordinates of the matrix of a staged map; a LiftError
+        unless that map is well defined."""
         H = self.stage(n)
         if n == 0:
             return H.express(ModuleMap(H.source, H.target, matrix, check=False))
@@ -326,11 +325,11 @@ class DeligneHomResult:
     def stabilized(self) -> bool:
         return self.chain.stabilized_at is not None
 
-    def interpret(self, coeffs) -> ModuleMap:
-        """The map J^{(x)n*} (x) M -> N encoded by an element of the value."""
+    def interpret(self, coeffs):
+        """The matrix of J^{(x)n*} (x) M -> N encoded by an element of the value."""
         if self.chain.stabilized_at is None:
             raise AlgebraError("chain did not stabilize; no interpretation")
-        return self.hom_chain.interpret(self.chain.stabilized_at, coeffs)
+        return self.hom_chain.uncurry(self.chain.stabilized_at, coeffs)
 
 
 def deligne_hom(J: Idal, M: PresentedModule, N: PresentedModule,

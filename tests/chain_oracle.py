@@ -3,7 +3,7 @@ HOM(J^{(x)n} (x) mid, target) on the explicit tensor-power source.
 
 Test-only oracle for `test_chain_differential.py`: its transitions precompose
 with the map J^{(x)(n+1)} (x) mid -> J^{(x)n} (x) mid that applies e at the
-*last* tensor slot (`HomChain.shrink` of the chain under test), and its
+*last* tensor slot (the frozen `staged_oracle.collapse`), and its
 reflection unit is the canonical map into the stage built from the full
 power map J^{(x)n} -> O.  The present `HomChain` must present the same
 stages up to isomorphism, with the same transitions, units and scan
@@ -40,14 +40,13 @@ def canonical_stage_map(J, M, hom, n):
 
 class OldHomChain:
     """Stages HOM(J^{(x)n} (x) mid, target) with transitions by precomposition
-    with `shrink(n)` : J^{(x)(n+1)} (x) mid -> J^{(x)n} (x) mid."""
+    with collapse : J^{(x)(n+1)} (x) mid -> J^{(x)n} (x) mid."""
 
-    def __init__(self, J, mid, target, shrink):
+    def __init__(self, J, mid, target):
         self.J = J
         self.mid = mid
         self.target = target
         self.ring = J.ring
-        self.shrink = shrink
         self._stages: dict = {}
         self._transitions: dict = {}
         self._saturated: dict = {}
@@ -63,7 +62,7 @@ class OldHomChain:
     def transition(self, n):
         if n not in self._transitions:
             Hs, Ht = self.stage(n), self.stage(n + 1)
-            shr = self.shrink(n)
+            shr = staged.collapse(self.J, self.mid, n + 1, n)
             cols = [Ht.express(Hs.generator_map(k).compose(shr))
                     for k in range(Hs.module.gens)]
             matrix = [[cols[k][r] for k in range(Hs.module.gens)]

@@ -242,7 +242,6 @@ def stage_source(J, n: int, M: PresentedModule) -> PresentedModule:
     sources = _STAGE_SOURCES.setdefault(J, {})
     key = (n, id(M))
     if key not in sources:
-        J.check_stage(n, M)
         # M is kept with its source, so its id cannot be reused
         sources[key] = (M, tensor(J.carrier_power(n), M))
     return sources[key][1]

@@ -1,11 +1,13 @@
 """`HomChain` (stages by iterated adjunction, H_{n+1} = HOM(J, H_n)) against
 the frozen tensor-power chain in `chain_oracle.py`.
 
-For every stage n, h |-> old.express(new.interpret(n, h)) must be a
-well-defined isomorphism of stage modules that commutes with the
-transitions; `express` must invert `interpret`; the reflection units must
-agree through it; and the scan must reach the same decisions on both
-chains."""
+For every stage n, h |-> old.express(new.uncurry(n, h)), the staged map
+read on the presented source, must be a well-defined isomorphism of stage
+modules that commutes with the transitions; `curry` must invert `uncurry`;
+the reflection units must agree through it; and the scan must reach the
+same decisions on both chains.  The workspace loader's check of a staged
+map, a curry into the chain, must accept exactly the matrices that are
+well defined on the presented source."""
 
 import random
 
@@ -13,10 +15,12 @@ import pytest
 
 from idals import (GF, QQ, ModuleMap, PolyRing, PresentedModule, deligne_hom, idal_from_ideal,
                    is_iso, reflect)
-from idals.cli import Workspace, load_preset
+from idals.cli import Workspace, _staged_matrix, load_preset
+from idals.errors import WellDefinednessError
 from idals.localize import HomChain, _scan_hom_chain
 
 import chain_oracle as oracle
+import staged_oracle
 from conftest import random_module, random_poly
 
 QQ_XY = PolyRing(QQ, ["x", "y"])
@@ -68,17 +72,18 @@ IDS = [c[0] for c in CASES]
 
 
 def comparison(new, old, n):
-    """new stage n -> old stage n, h |-> old.express(new.interpret(n, h)),
+    """new stage n -> old stage n, h |-> old.express(new.uncurry(n, h)),
     checked well-defined."""
-    H = new.stage(n).module
-    cols = [old.stage(n).express(new.interpret(n, H.unit_column(k))) for k in range(H.gens)]
+    H, old_H = new.stage(n).module, old.stage(n)
+    cols = [old_H.express(ModuleMap(old_H.source, old_H.target,
+                                    new.uncurry(n, H.unit_column(k)), check=False))
+            for k in range(H.gens)]
     return ModuleMap(H, old.stage(n).module,
                      [[col[r] for col in cols] for r in range(old.stage(n).module.gens)])
 
 
 def chains(J, mid, N):
-    new = HomChain(J, mid, N)
-    return new, oracle.OldHomChain(J, mid, N, new.shrink)
+    return HomChain(J, mid, N), oracle.OldHomChain(J, mid, N)
 
 
 @pytest.mark.parametrize("name,J,N", CASES, ids=IDS)
@@ -102,7 +107,7 @@ def test_express_inverts_interpret(name, J, N):
         elements = [H.unit_column(k) for k in range(H.gens)]
         elements.append(tuple(random_poly(J.ring, rng, 1) for _ in range(H.gens)))
         for c in elements:
-            back = new.express(n, new.interpret(n, c))
+            back = new.curry(n, new.uncurry(n, c))
             assert H.normal_form(back) == H.normal_form(c), f"stage {n}"
 
 
@@ -127,3 +132,61 @@ def test_scan_decisions_agree(name, J, N):
     res = deligne_hom(J, mid, N, n_max)
     _, old = chains(J, mid, N)
     assert decisions(res.chain) == decisions(_scan_hom_chain(old, n_max))
+
+
+def staged_check_cases():
+    """(label, J, M, T): a 1- and a 2-generator idal over QQ and GF(5), with
+    sources that have relations, one of them on 2 generators."""
+    out = []
+    for label, ring in (("QQ", QQ_XY), ("GF5", GF5_XY)):
+        x, y = ring.var("x"), ring.var("y")
+        mods = {"O": PresentedModule(ring, 1), "O/(x)": PresentedModule(ring, 1, [(x,)]),
+                "(x,y)": PresentedModule(ring, 2, [(y, -x)])}
+        for gens in (["x"], ["x", "y"]):
+            J = idal_from_ideal(gens, ring)
+            for m, t in (("O/(x)", "O"), ("(x,y)", "O/(x)"), ("(x,y)", "(x,y)")):
+                out.append((f"{label}-({','.join(gens)})/{m}->{t}", J, mods[m], mods[t]))
+    return out
+
+
+STAGED_CHECK_CASES = staged_check_cases()
+
+
+@pytest.mark.parametrize("name,J,M,T", STAGED_CHECK_CASES, ids=[c[0] for c in STAGED_CHECK_CASES])
+def test_staged_check_matches_the_presented_source(name, J, M, T):
+    """Well-defined taus (uncurried stage elements), the same taus with one
+    entry perturbed, and random matrices, at stages 0-3: the loader's curry
+    check and `ModuleMap(..., check=True)` on the oracle's presented
+    J^{(x)n} (x) M accept and reject the same ones."""
+    rng = random.Random(len(name))
+    chain = HomChain(J, M, T)
+    verdicts = set()
+    for n in range(STAGES + 1):
+        width = J.power_gens(n) * M.gens
+        H = chain.stage(n).module
+        taus = []
+        for _ in range(2):
+            tau = [list(row) for row in
+                   chain.uncurry(n, [random_poly(J.ring, rng, 1) for _ in range(H.gens)])]
+            taus.append(tau)
+            bent = [list(row) for row in tau]
+            r, c = rng.randrange(T.gens), rng.randrange(width)
+            bent[r][c] += random_poly(J.ring, rng, 1, zero_ok=False)
+            taus.append(bent)
+            taus.append([[random_poly(J.ring, rng, 1) for _ in range(width)]
+                         for _ in range(T.gens)])
+        source = staged_oracle.stage_source(J, n, M)
+        for tau in taus:
+            try:
+                ModuleMap(source, T, tau, check=True)
+                expected = True
+            except WellDefinednessError:
+                expected = False
+            try:
+                _staged_matrix(J, n, M, T, tau)
+                got = True
+            except WellDefinednessError:
+                got = False
+            assert got == expected, f"stage {n}: {tau}"
+            verdicts.add(got)
+    assert verdicts == {True, False}

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from idals import QQ, PolyRing
-from idals.cli import Workspace, load_preset, run
+from idals.cli import MAX_DEGREE_BOUND, Workspace, load_preset, run
 
 
 def invoke(capsys, *argv):
@@ -246,6 +246,51 @@ def test_large_chart_idal_power_exits_one_quickly(capsys, tmp_path, stage):
     assert code == 1 and report["result"]["error"] == "AlgebraError"
     assert f"tensor power {2 * stage} " in report["result"]["message"]
     assert "256" in report["result"]["message"]
+
+
+def test_stage_seven_tau_loads_exactly(capsys, tmp_path):
+    # the loader checks the 1 x 128 row e^{(x)7} by currying it into the
+    # idal's hom chain, without presenting J^{(x)7} (x) O
+    path = staged_o_workspace(tmp_path, 7)
+    code, report = invoke(capsys, "glue", "G", "--workspace", path,
+                          "--preset", "double-origin-plane")
+    R = PolyRing(QQ, ["x", "y"])
+    x, y = R.var("x"), R.var("y")
+    row = [str(x ** idx.count("x") * y ** idx.count("y"))
+           for idx in itertools.product("xy", repeat=7)]
+    assert code == 0 and report["result"]["valid"] is True
+    assert report["result"]["glued"]["tau"] == {"fwd_stage": 7, "fwd": [row],
+                                                "bwd_stage": 0, "bwd": [["1"]]}
+
+
+@pytest.mark.parametrize("preset,spec", [
+    # O/(x) -> O sending 1 to 1 does not kill x
+    ("double-origin-line", {"scheme": "DOL", "m1": "k0", "m2": "O",
+                            "tau": {"fwd_stage": 0, "fwd": [["1"]], "bwd_stage": 0,
+                                    "bwd": [["0"]]}}),
+    # (x, y) -> O sending x to 1 and y to 0 does not kill the relation (y, -x)
+    ("double-origin-plane", {"scheme": "DOP", "m1": "O", "m2": "O",
+                             "tau": {"fwd_stage": 1, "fwd": [["1", "0"]], "bwd_stage": 0,
+                                     "bwd": [["1"]]}}),
+], ids=["stage0", "stage1"])
+def test_ill_defined_staged_tau_exits_one(capsys, tmp_path, preset, spec):
+    path = tmp_path / "tau.json"
+    path.write_text(json.dumps({"glued": {"G": spec}}))
+    code, report = invoke(capsys, "glue", "G", "--workspace", str(path), "--preset", preset)
+    assert code == 1
+    assert report["result"] == {
+        "error": "WellDefinednessError",
+        "message": "matrix does not send source relations into target relations"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["quotient", "Jxy", "O", "--preset", "double-origin-plane",
+     "--degree-bound", str(MAX_DEGREE_BOUND + 1)],
+    ["localize", "x", "O", "--preset", "double-origin-line", "--degree-bound", str(10 ** 8)],
+], ids=["just-past", "1e8"])
+def test_degree_bound_past_the_limit_exits_one(capsys, argv):
+    code, report = invoke(capsys, *argv)
+    assert code == 1 and report["result"]["error"] == "WorkspaceError"
 
 
 def test_chart_idal_power_four_generates(capsys, tmp_path):

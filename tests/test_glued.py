@@ -421,15 +421,16 @@ class TestStagedMapsAreMatrices:
     def test_no_stage_source_is_presented(self, monkeypatch, R1):
         """Staged maps compose and compare as matrices, so chart idals, their
         sums, tensors and homs, compatibility, self-glued sections and an
-        exact round trip present no J^{(x)n} (x) M with n >= 1."""
-        present = Idal.stage_source
+        exact round trip present no J^{(x)n} (x) M with n >= 1: no carrier
+        power is built past 3, the largest chart power asked for."""
+        present = Idal.carrier_power
 
-        def refuse(J, n, M):
-            if n >= 1:
-                raise AssertionError(f"presented a stage source at n = {n}")
-            return present(J, n, M)
+        def refuse(J, n):
+            if n > 3:
+                raise AssertionError(f"presented the carrier power J^(x){n}")
+            return present(J, n)
 
-        monkeypatch.setattr(Idal, "stage_source", refuse)
+        monkeypatch.setattr(Idal, "carrier_power", refuse)
         R = PolyRing(QQ, ["x", "y"])
         dop = TwoChartScheme.selfglue(R, idal_from_ideal(["x", "y"], R))
         O = o_glued(dop)

@@ -31,6 +31,7 @@ from idals.glued import (
 )
 
 import glued_oracle as oracle
+import staged_oracle
 
 
 def entries(m):
@@ -286,8 +287,8 @@ def validation_cases():
     J, O = dop.idal, unit_module(dop.chart1)
 
     def staged(a, fwd, b, bwd, m1=O, m2=O):
-        return SelfGlueTau(a, ModuleMap(J.stage_source(a, m1), m2, fwd).matrix,
-                           b, ModuleMap(J.stage_source(b, m2), m1, bwd).matrix)
+        return SelfGlueTau(a, ModuleMap(staged_oracle.stage_source(J, a, m1), m2, fwd).matrix,
+                           b, ModuleMap(staged_oracle.stage_source(J, b, m2), m1, bwd).matrix)
 
     cases += [("dop-O", dop, O, O, staged(0, [["1"]], 0, [["1"]]), None),
               ("dop-e,1", dop, O, O, staged(1, [["x", "y"]], 0, [["1"]]), None),

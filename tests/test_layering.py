@@ -6,8 +6,8 @@ the layers above them lift, reduce, rank and compare columns through
 Only idal knows how Deligne stages J^{(x)n} (x) M are flattened: the layers
 above it build staged maps, which are matrices, through `Idal.collapse` /
 `restage` / `then`, never from `power_transition` or a tensor of a carrier
-power.  They present a stage source by `Idal.stage_source` only where its
-relations are read: `HomChain.interpret` / `shrink` and the workspace loader.
+power.  None presents a stage source: the workspace loader checks a staged
+map by currying it into the idal's hom chain.
 
 The glued constructions that work on the overlap datum are written once for
 both scheme kinds: no `.kind` comparison inside them."""
@@ -107,10 +107,6 @@ def test_stage_guard_sees_what_it_forbids(tmp_path):
     assert stage_uses(SRC / "idal.py")         # the stages' own layer is exempt
 
 
-STAGE_SOURCE_CALLERS = {"localize": {"HomChain.interpret", "HomChain.shrink"},
-                        "cli": {"Workspace._build_glued"}}
-
-
 def stage_source_calls(path):
     """Sorted (enclosing function or `Class.method`, line) of every
     `stage_source(...)` call in the file."""
@@ -129,12 +125,9 @@ def stage_source_calls(path):
     return sorted(found)
 
 
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "idal.py"),
-                         ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
 def test_stage_sources_are_presented_only_where_read(path):
-    allowed = STAGE_SOURCE_CALLERS.get(path.stem, set())
-    calls = stage_source_calls(path)
-    assert [c for c in calls if c[0] not in allowed] == [], f"{path.name} presents a stage"
+    assert stage_source_calls(path) == [], f"{path.name} presents a stage"
 
 
 def test_stage_source_guard_sees_what_it_forbids(tmp_path):
@@ -149,9 +142,6 @@ def test_stage_source_guard_sees_what_it_forbids(tmp_path):
         "    return [J.stage_source(k, M) for k in range(2)]\n")
     assert stage_source_calls(sample) == [
         ("HomChain.interpret", 3), ("HomChain.stage", 5), ("tensor_glued", 7)]
-    # the calls the rule allows are seen in the real modules
-    for layer, allowed in STAGE_SOURCE_CALLERS.items():
-        assert {name for name, _ in stage_source_calls(SRC / f"{layer}.py")} == allowed
 
 
 # GluedModule validation, compatibility, direct sum, tensor and hom, with

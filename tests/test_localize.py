@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -132,6 +134,25 @@ class TestReflect:
         assert a.hom_chain.mid is b.hom_chain.mid is Jxy.carrier_power(0)
         assert reflect(Jxy, M, 4).hom_chain is a.hom_chain
 
+    def test_idal_is_freed_without_the_cyclic_collector(self, R2):
+        # the idal keeps its chains, and a chain refers back to it weakly
+        gc.disable()
+        try:
+            J = idal_from_ideal(["x", "y"], R2)
+            res = reflect(J, PresentedModule(R2, 1, [("x",)]), 3)
+            assert res.hom_chain.J is J
+            alive = weakref.ref(J)
+            del J, res
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_chain_outliving_its_idal_says_so(self, R2):
+        O = unit_module(R2)
+        chain = HomChain.of(idal_from_ideal(["x", "y"], R2), O, O)
+        with pytest.raises(ReferenceError):
+            chain.stage(1)
+
     def test_long_chain_stays_small(self, R2, Jxy):
         # O/(x) away from the origin is k[y, 1/y]: no stabilization, and
         # stage n is O/(x) in degree -n, one generator and one relation
@@ -171,8 +192,8 @@ class TestDeligneHom:
     def test_interpret_at_value(self, R2, Jxy):
         O = unit_module(R2)
         res = deligne_hom(Jxy, O, O, 5)
-        phi = res.interpret([res.value.ring.one()])
-        assert not phi.is_zero_map()
+        matrix = res.interpret([res.value.ring.one()])
+        assert any(not p.is_zero() for row in matrix for p in row)
 
 
 class TestLocalizationOracle:
