@@ -1,10 +1,13 @@
 """Exact multivariate polynomial arithmetic and the Groebner/syzygy engine.
 
-Coefficients are exact: `fractions.Fraction` over the rationals, machine
-integers in [0, p) over a prime field.  Polynomials are stored as
-{exponent-tuple: coefficient} maps and are always kept in normal form with
-respect to the ring's quotient ideal, so equality of polynomials is equality
-in the quotient ring.
+Coefficients are exact.  Over the rationals a coefficient is stored in one
+canonical form: an `int` when its value is integral, otherwise a
+`fractions.Fraction` whose denominator is greater than 1; over a prime field
+it is a machine integer in [0, p).  Nothing else, a float above all, is ever
+taken as a coefficient.  Polynomials are stored as {exponent-tuple:
+coefficient} maps and are always kept in normal form with respect to the
+ring's quotient ideal, so equality of polynomials is equality in the
+quotient ring.
 
 The module-level Groebner engine works on "raw vectors": dicts mapping
 (position, exponent-tuple) to a coefficient.  Ring elements are rank-1
@@ -12,9 +15,10 @@ vectors.  The module order is position-over-term with descending positions
 (position 0 is largest).  Quotient rings are handled by appending the
 quotient generators, placed in every position, to the divisor sets.  Over
 the rationals the engine computes on integers (`_pseudo_reduce`) and hands
-out Fractions.  Inside the engine each term is one packed int (`_Packing`):
-comparing terms, multiplying by a monomial and testing divisibility are int
-operations, and raw vectors are converted where they enter and leave.
+out canonical rationals.  Inside the engine each term is one packed int
+(`_Packing`): comparing terms, multiplying by a monomial and testing
+divisibility are int operations, and raw vectors are converted where they
+enter and leave.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm as int_lcm
+from numbers import Rational
 from operator import itemgetter, mul
 
 from .errors import (
@@ -53,31 +58,38 @@ class BaseField:
         return self.p == 0
 
     def of(self, value):
-        """Coerce an int, Fraction, or coefficient string into the field."""
+        """Coerce an exact rational (an int, a Fraction or another
+        `numbers.Rational`) or a coefficient string into the field; anything
+        else, a float above all, is an AlgebraError."""
+        p = self.p
+        if type(value) is int:
+            return value % p if p else value
         if isinstance(value, str):
             return self.parse_coeff(value)
-        if self.p:
-            if isinstance(value, Fraction):
-                if value.denominator % self.p == 0:
-                    raise AlgebraError(f"denominator not invertible mod {self.p}")
-                return (value.numerator * self.inv(value.denominator % self.p)) % self.p
-            return int(value) % self.p
-        return Fraction(value)
+        if not isinstance(value, Rational):
+            raise AlgebraError(f"a coefficient is an exact rational or a string, "
+                               f"not {type(value).__name__}")
+        num, den = int(value.numerator), int(value.denominator)
+        if p:
+            if den % p == 0:
+                raise AlgebraError(f"denominator not invertible mod {p}")
+            return num * self.inv(den % p) % p
+        return _ratio(num, den)
 
     def zero(self):
-        return 0 if self.p else Fraction(0)
+        return 0
 
     def one(self):
-        return 1 if self.p else Fraction(1)
+        return 1
 
     def add(self, a, b):
-        return (a + b) % self.p if self.p else a + b
+        return (a + b) % self.p if self.p else _canonical(a + b)
 
     def sub(self, a, b):
-        return (a - b) % self.p if self.p else a - b
+        return (a - b) % self.p if self.p else _canonical(a - b)
 
     def mul(self, a, b):
-        return (a * b) % self.p if self.p else a * b
+        return (a * b) % self.p if self.p else _canonical(a * b)
 
     def neg(self, a):
         return (-a) % self.p if self.p else -a
@@ -87,10 +99,15 @@ class BaseField:
             if a % self.p == 0:
                 raise ZeroDivisionError("inverse of 0")
             return pow(a, self.p - 2, self.p)
-        return 1 / a
+        return self.div(1, a)
 
     def div(self, a, b):
-        return self.mul(a, self.inv(b))
+        if self.p:
+            return self.mul(a, self.inv(b))
+        # `/` of two ints is a float
+        if type(a) is int and type(b) is int:
+            return _ratio(a, b)
+        return _canonical(a / b)
 
     def parse_coeff(self, text):
         text = text.strip()
@@ -138,6 +155,22 @@ class BaseField:
 
 
 QQ = BaseField(0)
+
+
+def _canonical(q):
+    """A rational (int or Fraction) in the form QQ stores: an int when it is
+    integral, otherwise the Fraction."""
+    return q if type(q) is int or q.denominator != 1 else q.numerator
+
+
+def _ratio(num: int, den: int):
+    """num / den for ints, in canonical form: one gcd decides between the
+    exact quotient and the Fraction."""
+    if den < 0:
+        num, den = -num, -den
+    if gcd(num, den) == den:
+        return num // den
+    return Fraction(num, den)
 
 
 # Miller-Rabin with the first 12 primes as bases classifies every integer
@@ -893,14 +926,8 @@ def _prepare(vecs: list, ring) -> list:
         content = gcd(*ints.values())
         if content != 1:
             ints = {k: c // content for k, c in ints.items()}
-        out.append(_Prepared(ints, packing, unit=Fraction(content, den)))
+        out.append(_Prepared(ints, packing, unit=_ratio(content, den)))
     return out
-
-
-def _exact(num, den):
-    """The rational num / den (den a nonzero int), kept an int when exact."""
-    q, r = divmod(num, den)
-    return Fraction(num, den) if r else q
 
 
 def _shifted(vec: dict, coeff, shift: int, p: int, guard: int) -> dict:
@@ -1010,7 +1037,7 @@ def _vec_reduce(vec: dict, divisors: list, ring: PolyRing, track_len: int = 0):
     Returns (remainder, cofactors) where cofactors is a list of track_len
     term dicts, the cofactors of the first track_len divisors as they were
     prepared (empty when track_len is 0).  Over QQ the remainder and the
-    cofactors are Fractions; the reduction itself runs on integers.
+    cofactors are canonical rationals; the reduction itself runs on integers.
     """
     p = ring.field.p
     # the divisors of one `_prepare` call share one packing; the loop starts
@@ -1030,12 +1057,12 @@ def _vec_reduce(vec: dict, divisors: list, ring: PolyRing, track_len: int = 0):
         return ({unpacked(t): c for t, c in rem.items()},
                 [{exps(s): c for s, c in ci.items()} for ci in cof])
     scale *= den   # scale * vec == sum of cofactor * d.vec + remainder
-    rem = {unpacked(t): Fraction(c, scale) for t, c in rem.items()}
+    rem = {unpacked(t): _ratio(c, scale) for t, c in rem.items()}
     out = []
     for d, ci in zip(divisors, cof):
         # the prepared divisor is d.unit * d.vec
         num, dnm = d.unit.denominator, scale * d.unit.numerator
-        out.append({exps(s): Fraction(c * num, dnm) for s, c in ci.items()})
+        out.append({exps(s): _ratio(c * num, dnm) for s, c in ci.items()})
     return rem, out
 
 
@@ -1064,7 +1091,7 @@ def _buchberger(vecs: list, ring: PolyRing, rank: int, track: bool = False):
     reduces by `_pseudo_reduce`; over GF(p) it holds g itself.  Every choice
     depends on leading monomials only, so both fields take the steps of
     Buchberger's algorithm on monic elements.  Over QQ the returned basis
-    and tracks are divided by lambda, as Fractions, at the end.  Tracks are
+    and tracks are divided by lambda, as canonical rationals, at the end.  Tracks are
     packed too, the input index in the place of the position.
     """
     width = START_WIDTH
@@ -1096,7 +1123,7 @@ def _buchberger_packed(vecs: list, ring: PolyRing, rank: int, track: bool, packi
             else:
                 vec = {k: c // s for k, c in vec.items()}
                 if tr is not None:
-                    tr = {k: _exact(c, s) for k, c in tr.items()}
+                    tr = {k: field.div(c, s) for k, c in tr.items()}
         prep = _Prepared(vec, packing, tr)
         prep.sugar = max(map(packing.degree, vec))
         return prep
@@ -1209,9 +1236,9 @@ def _buchberger_packed(vecs: list, ring: PolyRing, rank: int, track: bool, packi
                 # g's leading term is irreducible by the others, so over
                 # GF(p) rem is monic like g; over QQ it is made monic here
                 lc = rem[lt]
-                rem = {k: Fraction(c, lc) for k, c in rem.items()}
+                rem = {k: _ratio(c, lc) for k, c in rem.items()}
                 if tr is not None:
-                    tr = {k: Fraction(c, lc) for k, c in tr.items()}
+                    tr = {k: field.div(c, lc) for k, c in tr.items()}
             reduced.append((lt, rem, tr))
 
     reduced.sort(key=itemgetter(0))
@@ -1535,29 +1562,11 @@ def iter_window(ring: PolyRing, lo: int, hi: int):
     pos = [i for i in range(n) if weights[i] > 0]
     neg = [i for i in range(n) if weights[i] < 0]
 
-    def block(var_list, k, cur, tlo, thi, far, exps):
-        """(exps, sum) for the completions of exps over var_list[k:] whose
-        weighted sum, cur so far, lies in tlo..thi.
-
-        All weights in var_list have one sign, so each variable is bounded by
-        the budget left to the far end of the range."""
-        i = var_list[k]
-        w = weights[i]
-        last = k == len(var_list) - 1
-        for e in range(max((far - cur) // w, -1) + 1):  # none when the sign cannot work out
-            exps[i] = e
-            s = cur + e * w
-            if not last:
-                yield from block(var_list, k + 1, s, tlo, thi, far, exps)
-            elif tlo <= s <= thi:
-                yield tuple(exps), s
-        exps[i] = 0
-
     def candidates():
         """(m, k) before the quotient filter."""
         if not neg:
             if pos:
-                yield from block(pos, 0, 0, lo, hi, hi, [0] * n)
+                yield from _window_block(weights, pos, 0, 0, lo, hi, hi, [0] * n)
             elif lo <= 0 <= hi:
                 yield (0,) * n, 0
             return
@@ -1591,7 +1600,7 @@ def iter_window(ring: PolyRing, lo: int, hi: int):
                 shift = a * weights[pos[0]]
             tlo, thi = lo - shift, min(hi - shift, -1)
             if tlo <= thi:
-                for m, s in block(neg, 0, 0, tlo, thi, tlo, base):
+                for m, s in _window_block(weights, neg, 0, 0, tlo, thi, tlo, base):
                     yield m, shift + s
 
     if neg and not pos and lo <= 0 <= hi:
@@ -1601,6 +1610,27 @@ def iter_window(ring: PolyRing, lo: int, hi: int):
     for m, k in candidates():
         if not any(mono_divides(lm, m) for lm in lms):
             yield m, k
+
+
+def _window_block(weights, var_list, k, cur, tlo, thi, far, exps):
+    """(exps, sum) for the completions of exps over var_list[k:] whose
+    weighted sum, cur so far, lies in tlo..thi.
+
+    All weights in var_list have one sign, so each variable is bounded by the
+    budget left to the far end of the range.  A module-level generator: one
+    nested in `iter_window` would reach itself through its closure cell and
+    leave a reference cycle behind every window."""
+    i = var_list[k]
+    w = weights[i]
+    last = k == len(var_list) - 1
+    for e in range(max((far - cur) // w, -1) + 1):  # none when the sign cannot work out
+        exps[i] = e
+        s = cur + e * w
+        if not last:
+            yield from _window_block(weights, var_list, k + 1, s, tlo, thi, far, exps)
+        elif tlo <= s <= thi:
+            yield tuple(exps), s
+    exps[i] = 0
 
 
 def monomials_in_window(ring: PolyRing, lo: int, hi: int) -> dict:

@@ -10,7 +10,11 @@ power.  None presents a stage source: the workspace loader checks a staged
 map by currying it into the idal's hom chain.
 
 The glued constructions that work on the overlap datum are written once for
-both scheme kinds: no `.kind` comparison inside them."""
+both scheme kinds: no `.kind` comparison inside them.
+
+Only polyring knows the canonical form of a rational coefficient (an int
+when integral, otherwise a Fraction): no other module imports `fractions`
+or makes a Fraction."""
 
 import ast
 import pathlib
@@ -195,3 +199,41 @@ def test_kind_guard_sees_what_it_forbids(tmp_path):
         kind_tests(sample, ["direct_sum_glued"])
     # the kind-specific code of the real module is seen
     assert kind_tests(SRC / "glued.py", ["chart_idal"])["chart_idal"]
+
+
+def fraction_uses(path):
+    """(line, what) for every import of `fractions` and every reference to
+    a `Fraction` name or attribute in the file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, f"imports {a.name}") for a in node.names
+                      if a.name == "fractions"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            found.append((node.lineno, "imports from fractions"))
+        elif isinstance(node, ast.Name) and node.id == "Fraction":
+            found.append((node.lineno, "uses Fraction"))
+        elif isinstance(node, ast.Attribute) and node.attr == "Fraction":
+            found.append((node.lineno, "uses .Fraction"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.stem != "polyring"),
+                         ids=lambda p: p.stem)
+def test_only_polyring_makes_fractions(path):
+    assert fraction_uses(path) == [], f"{path.name} makes rational coefficients itself"
+
+
+def test_fraction_guard_sees_what_it_forbids(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import fractions\n"
+        "from fractions import Fraction as F\n"
+        "def half(field):\n"
+        "    return field.of(fractions.Fraction(1, 2))\n"
+        "def third():\n"
+        "    return Fraction(1, 3)\n")
+    assert [what for _, what in fraction_uses(sample)] == [
+        "imports fractions", "imports from fractions", "uses .Fraction", "uses Fraction"]
+    assert fraction_uses(SRC / "polyring.py")  # the coefficients' own module is exempt

@@ -1,6 +1,7 @@
 import gc
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,10 @@ from idals import (
     FreeVector,
     Poly,
     PolyRing,
+    PresentedModule,
     RingHom,
     divide_with_cofactors,
+    graded_dims,
     groebner,
     normal_form,
     syzygies,
@@ -78,7 +81,7 @@ class TestGroebner:
                     lcm = mono_lcm(ei, ej)
                     si = free.monomial(tuple(a - b for a, b in zip(lcm, ei)))
                     sj = free.monomial(tuple(a - b for a, b in zip(lcm, ej)))
-                    sp = gb[i] * si.scale(1 / ci) - gb[j] * sj.scale(1 / cj)
+                    sp = gb[i] * si.scale(free.field.inv(ci)) - gb[j] * sj.scale(free.field.inv(cj))
                     rem, _ = divide_with_cofactors(
                         FreeVector(free, [sp]), [FreeVector(free, [g]) for g in gb])
                     assert rem.is_zero()
@@ -169,6 +172,16 @@ class TestCoefficients:
         p = R.poly("2/4*x")
         assert str(p) == "1/2*x"
         assert p.terms[(1,)] == Fraction(1, 2)
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+    def test_floats_are_refused(self, field):
+        R = PolyRing(field, ["x"])
+        entries = {"of": field.of, "scale": R.var("x").scale, "constant": R.constant,
+                   "monomial": lambda c: R.monomial((1,), c)}
+        for bad in (0.1, 2.7, 1.0, Decimal("0.5")):
+            for name, coerce in entries.items():
+                with pytest.raises(AlgebraError, match="exact rational"):
+                    coerce(bad)
 
     def test_prime_field(self):
         F = PolyRing(GF(5), ["x"])
@@ -308,6 +321,17 @@ class TestMonomialEnumeration:
     def test_quotient_truncation(self):
         Q = PolyRing(QQ, ["x"], quotient=["x^3"])
         assert [len(monomials_of_degree(Q, d)) for d in range(5)] == [1, 1, 1, 0, 0]
+
+    def test_window_leaves_no_reference_cycle(self, R2):
+        M = PresentedModule(R2, 2, [("x", "y")], grading=[0, 0])
+        assert graded_dims(M, range(7)) == {0: 2, **{d: d + 2 for d in range(1, 7)}}
+        gc.collect()
+        gc.disable()
+        try:
+            graded_dims(M, range(7))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_parser_nesting_is_bounded(R1):
