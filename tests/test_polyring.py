@@ -81,7 +81,8 @@ class TestGroebner:
                     lcm = mono_lcm(ei, ej)
                     si = free.monomial(tuple(a - b for a, b in zip(lcm, ei)))
                     sj = free.monomial(tuple(a - b for a, b in zip(lcm, ej)))
-                    sp = gb[i] * si.scale(free.field.inv(ci)) - gb[j] * sj.scale(free.field.inv(cj))
+                    inv = free.field.inv
+                    sp = gb[i] * si.scale(inv(ci)) - gb[j] * sj.scale(inv(cj))
                     rem, _ = divide_with_cofactors(
                         FreeVector(free, [sp]), [FreeVector(free, [g]) for g in gb])
                     assert rem.is_zero()
@@ -176,10 +177,9 @@ class TestCoefficients:
     @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
     def test_floats_are_refused(self, field):
         R = PolyRing(field, ["x"])
-        entries = {"of": field.of, "scale": R.var("x").scale, "constant": R.constant,
-                   "monomial": lambda c: R.monomial((1,), c)}
+        entries = (field.of, R.var("x").scale, R.constant, lambda c: R.monomial((1,), c))
         for bad in (0.1, 2.7, 1.0, Decimal("0.5")):
-            for name, coerce in entries.items():
+            for coerce in entries:
                 with pytest.raises(AlgebraError, match="exact rational"):
                     coerce(bad)
 
