@@ -376,8 +376,11 @@ def is_zero(M: PresentedModule) -> bool:
     return M.is_zero_module()
 
 
-def kernel(phi: ModuleMap):
-    """(K, incl) with incl a monomorphism presenting ker(phi)."""
+def kernel_columns(phi: ModuleMap) -> list:
+    """Generators of ker(phi) as source columns: distinct normal forms, none
+    of them zero, so the list is empty exactly when the kernel is zero.
+    They are the columns of `kernel(phi)`'s inclusion; callers that read no
+    relations of the kernel take them from here."""
     ring = phi.ring
     src, tgt = phi.source, phi.target
     cols = [_column_vec(phi.column(j)) for j in range(src.gens)]
@@ -397,6 +400,14 @@ def kernel(phi: ModuleMap):
         if key not in seen:
             seen.add(key)
             kernel_cols.append(col)
+    return kernel_cols
+
+
+def kernel(phi: ModuleMap):
+    """(K, incl) with incl a monomorphism presenting ker(phi)."""
+    ring = phi.ring
+    src = phi.source
+    kernel_cols = kernel_columns(phi)
     k = len(kernel_cols)
     # relations of K: coefficient vectors c with sum c_i * col_i in src relations
     rel_inputs = [_column_vec(c) for c in kernel_cols] + [_column_vec(c) for c in src.relations]
@@ -716,8 +727,7 @@ def is_iso(phi: ModuleMap) -> bool:
     C, _ = cokernel(phi)
     if not C.is_zero_module():
         return False
-    K, _ = kernel(phi)
-    return K.is_zero_module()
+    return not kernel_columns(phi)
 
 
 def iso_failure_certificate(phi: ModuleMap):
@@ -727,12 +737,9 @@ def iso_failure_certificate(phi: ModuleMap):
         for i in range(C.gens):
             if not C.contains_column(C.unit_column(i)):
                 return {"kind": "cokernel_generator", "index": i}
-    K, incl = kernel(phi)
-    if not K.is_zero_module():
-        for j in range(K.gens):
-            col = incl.column(j)
-            if not phi.source.contains_column(col):
-                return {"kind": "kernel_element", "column": [str(p) for p in col]}
+    for col in kernel_columns(phi):
+        if not phi.source.contains_column(col):
+            return {"kind": "kernel_element", "column": [str(p) for p in col]}
     return None
 
 

@@ -29,7 +29,7 @@ from functools import cache, lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm as int_lcm
 from numbers import Rational
-from operator import itemgetter, mul
+from operator import attrgetter, itemgetter, mul
 
 from .errors import (
     AlgebraError,
@@ -659,18 +659,73 @@ class _Parser:
         return self.tokens[self.idx - 1]
 
     def expr(self) -> Poly:
-        sign = 1
+        """The sum of the terms, added into one dict in the order and with
+        the cancellations of `Poly.__add__`."""
+        field = self.ring.field
+        negate = False
         while self.peek() in ("+", "-"):
             if self.advance() == "-":
-                sign = -sign
-        node = self.term()
-        if sign < 0:
-            node = -node
-        while self.peek() in ("+", "-"):
-            op = self.advance()
-            rhs = self.term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
+                negate = not negate
+        terms: dict = {}
+        while True:
+            mono = self.monomial()
+            for e, c in (mono,) if mono else self.term().terms.items():
+                s = field.add(terms.get(e, 0), field.neg(c) if negate else c)
+                if s:
+                    terms[e] = s
+                else:
+                    terms.pop(e, None)
+            if self.peek() not in ("+", "-"):
+                return Poly(self.ring, terms)
+            negate = self.advance() == "-"
+
+    def monomial(self):
+        """(exps, coeff) of the next term when it is only integer literals
+        and variable powers joined by `*`, followed by `+`, `-`, `)` or the
+        end, and the quotient reduces its monomial no further; the index
+        moves past it.  Otherwise None, and `term` parses it as `Poly`
+        products with their bounds and errors.  Its atoms would sit one
+        level deeper, so past the nesting bound it is None too."""
+        if self.depth >= MAX_NESTING:
+            return None
+        tokens, ring = self.tokens, self.ring
+        field, index = ring.field, ring._var_index
+        i = self.idx
+        coeff = 1
+        exps = [0] * len(index)
+        while True:
+            tok = tokens[i]
+            if tok is None:
+                return None
+            i += 1
+            if tok.isdigit():
+                coeff = field.mul(coeff, field.of(_int_literal(tok)))
+            else:
+                v = index.get(tok)
+                if v is None:
+                    return None
+                e = 1
+                if tokens[i] in ("^", "**"):
+                    exp = tokens[i + 1]
+                    if (exp is None or not exp.isdigit()
+                            or len(exp.lstrip("0")) > len(str(MAX_EXPONENT))
+                            or int(exp) > MAX_EXPONENT):
+                        return None
+                    e = int(exp)
+                    i += 2
+                exps[v] += e
+            tok = tokens[i]
+            if tok != "*":
+                break
+            i += 1
+        if tok not in ("+", "-", ")", None):
+            return None
+        exps = tuple(exps)
+        if ring.quotient_gb and any(mono_divides(d.exps, exps)
+                                    for d in ring._quotient_divisors(1)):
+            return None
+        self.idx = i
+        return exps, coeff
 
     def term(self) -> Poly:
         field = self.ring.field
@@ -1083,8 +1138,21 @@ def _buchberger(vecs: list, ring: PolyRing, rank: int, track: bool = False):
 
     With track=True, also returns representations: for each basis element a
     dict {(input_index, exps): coeff} expressing it over the input vectors.
-    Selection: sugar strategy; pruning: product criterion (rank-1 leading
-    positions only) and the chain criterion.
+    Selection: sugar strategy.  Pruning: the product criterion (rank-1
+    leading positions only), and then, by `track`:
+
+    - untracked runs update the pair set as each element h is added
+      (Gebauer & Moeller 1988): a queued pair whose lcm lt(h) divides,
+      unless lt(h) shares that lcm with one of the pair, is dropped; of the
+      new pairs with h, one is kept per minimal lcm; elements whose leading
+      term lt(h) divides take no new pairs, and the minimal basis is the
+      elements never so marked.  The inputs are added largest leading term
+      first, so an input's leading term never divides an earlier one's
+      except when equal.
+    - tracked runs queue every pair and drop a popped pair by the chain
+      criterion; the pairs they reduce, and so the representations they
+      return, stay those of the plain algorithm.  The reduced basis is
+      unique, so the pair rule changes no basis.
 
     Over QQ the loop holds each element as a primitive integer vector
     lambda * g, g monic, with the track lambda * t of g's track t, and
@@ -1108,7 +1176,7 @@ def _buchberger_packed(vecs: list, ring: PolyRing, rank: int, track: bool, packi
     term outgrows it."""
     field = ring.field
     p = field.p
-    guard, low = packing.guard, packing.low
+    guard, low, width, top = packing.guard, packing.low, packing.width, packing.top
 
     def loop_form(vec, tr) -> _Prepared:
         """A new element as the loop holds it, its track divided alike:
@@ -1137,12 +1205,14 @@ def _buchberger_packed(vecs: list, ring: PolyRing, rank: int, track: bool, packi
         G.append(loop_form(v, {packing.pack(i, one): den} if track else None))
 
     pairs: list = []
-    done_pairs: set = set()
+    # a field is nonzero exactly when adding `top` to it sets its guard bit
+    ones = sum(top << o for o in packing.offsets)
 
     def push_pairs_with(j):
-        """Queue (sugar, lcm, i, j) for every i < j in the same position;
-        the sugar of a pair is the degree of the lcm plus the larger excess
-        of an element's sugar over the degree of its leading monomial."""
+        """Tracked runs: queue (sugar, lcm, i, j) for every i < j in the same
+        position; the sugar of a pair is the degree of the lcm plus the
+        larger excess of an element's sugar over the degree of its leading
+        monomial."""
         gj = G[j]
         for i in range(j):
             gi = G[i]
@@ -1152,41 +1222,103 @@ def _buchberger_packed(vecs: list, ring: PolyRing, rank: int, track: bool, packi
             sugar = sum(lcm) + max(gi.sugar - sum(gi.exps), gj.sugar - sum(gj.exps))
             heappush(pairs, (sugar, lcm, i, j))
 
-    for j in range(len(G)):
-        push_pairs_with(j)
+    queued: dict = {}       # untracked runs: (i, j) -> lcm fields of each live pair
+    redundant: list = []    # untracked runs: G[k]'s leading term is a later one's multiple
 
-    # a field is nonzero exactly when adding `top` to it sets its guard bit
-    ones = sum(packing.top << o for o in packing.offsets)
-    while pairs:
-        _, lcm, i, j = heappop(pairs)
-        if (i, j) in done_pairs:
-            continue
-        done_pairs.add((i, j))
-        gi, gj = G[i], G[j]
-        # product criterion: valid for ring elements (rank-1 leading data)
-        if rank == 1 and not (gi.fields + ones) & (gj.fields + ones) & guard:
-            continue
-        lcm = packing.pack(gi.pos, lcm)
-        lcm_fields = lcm & low
-        # chain criterion
-        skip = False
-        for k, gk in enumerate(G):
-            if k in (i, j) or gk.pos != gi.pos:
-                continue
-            if not (lcm_fields - gk.fields) & guard:
-                a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
-                if a in done_pairs and b in done_pairs:
-                    skip = True
+    def update(h) -> bool:
+        """Untracked runs: the Gebauer-Moeller update of the pairs for the
+        new element G[h]; whether it marked an element redundant.  A pair
+        is queued as (sugar, -lcm, i, h), so that of equal sugar the
+        smallest lcm comes first."""
+        gh = G[h]
+        hf, hpos = gh.fields, gh.pos
+        lcms = [None] * h
+        new = []        # (lcm, not coprime, k) for each element that takes pairs
+        divided = []
+        for k in range(h):
+            gk = G[k]
+            if gk.pos == hpos:
+                # per field, m is `top` where G[k]'s field is at least h's
+                a = gk.fields
+                m = (((a | guard) - hf & guard) >> width) * top
+                lcms[k] = lcm = a & m | hf & ~m & low
+                if not redundant[k]:
+                    new.append((lcm, rank != 1 or lcm != a + hf, k))
+                    if lcm == a:
+                        divided.append(k)
+        if queued:
+            for pair in [(i, j) for (i, j), lcm in queued.items()
+                         if not (lcm - hf) & guard and G[i].pos == hpos
+                         and lcms[i] != lcm and lcms[j] != lcm]:
+                del queued[pair]
+        # a divisor's fields are at most its multiple's as ints, so in this
+        # order every minimal lcm comes before its multiples, and a coprime
+        # pair before the others of its lcm
+        new.sort()
+        kept = []
+        for lcm, needed, k in new:
+            for other in kept:
+                if not (lcm - other) & guard:
                     break
-        if skip:
+            else:
+                kept.append(lcm)
+                if needed:
+                    gk = G[k]
+                    exps = packing.exps(lcm)
+                    sugar = sum(exps) + max(gk.sugar - sum(gk.exps), gh.sugar - sum(gh.exps))
+                    queued[(k, h)] = lcm
+                    heappush(pairs, (sugar, -packing.pack(hpos, exps), k, h))
+        for k in divided:
+            redundant[k] = True
+        redundant.append(False)
+        return bool(divided)
+
+    if track:
+        reducers = G
+        for j in range(len(G)):
+            push_pairs_with(j)
+    else:
+        inputs = sorted(G, key=attrgetter("lt"))
+        G = []
+        for g in inputs:
+            G.append(g)
+            update(len(G) - 1)
+        reducers = [g for g, r in zip(G, redundant) if not r]
+
+    done_pairs: set = set()
+    while pairs:
+        _, key, i, j = heappop(pairs)
+        gi, gj = G[i], G[j]
+        if track:
+            done_pairs.add((i, j))
+            # product criterion: valid for ring elements (rank-1 leading data)
+            if rank == 1 and not (gi.fields + ones) & (gj.fields + ones) & guard:
+                continue
+            lcm = packing.pack(gi.pos, key)
+            lcm_fields = lcm & low
+            # chain criterion
+            skip = False
+            for k, gk in enumerate(G):
+                if k in (i, j) or gk.pos != gi.pos:
+                    continue
+                if not (lcm_fields - gk.fields) & guard:
+                    a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
+                    if a in done_pairs and b in done_pairs:
+                        skip = True
+                        break
+            if skip:
+                continue
+        elif queued.pop((i, j), None) is None:
             continue
+        else:
+            lcm = -key
         # S-vector ai * x^si * gi - aj * x^sj * gj; ai == aj == 1 over GF(p)
         si, sj = lcm - gi.lt, lcm - gj.lt
         common = gcd(gi.lc, gj.lc)
         ai, aj = gj.lc // common, gi.lc // common
         spoly = _shifted(gi.vec, ai, si, p, guard)
         _vec_sub_inplace(spoly, _shifted(gj.vec, aj, sj, p, guard), field)
-        red, cof, scale = _pseudo_reduce(spoly, G, packing, p, len(G) if track else 0)
+        red, cof, scale = _pseudo_reduce(spoly, reducers, packing, p, len(G) if track else 0)
         if not red:
             continue
         rtrack = None
@@ -1198,25 +1330,32 @@ def _buchberger_packed(vecs: list, ring: PolyRing, rank: int, track: bool, packi
                 for shift, c in cterms.items():
                     _track_combine(rtrack, d.track, field.neg(c), shift, field, guard)
         G.append(loop_form(red, rtrack))
-        push_pairs_with(len(G) - 1)
+        if track:
+            push_pairs_with(len(G) - 1)
+        elif update(len(G) - 1):
+            reducers = [g for g, r in zip(G, redundant) if not r]
+        else:
+            reducers.append(G[-1])
 
-    # minimal basis: drop elements whose leading term is divisible by another's
-    keep = []
-    for idx, g in enumerate(G):
-        lt_divisible = False
-        for k in range(len(G)):
-            if k == idx:
-                continue
-            other = G[k]
-            if other.pos == g.pos and not (g.fields - other.fields) & guard:
-                if other.fields == g.fields and k > idx:
+    if track:
+        # minimal basis: drop elements whose leading term is divisible by another's
+        keep = []
+        for idx, g in enumerate(G):
+            lt_divisible = False
+            for k in range(len(G)):
+                if k == idx:
                     continue
-                lt_divisible = True
-                break
-        if not lt_divisible:
-            keep.append(idx)
-
-    minimal = [G[k] for k in keep]
+                other = G[k]
+                if other.pos == g.pos and not (g.fields - other.fields) & guard:
+                    if other.fields == g.fields and k > idx:
+                        continue
+                    lt_divisible = True
+                    break
+            if not lt_divisible:
+                keep.append(idx)
+        minimal = [G[k] for k in keep]
+    else:
+        minimal = reducers   # the elements whose leading term no later one divides
 
     # tail-reduce each element by the others
     reduced = []

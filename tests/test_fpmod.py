@@ -493,3 +493,45 @@ class TestLiftNormalForm:
         assert key("x") != key()
         assert key("x^3") == key("x^2 + x^4") == key()
         assert key("x", "y") == key("x + y", "y")
+
+
+# ---------------------------------------------------------------------------
+# kernel columns without the kernel's presentation
+
+
+KERNEL_RINGS = {"QQ": PolyRing(QQ, ["x", "y"]), "GF5": PolyRing(GF(5), ["x", "y"])}
+
+
+def _maps_with_kernels(ring, rng):
+    """A seeded map from a free module, the projection of its target onto
+    the cokernel, the inclusion of its kernel, that inclusion composed with
+    the map (zero), and a map out of a source with relations."""
+    phi = _seeded_map(ring, rng, False)
+    K, incl = kernel(phi)
+    _, proj = cokernel(phi)
+    M = random_module(ring, rng)
+    to_free = _seeded_map(ring, rng, False)
+    back = ModuleMap(M, unit_module(ring), [[random_poly(ring, rng, 1) for _ in range(M.gens)]],
+                     check=False)
+    return [phi, proj, incl, phi.compose(incl), to_free, back]
+
+
+@pytest.mark.parametrize("ring_name", sorted(KERNEL_RINGS))
+@pytest.mark.parametrize("seed", range(8))
+def test_kernel_columns_are_the_inclusion_columns(ring_name, seed):
+    from idals.fpmod import iso_failure_certificate, kernel_columns
+
+    ring = KERNEL_RINGS[ring_name]
+    rng = random.Random(f"kernel-columns-{ring_name}-{seed}")
+    for f in _maps_with_kernels(ring, rng):
+        K, incl = kernel(f)
+        cols = kernel_columns(f)
+        assert cols == [incl.column(j) for j in range(K.gens)]
+        assert (not cols) == K.is_zero_module()
+        C, _ = cokernel(f)
+        assert is_iso(f) == (C.is_zero_module() and K.is_zero_module())
+        cert = iso_failure_certificate(f)
+        if C.is_zero_module() and not K.is_zero_module():
+            assert cert == {"kind": "kernel_element", "column": [str(p) for p in incl.column(0)]}
+        elif C.is_zero_module():
+            assert cert is None

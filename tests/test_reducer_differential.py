@@ -504,3 +504,113 @@ def test_rank_three_syzygies_with_widening(field, monkeypatch):
     assert len(want) == 2
     assert [items(v) for v in _syzygy_vecs(columns, ring, rank)] == [items(v) for v in want]
     assert widths == [8, 16]
+
+
+# -- the Gebauer-Moeller pair update of untracked runs -----------------------
+#
+# Untracked runs queue and drop pairs by the Gebauer-Moeller update, so they
+# reduce other S-vectors than the oracle, which keeps the plain pair rule;
+# the reduced basis is unique, so theirs must still equal the oracle's, item
+# for item.  Tracked runs keep the oracle's pair rule (the tests above).
+
+def cyclic(n):
+    names = [f"x{i}" for i in range(n)]
+    eqs = [" + ".join("*".join(names[(i + j) % n] for j in range(d)) for i in range(n))
+           for d in range(1, n)]
+    return names, eqs + ["*".join(names) + " - 1"]
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["GF32003", "QQ"])
+@pytest.mark.parametrize("system", [lambda: katsura(5), lambda: cyclic(5)],
+                         ids=["katsura-5", "cyclic-5"])
+def test_untracked_standard_systems_match_oracle(field, system):
+    variables, eqs = system()
+    ring = PolyRing(field, variables)
+    vecs = [{(0, e): c for e, c in ring.poly(g).terms.items()} for g in eqs]
+    new = _buchberger(vecs, ring, 1)
+    assert_same_gb(new, oracle.buchberger(vecs, ring, 1))
+    assert_canonical(new)
+
+
+def spy_on_reductions(monkeypatch):
+    """The number of S-vectors and tail elements `_buchberger` reduces."""
+    calls = []
+    original = polyring._pseudo_reduce
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(polyring, "_pseudo_reduce", spy)
+    return calls
+
+
+def test_untracked_runs_reduce_fewer_pairs(monkeypatch):
+    # the chain criterion at pop time lets cyclic-5 reduce 128 times, the
+    # pair update 127 times; both give the same basis
+    variables, eqs = cyclic(5)
+    ring = PolyRing(GF(32003), variables)
+    vecs = [{(0, e): c for e, c in ring.poly(g).terms.items()} for g in eqs]
+    calls = spy_on_reductions(monkeypatch)
+    untracked = _buchberger(vecs, ring, 1)
+    n_untracked = len(calls)
+    tracked, _ = _buchberger(vecs, ring, 1, track=True)
+    assert [items(v) for v in untracked] == [items(v) for v in tracked]
+    assert n_untracked < len(calls) - n_untracked
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("rank", [1, 2])
+def test_later_leading_terms_dividing_earlier_ones(field, order, rank):
+    # each later input's leading term divides an earlier one's (twice with
+    # equal leading terms), and a zero input sits in between
+    ring = PolyRing(field, ["x", "y", "z"], order)
+    one = field.one()
+
+    def vec(*terms, pos=0):
+        return {(pos, e): field.of(c) for e, c in terms}
+
+    vecs = [vec(((3, 2, 0), 1), ((0, 1, 1), 2)),
+            vec(((2, 2, 1), 3), ((1, 0, 0), -1)),
+            vec(((3, 1, 0), 1), ((0, 0, 2), one)),
+            {},
+            vec(((3, 1, 0), 2), ((1, 1, 0), one)),
+            vec(((1, 1, 0), 1), ((0, 0, 1), 1)),
+            vec(((1, 0, 0), 1), ((0, 1, 0), 4)),
+            vec(((1, 0, 0), 1), ((0, 0, 1), -1))]
+    if rank == 2:
+        vecs += [vec(((2, 0, 0), 1), pos=1), vec(((1, 1, 1), 2), ((0, 0, 0), 1), pos=1),
+                 {**vec(((1, 0, 0), 1), pos=1), **vec(((0, 2, 0), 1))}]
+    new = _buchberger(vecs, ring, rank)
+    assert_same_gb(new, oracle.buchberger(vecs, ring, rank))
+    tracked, _ = _buchberger(vecs, ring, rank, track=True)
+    assert [items(v) for v in new] == [items(v) for v in tracked]
+
+
+@pytest.mark.parametrize("ring,rank,rng", [c for c in cases(36) if c[1] > 1])
+def test_untracked_modules_match_oracle(ring, rank, rng):
+    for _ in range(2):
+        vecs = [random_vec(ring, rank, rng, terms=3, deg=2) for _ in range(rng.randint(3, 5))]
+        new = _buchberger(vecs, ring, rank)
+        assert_same_gb(new, oracle.buchberger(vecs, ring, rank))
+        tracked, _ = _buchberger(vecs, ring, rank, track=True)
+        assert [items(v) for v in new] == [items(v) for v in tracked]
+
+
+@pytest.mark.parametrize("ring,rank,rng", list(cases(18)))
+def test_syzygy_elimination_inputs_match_oracle(ring, rank, rng):
+    """`_syzygy_vecs`: the tagged columns under the elimination key, then
+    the projection of the basis elements free of the column positions."""
+    columns = [random_vec(ring, rank, rng, terms=3, deg=2) for _ in range(rng.randint(2, 4))]
+    work = []
+    for i, col in enumerate(columns):
+        v = dict(col)
+        v[(rank + i, (0,) * ring.nvars)] = ring.field.one()
+        work.append(v)
+    total = rank + len(columns)
+    old = oracle.buchberger(work, ring, total, keyf=oracle.vkey(ring, elim_rank=rank))
+    assert_same_gb(_buchberger(work, ring, total), old)
+    want = [{(p - rank, e): c for (p, e), c in g.items()} for g in old
+            if all(p >= rank for (p, _) in g)]
+    assert [items(v) for v in _syzygy_vecs(columns, ring, rank)] == [items(v) for v in want]
