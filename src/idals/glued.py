@@ -15,7 +15,7 @@ J between its chart pieces carried to the overlap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     AlgebraError,
@@ -180,8 +180,7 @@ def p1_scheme() -> TwoChartScheme:
 # glued modules
 
 
-@dataclass
-class OverlapDatum:
+class OverlapDatum(NamedTuple):
     """The overlap data of a glued module: Deligne elements of the scheme's
     overlap idal J between its overlap pieces, mutually inverse up to the
     collapse J^{(x)(fwd_stage + bwd_stage)} -> O.  Each is the matrix of
@@ -443,8 +442,7 @@ def _conjugation(G: GluedModule, H: GluedModule, chart: int, homs):
 # global sections
 
 
-@dataclass
-class SectionsResult:
+class SectionsResult(NamedTuple):
     kind: str                      # "affine" or "selfglue"
     total: int | None              # window dimension (affine)
     by_degree: dict | None         # overlap-degree table when gradings allow
@@ -691,11 +689,10 @@ def standard_dual_datum(G: GluedModule):
 # the glue round trip
 
 
-@dataclass
-class RoundtripResult:
+class RoundtripResult(NamedTuple):
     ok: bool
     mode: str            # "exact" or "windowed"
-    detail: dict = field(default_factory=dict)
+    detail: dict
 
     def __bool__(self):
         return self.ok
@@ -860,15 +857,13 @@ def chart_idal(scheme: TwoChartScheme, which: int, power: int = 1):
     return L, GluedMap(L, O, *_oriented(which, ModuleMap.identity(near), e_far))
 
 
-@dataclass
-class GenerationBlock:
+class GenerationBlock(NamedTuple):
     chart: int
     power: int
     map: GluedMap
 
 
-@dataclass
-class GenerationResult:
+class GenerationResult(NamedTuple):
     blocks: list
     source: GluedModule
     map: GluedMap
@@ -971,8 +966,7 @@ def p1_sections_oracle(n: int) -> int:
 # classification-datum checkers
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     clauses: dict
 
     @property
@@ -980,8 +974,7 @@ class CheckReport:
         return all(self.clauses.values())
 
 
-@dataclass
-class LineBundleDatum:
+class LineBundleDatum(NamedTuple):
     L: GluedModule
     cover_maps: tuple   # two GluedMaps L -> O_glued
 

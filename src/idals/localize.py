@@ -15,7 +15,7 @@ two-consecutive-isomorphisms rule.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import AlgebraError, LiftError, RingMismatchError
 from .fpmod import (
@@ -188,8 +188,7 @@ def _saturated_stage(chain: HomChain, n: int, ker_cols) -> PresentedModule:
     return PresentedModule(base.ring, base.gens, list(base.relations) + list(ker_cols), None)
 
 
-@dataclass
-class ChainColimitResult:
+class ChainColimitResult(NamedTuple):
     """What `_scan_hom_chain` read and decided: the stages and transitions up
     to where it stopped, the colimit value, and which rule fired."""
 
@@ -199,7 +198,7 @@ class ChainColimitResult:
     stabilized_at: int | None
     truncated: bool
     saturated: bool = False
-    saturated_transitions: list = field(default_factory=list)
+    saturated_transitions: list | tuple = ()
 
 
 def _scan_hom_chain(chain: HomChain, n_max: int) -> ChainColimitResult:
@@ -271,8 +270,7 @@ def _scan_hom_chain(chain: HomChain, n_max: int) -> ChainColimitResult:
 # the reflector
 
 
-@dataclass
-class ReflectorResult:
+class ReflectorResult(NamedTuple):
     input: PresentedModule
     idal: Idal
     chain: ChainColimitResult
@@ -308,8 +306,7 @@ def reflect(J: Idal, M: PresentedModule, n_max: int = 8) -> ReflectorResult:
 # Deligne morphism spaces
 
 
-@dataclass
-class DeligneHomResult:
+class DeligneHomResult(NamedTuple):
     idal: Idal
     source: PresentedModule
     target: PresentedModule

@@ -19,6 +19,14 @@ out canonical rationals.  Inside the engine each term is one packed int
 (`_Packing`): comparing terms, multiplying by a monomial and testing
 divisibility are int operations, and raw vectors are converted where they
 enter and leave.
+
+`_buchberger` picks its S-vectors by one of three loops: untracked rank-1
+runs by an incremental signature algorithm (`_signature_loop`, whose
+signatures are packed terms as well), untracked runs of higher rank by
+Buchberger's algorithm with the Gebauer-Moeller pair update, and tracked
+runs, whose cofactors depend on the pairs reduced, by the plain pair rule
+with the chain criterion.  All three reduce through `_pseudo_reduce` and
+hand a minimal basis to one tail that makes it reduced.
 """
 
 from __future__ import annotations
@@ -774,12 +782,19 @@ class _Parser:
         if tok == "-":
             return -self.atom()
         if tok == "(":
-            # either a parenthesized expression or the `(k mod p)` form
-            nxt = tokens[self.idx]
-            if nxt is not None and nxt.lstrip("-").isdigit() and tokens[self.idx + 1] == "mod":
-                k = _int_literal(self.advance())
-                self.advance()
-                p = _int_literal(self.advance())
+            # either a parenthesized expression or the `(k mod p)` form, whose
+            # k may be negative: `-3` is the two tokens `-` and `3`
+            i = self.idx + (tokens[self.idx] == "-")
+            nxt = tokens[i]
+            if nxt is not None and nxt.isdigit() and tokens[i + 1] == "mod":
+                k = _int_literal(nxt)
+                if i > self.idx:
+                    k = -k
+                self.idx = i + 2
+                p = self.advance()
+                if p is None:
+                    raise AlgebraError("unclosed (k mod p) coefficient")
+                p = _int_literal(p)
                 if self.advance() != ")":
                     raise AlgebraError("unclosed (k mod p) coefficient")
                 if not ring.field.p or ring.field.p != p:
@@ -863,7 +878,7 @@ class _Packing:
     `packed(key)` and `unpacked(t)` are `pack(*key)` and `unpack(t)`, kept
     for the last PACK_MEMO_MAX terms."""
 
-    __slots__ = ("width", "top", "offsets", "incr", "base", "high", "low", "guard",
+    __slots__ = ("width", "top", "offsets", "incr", "base", "high", "low", "guard", "ones",
                  "packed", "unpacked")
 
     def __init__(self, order: str, nvars: int, width: int):
@@ -888,6 +903,8 @@ class _Packing:
         self.high = below + koff.bit_length()
         self.low = (1 << below) - 1     # the exponent fields
         self.guard = sum(1 << o + width for o in offsets)
+        # a field is nonzero exactly when adding `top` to it sets its guard bit
+        self.ones = sum(top << o for o in offsets)
         self.packed = lru_cache(PACK_MEMO_MAX)(lambda key: self.pack(*key))
         self.unpacked = lru_cache(PACK_MEMO_MAX)(self.unpack)
 
@@ -936,10 +953,11 @@ class _Prepared:
     `lt` is the packed leading term, `pos` and `exps` its position and
     exponents, `fields` its exponent fields, and `tail` holds the other terms
     of vec as (term, coeff).  Inside Buchberger an element also carries its
-    track and its sugar, the largest degree of its terms."""
+    track, its sugar (the largest degree of its terms) and, in the signature
+    loop, its signature."""
 
     __slots__ = ("vec", "packing", "lt", "lc", "pos", "exps", "fields", "sugar", "track",
-                 "tail", "unit")
+                 "tail", "unit", "sig")
 
     def __init__(self, vec, packing: _Packing, track=None, unit=1):
         self.vec = vec
@@ -952,6 +970,7 @@ class _Prepared:
         self.track = track
         self.tail = [(t, c) for t, c in vec.items() if t != lt]
         self.unit = unit
+        self.sig = None
 
     def repacked(self, packing: _Packing) -> "_Prepared":
         packed, unpacked = packing.packed, self.packing.unpacked
@@ -1005,7 +1024,8 @@ def _vec_sub_inplace(target: dict, other: dict, field):
             target.pop(k, None)
 
 
-def _pseudo_reduce(vec: dict, divisors: list, packing: _Packing, p: int, track_len: int = 0):
+def _pseudo_reduce(vec: dict, divisors: list, packing: _Packing, p: int, track_len: int = 0,
+                   bound=None):
     """Normal form of the packed vec by the prepared divisors, up to a
     nonzero scalar.
 
@@ -1026,6 +1046,12 @@ def _pseudo_reduce(vec: dict, divisors: list, packing: _Packing, p: int, track_l
     The leading term is popped from a heap of packed terms; a term that
     cancels leaves its entry behind, and the entry is skipped when popped.
     Each step reduces by the first divisor whose leading term divides.
+
+    With a `bound` (a packed signature) the reduction is regular: a divisor
+    d with a signature d.sig reduces term t only when its multiple's
+    signature d.sig + (t - d.lt) is a smaller term than the bound, that is
+    a larger int.  It is checked on a divisor match only; a divisor with no
+    signature always reduces.
     """
     high, low, guard = packing.high, packing.low, packing.guard
     work = dict(vec)
@@ -1042,7 +1068,13 @@ def _pseudo_reduce(vec: dict, divisors: list, packing: _Packing, p: int, track_l
         pos, fields = t >> high, t & low
         for i, d in enumerate(divisors):
             if d.pos == pos and not (fields - d.fields) & guard:
-                break
+                if bound is None or d.sig is None:
+                    break
+                sig = d.sig + t - d.lt
+                if sig & guard:
+                    raise _Overflow
+                if sig > bound:
+                    break
         else:
             remainder[t] = c
             continue
@@ -1138,29 +1170,29 @@ def _buchberger(vecs: list, ring: PolyRing, rank: int, track: bool = False):
 
     With track=True, also returns representations: for each basis element a
     dict {(input_index, exps): coeff} expressing it over the input vectors.
-    Selection: sugar strategy.  Pruning: the product criterion (rank-1
-    leading positions only), and then, by `track`:
 
-    - untracked runs update the pair set as each element h is added
-      (Gebauer & Moeller 1988): a queued pair whose lcm lt(h) divides,
-      unless lt(h) shares that lcm with one of the pair, is dropped; of the
-      new pairs with h, one is kept per minimal lcm; elements whose leading
-      term lt(h) divides take no new pairs, and the minimal basis is the
-      elements never so marked.  The inputs are added largest leading term
-      first, so an input's leading term never divides an earlier one's
-      except when equal.
-    - tracked runs queue every pair and drop a popped pair by the chain
-      criterion; the pairs they reduce, and so the representations they
-      return, stay those of the plain algorithm.  The reduced basis is
-      unique, so the pair rule changes no basis.
+    - Untracked rank-1 runs (`groebner`, `_module_gb` of rank 1, the
+      quotient basis of a ring) run the signature loop
+      (`_signature_loop`), which reduces no S-vector that the F5 and
+      syzygy criteria or a singular top reduction show to be superfluous.
+    - Untracked runs of higher rank update the pair set as each element h
+      is added (Gebauer & Moeller 1988, `_pair_update_loop`).
+    - Tracked runs queue every pair, select by sugar and drop a popped pair
+      by the product and chain criteria (`_tracked_loop`); the pairs they
+      reduce, and so the representations they return, stay those of the
+      plain algorithm.
 
-    Over QQ the loop holds each element as a primitive integer vector
+    The reduced basis is unique, so the loop changes no basis: each loop
+    hands a minimal basis to one shared tail, which reduces every element
+    by the others and makes it monic.
+
+    Over QQ the loops hold each element as a primitive integer vector
     lambda * g, g monic, with the track lambda * t of g's track t, and
-    reduces by `_pseudo_reduce`; over GF(p) it holds g itself.  Every choice
-    depends on leading monomials only, so both fields take the steps of
-    Buchberger's algorithm on monic elements.  Over QQ the returned basis
-    and tracks are divided by lambda, as canonical rationals, at the end.  Tracks are
-    packed too, the input index in the place of the position.
+    reduce by `_pseudo_reduce`; over GF(p) they hold g itself.  Every choice
+    depends on leading monomials only, so both fields take the same steps on
+    monic elements.  Over QQ the returned basis and tracks are divided by
+    lambda, as canonical rationals, at the end.  Tracks are packed too, the
+    input index in the place of the position.
     """
     width = START_WIDTH
     while True:
@@ -1171,194 +1203,88 @@ def _buchberger(vecs: list, ring: PolyRing, rank: int, track: bool = False):
             width *= 2
 
 
+def _loop_form(vec: dict, tr, packing: _Packing, field) -> _Prepared:
+    """A new element as the loops hold it, its track divided alike:
+    primitive over QQ, monic over GF(p)."""
+    p = field.p
+    s = vec[min(vec)] if p else gcd(*vec.values())
+    if s != 1:
+        if p:
+            inv = field.inv(s)
+            vec = {k: c * inv % p for k, c in vec.items()}
+            if tr is not None:
+                tr = {k: c * inv % p for k, c in tr.items()}
+        else:
+            vec = {k: c // s for k, c in vec.items()}
+            if tr is not None:
+                tr = {k: field.div(c, s) for k, c in tr.items()}
+    return _Prepared(vec, packing, tr)
+
+
+def _sugared(g: _Prepared) -> _Prepared:
+    """g with its sugar set: the largest degree of its terms."""
+    g.sugar = max(map(g.packing.degree, g.vec))
+    return g
+
+
 def _buchberger_packed(vecs: list, ring: PolyRing, rank: int, track: bool, packing: _Packing):
     """`_buchberger` with its terms packed by `packing`; `_Overflow` when a
     term outgrows it."""
     field = ring.field
     p = field.p
-    guard, low, width, top = packing.guard, packing.low, packing.width, packing.top
-
-    def loop_form(vec, tr) -> _Prepared:
-        """A new element as the loop holds it, its track divided alike:
-        primitive over QQ, monic over GF(p)."""
-        s = vec[min(vec)] if p else gcd(*vec.values())
-        if s != 1:
-            if p:
-                inv = field.inv(s)
-                vec = {k: c * inv % p for k, c in vec.items()}
-                if tr is not None:
-                    tr = {k: c * inv % p for k, c in tr.items()}
-            else:
-                vec = {k: c // s for k, c in vec.items()}
-                if tr is not None:
-                    tr = {k: field.div(c, s) for k, c in tr.items()}
-        prep = _Prepared(vec, packing, tr)
-        prep.sugar = max(map(packing.degree, vec))
-        return prep
-
     G: list[_Prepared] = []
     one = (0,) * ring.nvars
     for i, v in enumerate(vecs):
-        if not v:
-            continue
-        v, den = _packed(v, packing, p)
-        G.append(loop_form(v, {packing.pack(i, one): den} if track else None))
-
-    pairs: list = []
-    # a field is nonzero exactly when adding `top` to it sets its guard bit
-    ones = sum(top << o for o in packing.offsets)
-
-    def push_pairs_with(j):
-        """Tracked runs: queue (sugar, lcm, i, j) for every i < j in the same
-        position; the sugar of a pair is the degree of the lcm plus the
-        larger excess of an element's sugar over the degree of its leading
-        monomial."""
-        gj = G[j]
-        for i in range(j):
-            gi = G[i]
-            if gi.pos != gj.pos:
-                continue
-            lcm = tuple(map(max, gi.exps, gj.exps))
-            sugar = sum(lcm) + max(gi.sugar - sum(gi.exps), gj.sugar - sum(gj.exps))
-            heappush(pairs, (sugar, lcm, i, j))
-
-    queued: dict = {}       # untracked runs: (i, j) -> lcm fields of each live pair
-    redundant: list = []    # untracked runs: G[k]'s leading term is a later one's multiple
-
-    def update(h) -> bool:
-        """Untracked runs: the Gebauer-Moeller update of the pairs for the
-        new element G[h]; whether it marked an element redundant.  A pair
-        is queued as (sugar, -lcm, i, h), so that of equal sugar the
-        smallest lcm comes first."""
-        gh = G[h]
-        hf, hpos = gh.fields, gh.pos
-        lcms = [None] * h
-        new = []        # (lcm, not coprime, k) for each element that takes pairs
-        divided = []
-        for k in range(h):
-            gk = G[k]
-            if gk.pos == hpos:
-                # per field, m is `top` where G[k]'s field is at least h's
-                a = gk.fields
-                m = (((a | guard) - hf & guard) >> width) * top
-                lcms[k] = lcm = a & m | hf & ~m & low
-                if not redundant[k]:
-                    new.append((lcm, rank != 1 or lcm != a + hf, k))
-                    if lcm == a:
-                        divided.append(k)
-        if queued:
-            for pair in [(i, j) for (i, j), lcm in queued.items()
-                         if not (lcm - hf) & guard and G[i].pos == hpos
-                         and lcms[i] != lcm and lcms[j] != lcm]:
-                del queued[pair]
-        # a divisor's fields are at most its multiple's as ints, so in this
-        # order every minimal lcm comes before its multiples, and a coprime
-        # pair before the others of its lcm
-        new.sort()
-        kept = []
-        for lcm, needed, k in new:
-            for other in kept:
-                if not (lcm - other) & guard:
-                    break
-            else:
-                kept.append(lcm)
-                if needed:
-                    gk = G[k]
-                    exps = packing.exps(lcm)
-                    sugar = sum(exps) + max(gk.sugar - sum(gk.exps), gh.sugar - sum(gh.exps))
-                    queued[(k, h)] = lcm
-                    heappush(pairs, (sugar, -packing.pack(hpos, exps), k, h))
-        for k in divided:
-            redundant[k] = True
-        redundant.append(False)
-        return bool(divided)
-
+        if v:
+            v, den = _packed(v, packing, p)
+            G.append(_sugared(_loop_form(v, {packing.pack(i, one): den} if track else None,
+                                         packing, field)))
     if track:
-        reducers = G
-        for j in range(len(G)):
-            push_pairs_with(j)
+        minimal = _minimal(_tracked_loop(G, rank, packing, field), packing)
+    elif rank == 1:
+        minimal = _signature_loop(G, packing, field)
     else:
-        inputs = sorted(G, key=attrgetter("lt"))
-        G = []
-        for g in inputs:
-            G.append(g)
-            update(len(G) - 1)
-        reducers = [g for g, r in zip(G, redundant) if not r]
+        minimal = _pair_update_loop(G, packing, field)
 
-    done_pairs: set = set()
-    while pairs:
-        _, key, i, j = heappop(pairs)
-        gi, gj = G[i], G[j]
-        if track:
-            done_pairs.add((i, j))
-            # product criterion: valid for ring elements (rank-1 leading data)
-            if rank == 1 and not (gi.fields + ones) & (gj.fields + ones) & guard:
-                continue
-            lcm = packing.pack(gi.pos, key)
-            lcm_fields = lcm & low
-            # chain criterion
-            skip = False
-            for k, gk in enumerate(G):
-                if k in (i, j) or gk.pos != gi.pos:
-                    continue
-                if not (lcm_fields - gk.fields) & guard:
-                    a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
-                    if a in done_pairs and b in done_pairs:
-                        skip = True
-                        break
-            if skip:
-                continue
-        elif queued.pop((i, j), None) is None:
-            continue
-        else:
-            lcm = -key
-        # S-vector ai * x^si * gi - aj * x^sj * gj; ai == aj == 1 over GF(p)
-        si, sj = lcm - gi.lt, lcm - gj.lt
-        common = gcd(gi.lc, gj.lc)
-        ai, aj = gj.lc // common, gi.lc // common
-        spoly = _shifted(gi.vec, ai, si, p, guard)
-        _vec_sub_inplace(spoly, _shifted(gj.vec, aj, sj, p, guard), field)
-        red, cof, scale = _pseudo_reduce(spoly, reducers, packing, p, len(G) if track else 0)
-        if not red:
-            continue
-        rtrack = None
-        if track:
-            rtrack = {}
-            _track_combine(rtrack, gi.track, field.mul(scale, ai), si, field, guard)
-            _track_combine(rtrack, gj.track, field.neg(field.mul(scale, aj)), sj, field, guard)
-            for d, cterms in zip(G, cof):
-                for shift, c in cterms.items():
-                    _track_combine(rtrack, d.track, field.neg(c), shift, field, guard)
-        G.append(loop_form(red, rtrack))
-        if track:
-            push_pairs_with(len(G) - 1)
-        elif update(len(G) - 1):
-            reducers = [g for g, r in zip(G, redundant) if not r]
-        else:
-            reducers.append(G[-1])
-
-    if track:
-        # minimal basis: drop elements whose leading term is divisible by another's
-        keep = []
-        for idx, g in enumerate(G):
-            lt_divisible = False
-            for k in range(len(G)):
-                if k == idx:
-                    continue
-                other = G[k]
-                if other.pos == g.pos and not (g.fields - other.fields) & guard:
-                    if other.fields == g.fields and k > idx:
-                        continue
-                    lt_divisible = True
-                    break
-            if not lt_divisible:
-                keep.append(idx)
-        minimal = [G[k] for k in keep]
-    else:
-        minimal = reducers   # the elements whose leading term no later one divides
-
-    # tail-reduce each element by the others
     reduced = []
+    for rem, tr in _interreduced(minimal, packing, field, track):
+        lt = min(rem)
+        if not p:
+            # g's leading term is irreducible by the others, so over GF(p)
+            # rem is monic like g; over QQ it is made monic here
+            lc = rem[lt]
+            rem = {k: _ratio(c, lc) for k, c in rem.items()}
+            if tr is not None:
+                tr = {k: field.div(c, lc) for k, c in tr.items()}
+        reduced.append((lt, rem, tr))
+    reduced.sort(key=itemgetter(0))
+    unpacked = packing.unpacked
+    basis = [{unpacked(t): c for t, c in v.items()} for _, v, _ in reduced]
+    if track:
+        return basis, [{unpacked(k): c for k, c in t.items()} for _, _, t in reduced]
+    return basis
+
+
+def _minimal(G: list, packing: _Packing) -> list:
+    """The elements of G whose leading term no other element's divides; of
+    equal leading terms the first is kept."""
+    guard = packing.guard
+    keep = []
+    for idx, g in enumerate(G):
+        for k, other in enumerate(G):
+            if (k != idx and other.pos == g.pos and not (g.fields - other.fields) & guard
+                    and (k < idx or other.fields != g.fields)):
+                break
+        else:
+            keep.append(g)
+    return keep
+
+
+def _interreduced(minimal: list, packing: _Packing, field, track: bool) -> list:
+    """(remainder, track) of each element of a minimal basis reduced by the
+    others; over QQ both are still multiplied by the reduction's scale."""
+    p = field.p
+    out = []
     for idx, g in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1:]
         rem, cof, scale = _pseudo_reduce(g.vec, others, packing, p,
@@ -1368,24 +1294,289 @@ def _buchberger_packed(vecs: list, ring: PolyRing, rank: int, track: bool, packi
             tr = {k: field.mul(c, scale) for k, c in g.track.items()}
             for d, cterms in zip(others, cof):
                 for shift, c in cterms.items():
-                    _track_combine(tr, d.track, field.neg(c), shift, field, guard)
-        if rem:
-            lt = min(rem)
-            if not p:
-                # g's leading term is irreducible by the others, so over
-                # GF(p) rem is monic like g; over QQ it is made monic here
-                lc = rem[lt]
-                rem = {k: _ratio(c, lc) for k, c in rem.items()}
-                if tr is not None:
-                    tr = {k: field.div(c, lc) for k, c in tr.items()}
-            reduced.append((lt, rem, tr))
+                    _track_combine(tr, d.track, field.neg(c), shift, field, packing.guard)
+        out.append((rem, tr))
+    return out
 
-    reduced.sort(key=itemgetter(0))
-    unpacked = packing.unpacked
-    basis = [{unpacked(t): c for t, c in v.items()} for _, v, _ in reduced]
-    if track:
-        return basis, [{unpacked(k): c for k, c in t.items()} for _, _, t in reduced]
-    return basis
+
+def _signature_loop(inputs: list, packing: _Packing, field) -> list:
+    """A minimal Groebner basis of the ideal the inputs generate, by an
+    incremental signature algorithm (Faugere's F5, ISSAC 2002, in the form
+    of Roune & Stillman, ISSAC 2012).
+
+    The inputs are taken lowest degree (sugar) first, of equal degrees the
+    smaller leading term first.  `basis` is the reduced basis of the inputs
+    taken so far; the next input f_i is reduced by it, and if something is
+    left, the multiples of what is left are worked out in signature order.
+    A signature is t * e_i, held as the packed term of the monomial t;
+    every element found for f_i carries one, and the elements of `basis`
+    carry none: their signatures lie at earlier inputs, so they may always
+    reduce.
+
+    - The J-pair of a new element g with an earlier element h is the
+      multiple of the one of larger signature by which its leading term
+      reaches their lcm; of equal signatures (a singular pair) there is
+      none.
+    - The pairs are popped smallest signature first, one signature T at a
+      time.  T is dropped when a known syzygy signature divides it: a
+      leading term of `basis` (the F5 criterion) or a signature that
+      reduced to zero.  It is dropped too when the latest element whose
+      signature divides T, the rewriter, made none of its pairs.
+      Otherwise the rewriter is multiplied up to T and reduced regularly
+      (`_pseudo_reduce` with the bound T).
+    - A result of zero is a syzygy, and its signature joins the list.  A
+      result whose leading term a multiple of signature T divides (it is
+      singular top-reducible) is dropped: an element of that signature and
+      leading term is there already.  Otherwise it joins the elements.
+
+    Once f_i's pairs are done, its elements and `basis` form a Groebner
+    basis of the inputs so far, which is made minimal and reduced for the
+    next input; the last is left minimal for the shared tail.  A constant
+    ends the run: the ideal is the unit ideal.
+    """
+    p = field.p
+    guard, low, width, top, ones = (packing.guard, packing.low, packing.width, packing.top,
+                                    packing.ones)
+    pack, exps = packing.pack, packing.exps
+    inputs = sorted(inputs, key=lambda g: (g.sugar, -g.lt))
+    basis, found = inputs[:1], []   # found: the elements found for the current input
+    for f in inputs[1:]:
+        if found:
+            basis = [_loop_form(rem, None, packing, field)
+                     for rem, _ in _interreduced(_minimal(basis + found, packing), packing,
+                                                 field, False)]
+        rem, _, _ = _pseudo_reduce(f.vec, basis, packing, p)
+        if not rem:
+            found = []
+            continue
+        if rem != f.vec:
+            f = _loop_form(rem, None, packing, field)
+        if not f.fields:
+            return [f]
+        f.sig = packing.base    # the signature 1 * e_i
+        found = [f]
+        reducers = basis + found
+        syz = [g.fields for g in basis]     # the exponent fields of syzygy signatures
+        # (minus the signature, index in found of the element it multiplies)
+        pairs: list = []
+        nb = len(basis)
+        new = f
+        while new is not None:
+            nf, nsig, nlt = new.fields, new.sig, new.lt
+            n = len(found) - 1
+            for k in range(nb + n):
+                h = reducers[k]
+                a = h.fields
+                if h.sig is None and not (a + ones) & (nf + ones) & guard:
+                    continue    # T = lt(h) * sig(new): the F5 criterion drops it
+                # per field, m is `top` where h's field is at least new's
+                m = (((a | guard) - nf & guard) >> width) * top
+                lcm = pack(0, exps(a & m | nf & ~m & low))
+                T, gen = nsig + lcm - nlt, n
+                if h.sig is not None:
+                    other = h.sig + lcm - h.lt
+                    if other == T:
+                        continue
+                    if (T | other) & guard:
+                        raise _Overflow
+                    if other < T:
+                        T, gen = other, k - nb
+                elif T & guard:
+                    raise _Overflow
+                tf = T & low
+                for s in syz:
+                    if not (tf - s) & guard:
+                        break
+                else:
+                    heappush(pairs, (-T, gen))
+            new = None
+            while pairs and new is None:
+                key, gen = heappop(pairs)
+                gens = {gen}
+                while pairs and pairs[0][0] == key:
+                    gens.add(heappop(pairs)[1])
+                T = -key
+                tf = T & low
+                for s in syz:
+                    if not (tf - s) & guard:
+                        break
+                else:
+                    r = len(found) - 1
+                    while (tf - (found[r].sig & low)) & guard:
+                        r -= 1
+                    if r not in gens:
+                        continue
+                    r = found[r]
+                    rem, _, _ = _pseudo_reduce(_shifted(r.vec, 1, T - r.sig, p, guard),
+                                               reducers, packing, p, 0, T)
+                    if not rem:
+                        syz.append(tf)
+                        continue
+                    lt = min(rem)
+                    lf = lt & low
+                    for h in found:
+                        if not (lf - h.fields) & guard and h.sig + lt - h.lt == T:
+                            break
+                    else:
+                        new = _loop_form(rem, None, packing, field)
+                        if not new.fields:
+                            return [new]
+                        new.sig = T
+                        found.append(new)
+                        reducers.append(new)
+    return _minimal(basis + found, packing)
+
+
+def _pair_update_loop(inputs: list, packing: _Packing, field) -> list:
+    """A minimal Groebner basis of the submodule (of rank > 1) the inputs
+    generate, by Buchberger's algorithm with the Gebauer-Moeller update
+    (Gebauer & Moeller 1988).  As each element h is added, a queued pair
+    whose lcm lt(h) divides, unless lt(h) shares that lcm with one of the
+    pair, is dropped; of the new pairs with h, one is kept per minimal lcm;
+    elements whose leading term lt(h) divides take no new pairs, and the
+    minimal basis is the elements never so marked.  The inputs are added
+    largest leading term first, so an input's leading term never divides an
+    earlier one's except when equal.  Pairs are selected by sugar."""
+    p = field.p
+    guard, low, width, top = packing.guard, packing.low, packing.width, packing.top
+    G: list = []
+    # (sugar, -lcm, i, j), so that of equal sugar the smallest lcm is first
+    pairs: list = []
+    queued: dict = {}       # (i, j) -> lcm fields of each live pair
+    redundant: list = []    # G[k]'s leading term is a later one's multiple
+
+    def update(h) -> bool:
+        """The update of the pairs for the new element G[h]; whether it
+        marked an element redundant."""
+        gh = G[h]
+        hf, hpos = gh.fields, gh.pos
+        lcms = [None] * h
+        new = []        # (lcm, k) for each element that takes pairs
+        divided = []
+        for k in range(h):
+            gk = G[k]
+            if gk.pos == hpos:
+                # per field, m is `top` where G[k]'s field is at least h's
+                a = gk.fields
+                m = (((a | guard) - hf & guard) >> width) * top
+                lcms[k] = lcm = a & m | hf & ~m & low
+                if not redundant[k]:
+                    new.append((lcm, k))
+                    if lcm == a:
+                        divided.append(k)
+        if queued:
+            for pair in [(i, j) for (i, j), lcm in queued.items()
+                         if not (lcm - hf) & guard and G[i].pos == hpos
+                         and lcms[i] != lcm and lcms[j] != lcm]:
+                del queued[pair]
+        # a divisor's fields are at most its multiple's as ints, so in this
+        # order every minimal lcm comes before its multiples
+        new.sort()
+        kept = []
+        for lcm, k in new:
+            for other in kept:
+                if not (lcm - other) & guard:
+                    break
+            else:
+                kept.append(lcm)
+                gk = G[k]
+                exps = packing.exps(lcm)
+                sugar = sum(exps) + max(gk.sugar - sum(gk.exps), gh.sugar - sum(gh.exps))
+                queued[(k, h)] = lcm
+                heappush(pairs, (sugar, -packing.pack(hpos, exps), k, h))
+        for k in divided:
+            redundant[k] = True
+        redundant.append(False)
+        return bool(divided)
+
+    for g in sorted(inputs, key=attrgetter("lt")):
+        G.append(g)
+        update(len(G) - 1)
+    reducers = [g for g, r in zip(G, redundant) if not r]
+    while pairs:
+        _, key, i, j = heappop(pairs)
+        if queued.pop((i, j), None) is None:
+            continue
+        red, _, _ = _pseudo_reduce(_spoly(G[i], G[j], -key, packing, field)[0], reducers,
+                                   packing, p)
+        if not red:
+            continue
+        G.append(_sugared(_loop_form(red, None, packing, field)))
+        if update(len(G) - 1):
+            reducers = [g for g, r in zip(G, redundant) if not r]
+        else:
+            reducers.append(G[-1])
+    return reducers   # the elements whose leading term no later one divides
+
+
+def _spoly(gi: _Prepared, gj: _Prepared, lcm: int, packing: _Packing, field):
+    """(S, ai, si, aj, sj): the S-vector S = ai * x^si * gi - aj * x^sj * gj,
+    the shifts si, sj taking the leading terms to the packed lcm; ai == aj
+    == 1 over GF(p)."""
+    p, guard = field.p, packing.guard
+    si, sj = lcm - gi.lt, lcm - gj.lt
+    common = gcd(gi.lc, gj.lc)
+    ai, aj = gj.lc // common, gi.lc // common
+    spoly = _shifted(gi.vec, ai, si, p, guard)
+    _vec_sub_inplace(spoly, _shifted(gj.vec, aj, sj, p, guard), field)
+    return spoly, ai, si, aj, sj
+
+
+def _tracked_loop(G: list, rank: int, packing: _Packing, field) -> list:
+    """Buchberger's algorithm on the tracked inputs G, extended in place and
+    returned: every pair is queued as (sugar, lcm, i, j), the sugar of a
+    pair being the degree of the lcm plus the larger excess of an element's
+    sugar over the degree of its leading monomial; a popped pair is dropped
+    by the product criterion (rank-1 leading positions only) or the chain
+    criterion."""
+    guard, low, ones = packing.guard, packing.low, packing.ones
+    pairs: list = []
+
+    def push_pairs_with(j):
+        gj = G[j]
+        for i in range(j):
+            gi = G[i]
+            if gi.pos != gj.pos:
+                continue
+            lcm = tuple(map(max, gi.exps, gj.exps))
+            sugar = sum(lcm) + max(gi.sugar - sum(gi.exps), gj.sugar - sum(gj.exps))
+            heappush(pairs, (sugar, lcm, i, j))
+
+    for j in range(len(G)):
+        push_pairs_with(j)
+    done_pairs: set = set()
+    while pairs:
+        _, lcm, i, j = heappop(pairs)
+        gi, gj = G[i], G[j]
+        done_pairs.add((i, j))
+        if rank == 1 and not (gi.fields + ones) & (gj.fields + ones) & guard:
+            continue
+        lcm = packing.pack(gi.pos, lcm)
+        lcm_fields = lcm & low
+        skip = False
+        for k, gk in enumerate(G):
+            if k in (i, j) or gk.pos != gi.pos:
+                continue
+            if not (lcm_fields - gk.fields) & guard:
+                a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
+                if a in done_pairs and b in done_pairs:
+                    skip = True
+                    break
+        if skip:
+            continue
+        spoly, ai, si, aj, sj = _spoly(gi, gj, lcm, packing, field)
+        red, cof, scale = _pseudo_reduce(spoly, G, packing, field.p, len(G))
+        if not red:
+            continue
+        rtrack = {}
+        _track_combine(rtrack, gi.track, field.mul(scale, ai), si, field, guard)
+        _track_combine(rtrack, gj.track, field.neg(field.mul(scale, aj)), sj, field, guard)
+        for d, cterms in zip(G, cof):
+            for shift, c in cterms.items():
+                _track_combine(rtrack, d.track, field.neg(c), shift, field, guard)
+        G.append(_sugared(_loop_form(red, rtrack, packing, field)))
+        push_pairs_with(len(G) - 1)
+    return G
 
 
 # Equal presentations are rebuilt as new objects throughout the layers above,

@@ -12,7 +12,7 @@ sp = pytest.importorskip("sympy")
 
 from sympy import QQ as SQQ
 
-from idals import (FreeVector, ModuleMap, PolyRing, PresentedModule, QQ, cokernel,
+from idals import (GF, FreeVector, ModuleMap, PolyRing, PresentedModule, QQ, cokernel,
                    divide_with_cofactors, groebner, syzygies)
 from idals.fpmod import iso_failure_certificate
 from idals.polyring import SubmoduleLifter
@@ -138,3 +138,70 @@ def test_kernel_element_certificate(case):
     image = [sp.expand(sum(sym(str(a)) * c for a, c in zip(row, col))) for row in matrix]
     assert relations(tgt).contains(image)
     assert not relations(src).contains(col)
+
+
+# -- three variables, standard systems and GF(p) -------------------------------
+
+XYZ = sp.symbols("x y z")
+
+
+def _monic_set(ring, polys):
+    out = set()
+    for q in polys:
+        _, lc = q.leading_term()
+        out.add(str(q.scale(ring.field.inv(lc))))
+    return out
+
+
+def _agree_with_sympy(names, gens, order, p):
+    """The reduced basis of the gens (strings) in idals and in sympy, as sets
+    of monic polynomials printed by idals."""
+    field = QQ if not p else GF(p)
+    ring = PolyRing(field, names, order)
+    syms = sp.symbols(names)
+    exprs = [sp.sympify(g.replace("^", "**"), locals=dict(zip(names, syms))) for g in gens]
+    mine = _monic_set(ring, groebner([ring.poly(g) for g in gens], ring))
+    options = {"modulus": p} if p else {"domain": "QQ"}
+    theirs = []
+    for g in sp.groebner(exprs, *syms, order=order, **options).polys:
+        q = ring.zero()
+        for monom, coeff in g.terms():
+            c = int(coeff) if p else sp.Rational(coeff)
+            q = q + ring.monomial(tuple(monom), c)
+        theirs.append(q)
+    assert mine == _monic_set(ring, theirs)
+
+
+@pytest.mark.parametrize("p", [0, 32003], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("order", ["grevlex", "lex", "grlex"])
+def test_three_variable_ideals_agree(p, order):
+    rng = random.Random(f"xyz-{p}-{order}")
+    for _ in range(6):
+        gens = [str(_rand_sympy(list(XYZ), rng, deg=2, terms=3)).replace("**", "^")
+                for _ in range(rng.randint(2, 3))]
+        gens = [g for g in gens if g != "0"] or ["1"]
+        _agree_with_sympy(["x", "y", "z"], gens, order, p)
+
+
+def _katsura4():
+    u = ["u0", "u1", "u2", "u3", "u4"]
+
+    def at(i):
+        return u[abs(i)] if abs(i) <= 4 else None
+    eqs = [" + ".join(f"{at(l)}*{at(m - l)}" for l in range(-4, 5) if at(l) and at(m - l))
+           + f" - {u[m]}" for m in range(4)]
+    return u, eqs + [" + ".join([u[0]] + [f"2*{v}" for v in u[1:]]) + " - 1"]
+
+
+def _cyclic4():
+    x = ["x0", "x1", "x2", "x3"]
+    eqs = [" + ".join("*".join(x[(i + j) % 4] for j in range(d)) for i in range(4))
+           for d in range(1, 4)]
+    return x, eqs + ["x0*x1*x2*x3 - 1"]
+
+
+@pytest.mark.parametrize("p", [0, 32003], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("system", [_katsura4, _cyclic4], ids=["katsura-4", "cyclic-4"])
+def test_standard_systems_agree(system, p):
+    names, eqs = system()
+    _agree_with_sympy(names, eqs, "grevlex", p)

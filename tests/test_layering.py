@@ -14,7 +14,10 @@ both scheme kinds: no `.kind` comparison inside them.
 
 Only polyring knows the canonical form of a rational coefficient (an int
 when integral, otherwise a Fraction): no other module imports `fractions`
-or makes a Fraction."""
+or makes a Fraction.
+
+polyring has one reducer: no function but `_pseudo_reduce` iterates the
+tail of a prepared divisor."""
 
 import ast
 import pathlib
@@ -237,3 +240,46 @@ def test_fraction_guard_sees_what_it_forbids(tmp_path):
     assert [what for _, what in fraction_uses(sample)] == [
         "imports fractions", "imports from fractions", "uses .Fraction", "uses Fraction"]
     assert fraction_uses(SRC / "polyring.py")  # the coefficients' own module is exempt
+
+
+def tail_iterations(path):
+    """Sorted (enclosing function or `Class.method`, line) of every `for`
+    loop or comprehension whose iterable reads a `.tail` attribute."""
+    found = []
+
+    def reads_tail(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == "tail" for n in ast.walk(node))
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{name}.{child.name}" if name else child.name)
+                continue
+            if isinstance(child, (ast.For, ast.comprehension)) and reads_tail(child.iter):
+                found.append((name, child.iter.lineno))
+            visit(child, name)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "")
+    return sorted(found)
+
+
+def test_one_reducer_reads_divisor_tails():
+    assert {name for name, _ in tail_iterations(SRC / "polyring.py")} == {"_pseudo_reduce"}
+
+
+def test_tail_guard_sees_what_it_forbids(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "def _pseudo_reduce(vec, divisors):\n"
+        "    for d in divisors:\n"
+        "        for t, c in d.tail:\n"
+        "            pass\n"
+        "class _Prepared:\n"
+        "    def shifted(self, s):\n"
+        "        return {t + s: c for t, c in self.tail}\n"
+        "def _loop(G):\n"
+        "    for k, (t, c) in enumerate(G[0].tail):\n"
+        "        G.tail = t\n"
+        "    return sum(c for g in G for _, c in g.tail)\n")
+    assert tail_iterations(sample) == [
+        ("_Prepared.shifted", 7), ("_loop", 9), ("_loop", 11), ("_pseudo_reduce", 3)]

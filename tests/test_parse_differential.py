@@ -7,14 +7,28 @@ powers to the sum as one (exps, coeff); every other term still goes through
 both must return the same term dict, item for item in the same order, and on
 malformed or out-of-bound input both must raise the same exception class with
 the same message.
+
+One divergence is intended: `(k mod p)` with a negative k.  The tokenizer
+splits `-3` into `-` and `3`, so the oracle never takes its `(k mod p)`
+branch for it and fails; the parser reads it as `BaseField.parse_coeff`
+does.  The oracle is handed the same text with each such k replaced: by the
+residue `parse_coeff` gives where the form is whole and its p is the field's,
+by the residue mod p where p is another modulus, and by -k where the form is
+broken (a p too long to read included), which the parser rejects for the
+same reason whatever the sign.  A text the shared tokenizer rejects is
+handed over as it is, since that error quotes the text.  A second, smaller
+divergence: a `(k mod` at the end of the text is an AlgebraError, where the
+oracle raises a TypeError from `int(None)`.
 """
 
 import random
+import re
 
 import pytest
 
 from idals import GF, QQ, PolyRing
-from idals.polyring import MAX_EXPONENT, MAX_NESTING, _parse_poly
+from idals.errors import AlgebraError
+from idals.polyring import MAX_EXPONENT, MAX_NESTING, _parse_poly, _tokenize
 
 import parse_oracle as oracle
 
@@ -34,9 +48,40 @@ def outcome(parse, text, ring):
         return type(exc), str(exc)
 
 
+# a whole `(-k mod p)` form, and the start `(-k mod` of any other, as the
+# tokenizer reads them: `mod` a token of its own
+NEGATIVE_MOD = re.compile(r"\(\s*-\s*(\d+)\s*mod\s+(\d+)\s*\)")
+NEGATIVE_MOD_START = re.compile(r"\(\s*-\s*(\d+)\s*mod\b")
+
+
+def oracle_text(text, ring):
+    """text with each negative k of a `(k mod p)` form replaced as the
+    module docstring says."""
+    try:
+        _tokenize(text)
+    except AlgebraError:
+        return text
+    field = ring.field
+
+    def residue(m):
+        k, p = m.group(1), m.group(2)
+        if len(p) > 4000:   # a p that int() refuses breaks the form
+            return f"({k} mod {p})"
+        p = int(p)
+        if p == field.p:
+            value = field.parse_coeff(f"(-{k} mod {p})")
+            assert value == -int(k) % p
+        else:
+            value = -int(k) % p
+        return f"({value} mod {p})"
+
+    text = NEGATIVE_MOD.sub(residue, text)
+    return NEGATIVE_MOD_START.sub(r"(\1 mod", text)
+
+
 def assert_same(text, ring):
     new = outcome(_parse_poly, text, ring)
-    old = outcome(oracle.parse_poly, text, ring)
+    old = outcome(oracle.parse_poly, oracle_text(text, ring), ring)
     assert new == old, text
     return new
 
@@ -175,3 +220,32 @@ def test_bounds_fail_alike(name):
     ]
     for text in texts:
         assert_same(text, ring)
+
+
+@pytest.mark.parametrize("p", [5, 7, 32003])
+def test_negative_k_mod_p_reads_as_parse_coeff(p):
+    field = GF(p)
+    ring = PolyRing(field, ["x", "y"])
+    for k in (-1, -3, -p, -p - 2, -10 ** 30):
+        form = f"({k} mod {p})"
+        c = field.parse_coeff(form)
+        assert c == k % p
+        assert ring.poly(f"{form}*x") == ring.monomial((1, 0), c)
+        assert ring.poly(f"y - {form}") == ring.var("y") - ring.constant(c)
+        assert ring.poly(f"( - {-k} mod {p})^2") == ring.constant(c * c)
+        # the intended divergence: the frozen oracle reads no negative k
+        with pytest.raises(AlgebraError, match="unbalanced parentheses"):
+            oracle.parse_poly(f"{form}*x", ring)
+    other = 3 if p != 3 else 5
+    for text, fld in ((f"(-3 mod {other})*x", field), (f"(-3 mod {p})", QQ)):
+        with pytest.raises(AlgebraError, match=r"\(k mod \d+\) coefficient in ring over"):
+            _parse_poly(text, PolyRing(fld, ["x"]))
+
+
+def test_k_mod_cut_short_is_an_algebra_error():
+    ring = RINGS["GF7"]
+    for text in ("(3 mod", "x + (-3 mod", "(3 mod 7", "(-3 mod 7 + x)"):
+        with pytest.raises(AlgebraError, match=r"unclosed \(k mod p\) coefficient"):
+            _parse_poly(text, ring)
+    with pytest.raises(TypeError):   # the oracle's behaviour, kept frozen
+        oracle.parse_poly("(3 mod", ring)

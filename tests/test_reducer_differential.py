@@ -328,15 +328,17 @@ def test_standard_systems_over_qq_match_oracle(system, track):
 # product of in-range terms overflows.  Nothing it returns may depend on it.
 
 def spy_on_widths(monkeypatch):
-    """The field width of every Buchberger run started."""
+    """The field width of every packing asked for: inside `_buchberger`,
+    one per run started, the first at 8 bits and each restart at twice the
+    width before it."""
     widths = []
-    original = polyring._buchberger_packed
+    original = polyring._packing
 
-    def spy(vecs, ring, rank, track, packing):
-        widths.append(packing.width)
-        return original(vecs, ring, rank, track, packing)
+    def spy(order, nvars, width):
+        widths.append(width)
+        return original(order, nvars, width)
 
-    monkeypatch.setattr(polyring, "_buchberger_packed", spy)
+    monkeypatch.setattr(polyring, "_packing", spy)
     return widths
 
 
@@ -506,12 +508,14 @@ def test_rank_three_syzygies_with_widening(field, monkeypatch):
     assert widths == [8, 16]
 
 
-# -- the Gebauer-Moeller pair update of untracked runs -----------------------
+# -- the pair rules of untracked runs ----------------------------------------
 #
-# Untracked runs queue and drop pairs by the Gebauer-Moeller update, so they
-# reduce other S-vectors than the oracle, which keeps the plain pair rule;
-# the reduced basis is unique, so theirs must still equal the oracle's, item
-# for item.  Tracked runs keep the oracle's pair rule (the tests above).
+# Untracked rank-1 runs take their S-vectors from the signature loop, and
+# untracked runs of higher rank queue and drop pairs by the Gebauer-Moeller
+# update, so both reduce other S-vectors than the oracle, which keeps the
+# plain pair rule; the reduced basis is unique, so theirs must still equal
+# the oracle's, item for item.  Tracked runs keep the oracle's pair rule
+# (the tests above).
 
 def cyclic(n):
     names = [f"x{i}" for i in range(n)]
@@ -520,43 +524,60 @@ def cyclic(n):
     return names, eqs + ["*".join(names) + " - 1"]
 
 
+def system_vecs(ring, eqs):
+    return [{(0, e): c for e, c in ring.poly(g).terms.items()} for g in eqs]
+
+
 @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["GF32003", "QQ"])
 @pytest.mark.parametrize("system", [lambda: katsura(5), lambda: cyclic(5)],
                          ids=["katsura-5", "cyclic-5"])
 def test_untracked_standard_systems_match_oracle(field, system):
     variables, eqs = system()
     ring = PolyRing(field, variables)
-    vecs = [{(0, e): c for e, c in ring.poly(g).terms.items()} for g in eqs]
+    vecs = system_vecs(ring, eqs)
     new = _buchberger(vecs, ring, 1)
     assert_same_gb(new, oracle.buchberger(vecs, ring, 1))
     assert_canonical(new)
 
 
 def spy_on_reductions(monkeypatch):
-    """The number of S-vectors and tail elements `_buchberger` reduces."""
+    """(bound, remainder) of every `_pseudo_reduce` call; the bound is a
+    signature for the regular reductions of the signature loop's J-pairs
+    and None for every other reduction."""
     calls = []
     original = polyring._pseudo_reduce
 
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def spy(vec, divisors, packing, p, track_len=0, bound=None):
+        out = original(vec, divisors, packing, p, track_len, bound)
+        calls.append((bound, out[0]))
+        return out
 
     monkeypatch.setattr(polyring, "_pseudo_reduce", spy)
     return calls
 
 
 def test_untracked_runs_reduce_fewer_pairs(monkeypatch):
-    # the chain criterion at pop time lets cyclic-5 reduce 128 times, the
-    # pair update 127 times; both give the same basis
+    # katsura-5: the F5 and syzygy criteria leave no J-pair that reduces
+    # to zero
+    calls = spy_on_reductions(monkeypatch)
+    variables, eqs = katsura(5)
+    ring = PolyRing(GF(32003), variables)
+    _buchberger(system_vecs(ring, eqs), ring, 1)
+    pairs = [rem for bound, rem in calls if bound is not None]
+    assert pairs and all(pairs)
+    # cyclic-5: fewer S-vectors than the tracked run, for the same basis;
+    # the tracked run reduces its S-vectors and then each basis element once
     variables, eqs = cyclic(5)
     ring = PolyRing(GF(32003), variables)
-    vecs = [{(0, e): c for e, c in ring.poly(g).terms.items()} for g in eqs]
-    calls = spy_on_reductions(monkeypatch)
+    vecs = system_vecs(ring, eqs)
+    calls.clear()
     untracked = _buchberger(vecs, ring, 1)
-    n_untracked = len(calls)
+    n_untracked = sum(bound is not None for bound, _ in calls)
+    calls.clear()
     tracked, _ = _buchberger(vecs, ring, 1, track=True)
     assert [items(v) for v in untracked] == [items(v) for v in tracked]
-    assert n_untracked < len(calls) - n_untracked
+    assert all(bound is None for bound, _ in calls)
+    assert 0 < n_untracked < len(calls) - len(tracked)
 
 
 @pytest.mark.parametrize("field", FIELDS)
