@@ -11,8 +11,7 @@ a small system whose run drops a singular J-pair.
 
 The oracle takes about 9 s on cyclic-6, so that system is checked without
 it.  Over GF(32003) its run exercises both criteria that stop a J-pair after
-its reduction (a syzygy and a singular drop).  Over QQ, which the integer
-kernel could not finish before the signature loop, its basis is checked
+its reduction (a syzygy and a singular drop).  Over QQ its basis is checked
 without the code under test: 156 standard monomials, the leading monomials
 of the GF(32003) basis, and every S-pair of the basis reducing to zero by
 the basis under a reducer written here.
