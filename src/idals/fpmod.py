@@ -27,28 +27,39 @@ from .polyring import (
     PolyRing,
     RingHom,
     SubmoduleLifter,
+    _column_vec,
     _module_gb,
     _prepare,
     _syzygy_vecs,
+    _vec_column,
     _vec_reduce,
     iter_window,
     mono_divides,
 )
 
 
-def _column_vec(col) -> dict:
-    out = {}
-    for pos, p in enumerate(col):
-        for e, c in p.terms.items():
-            out[(pos, e)] = c
-    return out
+def _top_degree(ring: PolyRing, lts):
+    """A degree above which no position has a standard monomial, or None
+    when the leading terms `lts` (one list per position) show none.
 
-
-def _vec_column(ring: PolyRing, rank: int, vec: dict):
-    cols = [dict() for _ in range(rank)]
-    for (pos, e), c in vec.items():
-        cols[pos][e] = c
-    return tuple(Poly(ring, ring.reduce_terms(t)) for t in cols)
+    With every weight positive, a position whose leading terms hold a pure
+    power x_v^(a_v) of every variable has no standard monomial of degree
+    above sum((a_v - 1) * w_v): such a monomial has an exponent e_v >= a_v."""
+    if not all(w > 0 for w in ring.weights):
+        return None
+    top = None
+    for position in lts:
+        least = {}
+        for e in position:
+            support = [v for v, a in enumerate(e) if a]
+            if len(support) <= 1:   # a pure power, or 1 = x_v^0 for every v
+                for v in support or range(ring.nvars):
+                    least[v] = min(least.get(v, e[v]), e[v])
+        if len(least) < ring.nvars:
+            return None
+        deg = sum((least[v] - 1) * w for v, w in enumerate(ring.weights))
+        top = deg if top is None else max(top, deg)
+    return top
 
 
 def column_degree(ring: PolyRing, col, gen_degrees):
@@ -109,9 +120,10 @@ class PresentedModule:
         return self._rel_gb
 
     def _graded_leading_terms(self):
-        """The leading monomials of `rel_gb`, one list per position, after
-        checking once that every basis element is homogeneous for the
-        grading (it is whenever the relations and the ring's quotient are)."""
+        """(lts, top): the leading monomials of `rel_gb`, one list per
+        position, after checking once that every basis element is homogeneous
+        for the grading (it is whenever the relations and the ring's quotient
+        are); and the top degree `_top_degree` reads off them."""
         if self._graded_lts is None:
             self.rel_gb()
             lts = [[] for _ in range(self.gens)]
@@ -120,7 +132,7 @@ class PresentedModule:
                     raise AlgebraError(
                         "internal: relation Groebner basis is not homogeneous for the grading")
                 lts[g.pos].append(g.exps)
-            self._graded_lts = lts
+            self._graded_lts = lts, _top_degree(self.ring, lts)
         return self._graded_lts
 
     def reduce_vec(self, vec: dict) -> dict:
@@ -134,12 +146,7 @@ class PresentedModule:
     def normal_form(self, col):
         """The column reduced modulo the relations: equal for two columns
         exactly when they are equal in the module."""
-        # rel_gb holds the quotient generators in every position, so the
-        # remainder is already in the ring's normal form
-        cols = [dict() for _ in range(self.gens)]
-        for (pos, e), c in self.reduce_vec(_column_vec(col)).items():
-            cols[pos][e] = c
-        return tuple(Poly(self.ring, t) for t in cols)
+        return _vec_column(self.ring, self.gens, self.reduce_vec(_column_vec(col)))
 
     def span_key(self, extra_cols):
         """A value that is equal for two column lists over this module's
@@ -381,26 +388,16 @@ def kernel_columns(phi: ModuleMap) -> list:
     of them zero, so the list is empty exactly when the kernel is zero.
     They are the columns of `kernel(phi)`'s inclusion; callers that read no
     relations of the kernel take them from here."""
-    ring = phi.ring
     src, tgt = phi.source, phi.target
     cols = [_column_vec(phi.column(j)) for j in range(src.gens)]
     cols += [_column_vec(c) for c in tgt.relations]
-    syz = _syzygy_vecs(cols, ring, tgt.gens)
-    gens_vecs = []
-    for s in syz:
-        proj = {(p, e): c for (p, e), c in s.items() if p < src.gens}
-        col = src.normal_form(_vec_column(ring, src.gens, proj))
-        if any(not p.is_zero() for p in col):
-            gens_vecs.append(col)
-    # deduplicate reduced generators, deterministically
-    seen = set()
-    kernel_cols = []
-    for col in gens_vecs:
-        key = tuple(str(p) for p in col)
-        if key not in seen:
-            seen.add(key)
-            kernel_cols.append(col)
-    return kernel_cols
+    # the distinct nonzero normal forms of the syzygies' source parts, in order
+    reduced = {}
+    for s in _syzygy_vecs(cols, phi.ring, tgt.gens):
+        red = src.reduce_vec({(p, e): c for (p, e), c in s.items() if p < src.gens})
+        if red:
+            reduced.setdefault(frozenset(red.items()), red)
+    return [_vec_column(phi.ring, src.gens, red) for red in reduced.values()]
 
 
 def kernel(phi: ModuleMap):
@@ -436,8 +433,7 @@ def cokernel(phi: ModuleMap):
         if any(column_degree(phi.ring, c, grading) is None for c in cols):
             grading = None
     C = PresentedModule(phi.ring, tgt.gens, cols, grading)
-    proj = ModuleMap(tgt, C, ModuleMap.identity(tgt).matrix, check=False)
-    return C, proj
+    return C, ModuleMap(tgt, C, _identity_matrix(phi.ring, tgt.gens), check=False)
 
 
 def _block_sum(ring: PolyRing, modules, grading=None) -> PresentedModule:
@@ -471,16 +467,13 @@ def direct_sum(modules):
         if m.ring != ring:
             raise RingMismatchError("direct sum over different rings")
     S = _block_sum(ring, modules)
+    ident = _identity_matrix(ring, S.gens)
     incls, projs = [], []
-    zero, one = ring.zero(), ring.one()
     offset = 0
     for m in modules:
-        mat_in = [[one if (i == offset + j) else zero for j in range(m.gens)]
-                  for i in range(S.gens)]
-        incls.append(ModuleMap(m, S, mat_in, check=False))
-        mat_pr = [[one if (offset + i == j) else zero for j in range(S.gens)]
-                  for i in range(m.gens)]
-        projs.append(ModuleMap(S, m, mat_pr, check=False))
+        block = slice(offset, offset + m.gens)
+        incls.append(ModuleMap(m, S, [row[block] for row in ident], check=False))
+        projs.append(ModuleMap(S, m, ident[block], check=False))
         offset += m.gens
     return S, incls, projs
 
@@ -504,19 +497,11 @@ def tensor(M: PresentedModule, N: PresentedModule) -> PresentedModule:
     if g * n_rels > MAX_TENSOR_ENTRIES:
         raise AlgebraError(f"tensor product too large: {g} generators x {n_rels} relation "
                            f"columns exceeds {MAX_TENSOR_ENTRIES} entries")
-    rels = []
-    for col in M.relations:
-        for j in range(N.gens):
-            full = [ring.zero()] * g
-            for i, p in enumerate(col):
-                full[i * N.gens + j] = p
-            rels.append(tuple(full))
-    for i in range(M.gens):
-        for col in N.relations:
-            full = [ring.zero()] * g
-            for j, p in enumerate(col):
-                full[i * N.gens + j] = p
-            rels.append(tuple(full))
+    # the columns of R_M (x) id_N, then those of id_M (x) R_N, with R_M the
+    # matrix whose columns are M's relations (no rows when it has none)
+    r_m, r_n = list(zip(*M.relations)), list(zip(*N.relations))
+    rels = [*zip(*_kron(ring, r_m, _identity_matrix(ring, N.gens))),
+            *zip(*_kron(ring, _identity_matrix(ring, M.gens), r_n))]
     grading = None
     if M.grading is not None and N.grading is not None:
         grading = tuple(M.grading[i] + N.grading[j]
@@ -634,18 +619,11 @@ class HomModule:
                                     for i in range(M.gens) for r in range(N.gens))
         amb = _block_sum(self.ring, [N] * M.gens, ambient_degrees)
         self.ambient = amb
-        s = len(M.relations)
-        if s:
-            tgt_amb = _block_sum(self.ring, [N] * s)
-            rows = []
-            for c in range(s):
-                for r in range(N.gens):
-                    row = []
-                    for i in range(M.gens):
-                        for r2 in range(N.gens):
-                            row.append(M.relations[c][i] if r == r2 else self.ring.zero())
-                    rows.append(row)
-            tmap = ModuleMap(amb, tgt_amb, rows, check=False)
+        if M.relations:
+            # row (c, r) pairs relation c of M with target generator r
+            rows = _kron(self.ring, M.relations, _identity_matrix(self.ring, N.gens))
+            tmap = ModuleMap(amb, _block_sum(self.ring, [N] * len(M.relations)), rows,
+                             check=False)
             K, incl = kernel(tmap)
         else:
             K, incl = amb, ModuleMap.identity(amb)
@@ -672,14 +650,7 @@ class HomModule:
         """Hom coordinates of a map M -> N; raises LiftError if it is not one."""
         if phi.source.gens != self.source.gens or phi.target.gens != self.target.gens:
             raise AlgebraError("map shape does not match hom module")
-        flat = self._flatten_map(phi)
-        # fast path: the element coincides with a single hom generator
-        red = self.ambient.reduce_vec(_column_vec(flat))
-        for k in range(self.module.gens):
-            gen_flat = self.incl.column(k)
-            if self.ambient.reduce_vec(_column_vec(gen_flat)) == red:
-                return self.module.unit_column(k)
-        coords = self.incl.lift(flat)
+        coords = self.incl.lift(self._flatten_map(phi))
         if coords is None:
             raise LiftError("map does not lie in the hom module")
         return coords
@@ -780,7 +751,9 @@ def graded_dims(M: PresentedModule, degrees) -> dict:
     a basis of M; with homogeneous relations they form one of each graded
     component, so dim M_d counts those of degree d.  One enumeration covers
     every degree d - shift that some generator needs, and each monomial is
-    counted as it comes, so a wide window holds no more than the counts."""
+    counted as it comes, so a wide window holds no more than the counts.
+    The walk stops at the top degree the leading terms show, if any
+    (`_top_degree`): a finite module is not walked to the window's end."""
     if M.grading is None:
         raise UngradedError("module carries no grading")
     ring = M.ring
@@ -794,13 +767,12 @@ def graded_dims(M: PresentedModule, degrees) -> dict:
             wants.setdefault(d - a, []).append((i, d))
     if not wants:
         return dims
-    lts = None
-    for m, k in iter_window(ring, min(wants), max(wants)):
+    lts, top = M._graded_leading_terms()
+    hi = max(wants) if top is None else min(max(wants), top)
+    for m, k in iter_window(ring, min(wants), hi):
         pairs = wants.get(k)
         if pairs is None:
             continue
-        if lts is None:
-            lts = M._graded_leading_terms()
         for i, d in pairs:
             if not any(mono_divides(lt, m) for lt in lts[i]):
                 dims[d] += 1

@@ -842,8 +842,21 @@ def _parse_poly(text: str, ring: PolyRing) -> dict:
 # depend on the width, so the rerun gives the same result.
 
 
-def _poly_to_vec(terms: dict, pos: int = 0) -> dict:
-    return {(pos, e): c for e, c in terms.items()}
+def _poly_to_vec(terms: dict) -> dict:
+    return {(0, e): c for e, c in terms.items()}
+
+
+def _column_vec(col) -> dict:
+    """A column of Polys as one raw vector `{(pos, exps): coeff}`."""
+    return {(pos, e): c for pos, p in enumerate(col) for e, c in p.terms.items()}
+
+
+def _vec_column(ring: PolyRing, rank: int, vec: dict):
+    """The raw vector as a column of `rank` Polys, each in normal form."""
+    cols = [dict() for _ in range(rank)]
+    for (pos, e), c in vec.items():
+        cols[pos][e] = c
+    return tuple(Poly(ring, ring.reduce_terms(t)) for t in cols)
 
 
 def _vec_to_poly_terms(vec: dict) -> dict:
@@ -1716,18 +1729,11 @@ class FreeVector:
         return all(p.is_zero() for p in self.entries)
 
     def to_vec(self) -> dict:
-        out = {}
-        for pos, p in enumerate(self.entries):
-            for e, c in p.terms.items():
-                out[(pos, e)] = c
-        return out
+        return _column_vec(self.entries)
 
     @staticmethod
     def from_vec(ring: PolyRing, rank: int, vec: dict) -> "FreeVector":
-        cols = [dict() for _ in range(rank)]
-        for (pos, e), c in vec.items():
-            cols[pos][e] = c
-        return FreeVector(ring, [Poly(ring, ring.reduce_terms(t)) for t in cols])
+        return FreeVector(ring, _vec_column(ring, rank, vec))
 
     def __eq__(self, other):
         return (isinstance(other, FreeVector) and self.ring == other.ring

@@ -1,7 +1,9 @@
 """Only polyring and fpmod know the raw-vector format `{(pos, exps): coeff}`:
 the layers above them lift, reduce, rank and compare columns through
 `ModuleMap.lift`, `PresentedModule.normal_form` / `span_key` and
-`fpmod.column_rank`, never through the engine's helpers.
+`fpmod.column_rank`, never through the engine's helpers.  The converters
+between Poly columns and raw vectors, `_column_vec` and `_vec_column`, are
+written once, in polyring, and fpmod imports them.
 
 Only idal knows how Deligne stages J^{(x)n} (x) M are flattened: the layers
 above it build staged maps, which are matrices, through `Idal.collapse` /
@@ -68,6 +70,50 @@ def test_guard_sees_what_it_forbids(tmp_path):
     assert [what for _, what in engine_uses(sample)] == [
         "imports _column_vec", "uses .SubmoduleLifter", "calls .reduce_vec("]
     assert engine_uses(SRC / "fpmod.py")       # the engine's own layer is exempt
+
+
+CONVERTERS = {"_column_vec", "_vec_column"}
+
+
+def converter_definitions(path):
+    """(line, what) for every function, class or assignment in the file
+    that defines one of the column converters."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in CONVERTERS:
+            found.append((node.lineno, f"defines {node.name}"))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, f"assigns {t.id}") for target in targets
+                      for t in ast.walk(target) if isinstance(t, ast.Name) and t.id in CONVERTERS]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.stem != "polyring"),
+                         ids=lambda p: p.stem)
+def test_only_polyring_defines_the_column_converters(path):
+    assert converter_definitions(path) == [], f"{path.name} converts columns itself"
+
+
+def test_fpmod_converters_are_polyrings():
+    from idals import fpmod, polyring
+    assert fpmod._column_vec is polyring._column_vec
+    assert fpmod._vec_column is polyring._vec_column
+
+
+def test_converter_guard_sees_what_it_forbids(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from .polyring import _column_vec\n"
+        "def _vec_column(ring, rank, vec):\n"
+        "    return ()\n"
+        "class Module:\n"
+        "    _column_vec = staticmethod(lambda col: {})\n"
+        "_vec_column, other = None, None\n")
+    assert [what for _, what in converter_definitions(sample)] == [
+        "defines _vec_column", "assigns _column_vec", "assigns _vec_column"]
+    assert converter_definitions(SRC / "polyring.py")  # their own module is exempt
 
 
 STAGE_LAYERS = ("localize", "glued", "cli")
