@@ -416,11 +416,14 @@ def kernel(phi: ModuleMap):
         if any(not p.is_zero() for p in col):
             k_rels.append(col)
     grading = None
-    if src.grading is not None:
+    if src.grading is not None and ring_is_graded(ring):
         degs = [column_degree(ring, col, src.grading) for col in kernel_cols]
         if all(isinstance(d, int) for d in degs):
             grading = tuple(degs)
-    K = PresentedModule(ring, k, k_rels, grading)
+    try:
+        K = PresentedModule(ring, k, k_rels, grading)
+    except GradingError:
+        K = PresentedModule(ring, k, k_rels, None)
     return K, ModuleMap.from_columns(K, src, kernel_cols)
 
 

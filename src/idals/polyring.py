@@ -20,13 +20,12 @@ out canonical rationals.  Inside the engine each term is one packed int
 divisibility are int operations, and raw vectors are converted where they
 enter and leave.
 
-`_buchberger` picks its S-vectors by one of three loops: untracked rank-1
-runs by an incremental signature algorithm (`_signature_loop`, whose
-signatures are packed terms as well), untracked runs of higher rank by
-Buchberger's algorithm with the Gebauer-Moeller pair update, and tracked
-runs, whose cofactors depend on the pairs reduced, by the plain pair rule
-with the chain criterion.  All three reduce through `_pseudo_reduce` and
-hand a minimal basis to one tail that makes it reduced.
+`_buchberger` picks its S-vectors by one of two loops: untracked runs of
+every rank by an incremental signature algorithm (`_signature_loop`, whose
+signatures are packed terms as well), and tracked runs, whose cofactors
+depend on the pairs reduced, by the plain pair rule with the chain
+criterion.  Both reduce through `_pseudo_reduce` and hand a minimal basis
+to one tail that makes it reduced.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from functools import cache, lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm as int_lcm
 from numbers import Rational
-from operator import attrgetter, itemgetter, mul
+from operator import itemgetter, mul
 
 from .errors import (
     AlgebraError,
@@ -1184,12 +1183,11 @@ def _buchberger(vecs: list, ring: PolyRing, rank: int, track: bool = False):
     With track=True, also returns representations: for each basis element a
     dict {(input_index, exps): coeff} expressing it over the input vectors.
 
-    - Untracked rank-1 runs (`groebner`, `_module_gb` of rank 1, the
-      quotient basis of a ring) run the signature loop
-      (`_signature_loop`), which reduces no S-vector that the F5 and
-      syzygy criteria or a singular top reduction show to be superfluous.
-    - Untracked runs of higher rank update the pair set as each element h
-      is added (Gebauer & Moeller 1988, `_pair_update_loop`).
+    - Untracked runs of every rank (`groebner`, `_module_gb`,
+      `_syzygy_vecs`, the quotient basis of a ring) run the signature loop
+      (`_signature_loop`), which reduces no S-vector that the syzygy
+      criterion (for rank 1 the F5 criterion too) or a singular top
+      reduction shows to be superfluous.
     - Tracked runs queue every pair, select by sugar and drop a popped pair
       by the product and chain criteria (`_tracked_loop`); the pairs they
       reduce, and so the representations they return, stay those of the
@@ -1254,10 +1252,8 @@ def _buchberger_packed(vecs: list, ring: PolyRing, rank: int, track: bool, packi
                                          packing, field)))
     if track:
         minimal = _minimal(_tracked_loop(G, rank, packing, field), packing)
-    elif rank == 1:
-        minimal = _signature_loop(G, packing, field)
     else:
-        minimal = _pair_update_loop(G, packing, field)
+        minimal = _signature_loop(G, packing, field, rank)
 
     reduced = []
     for rem, tr in _interreduced(minimal, packing, field, track):
@@ -1312,13 +1308,14 @@ def _interreduced(minimal: list, packing: _Packing, field, track: bool) -> list:
     return out
 
 
-def _signature_loop(inputs: list, packing: _Packing, field) -> list:
-    """A minimal Groebner basis of the ideal the inputs generate, by an
-    incremental signature algorithm (Faugere's F5, ISSAC 2002, in the form
-    of Roune & Stillman, ISSAC 2012).
+def _signature_loop(inputs: list, packing: _Packing, field, rank: int) -> list:
+    """A minimal Groebner basis of the submodule of rank `rank` the inputs
+    generate, by an incremental signature algorithm (Faugere's F5, ISSAC
+    2002, in the form of Roune & Stillman, ISSAC 2012; for submodules of
+    free modules see Eder & Faugere, JSC 2017).
 
     The inputs are taken lowest degree (sugar) first, of equal degrees the
-    smaller leading term first.  `basis` is the reduced basis of the inputs
+    smaller leading term first.  `basis` is a minimal basis of the inputs
     taken so far; the next input f_i is reduced by it, and if something is
     left, the multiples of what is left are worked out in signature order.
     A signature is t * e_i, held as the packed term of the monomial t;
@@ -1326,26 +1323,27 @@ def _signature_loop(inputs: list, packing: _Packing, field) -> list:
     carry none: their signatures lie at earlier inputs, so they may always
     reduce.
 
-    - The J-pair of a new element g with an earlier element h is the
-      multiple of the one of larger signature by which its leading term
-      reaches their lcm; of equal signatures (a singular pair) there is
-      none.
+    - The J-pair of a new element g with an earlier element h whose leading
+      term lies in the same position is the multiple of the one of larger
+      signature by which its leading term reaches their lcm; of equal
+      signatures (a singular pair) there is none.
     - The pairs are popped smallest signature first, one signature T at a
       time.  T is dropped when a known syzygy signature divides it: a
-      leading term of `basis` (the F5 criterion) or a signature that
-      reduced to zero.  It is dropped too when the latest element whose
-      signature divides T, the rewriter, made none of its pairs.
-      Otherwise the rewriter is multiplied up to T and reduced regularly
-      (`_pseudo_reduce` with the bound T).
+      signature that reduced to zero or, for rank 1, a leading term of
+      `basis` (the F5 criterion: the principal syzygies, which a module of
+      higher rank does not have).  It is dropped too when the latest
+      element whose signature divides T, the rewriter, made none of its
+      pairs.  Otherwise the rewriter is multiplied up to T and reduced
+      regularly (`_pseudo_reduce` with the bound T).
     - A result of zero is a syzygy, and its signature joins the list.  A
       result whose leading term a multiple of signature T divides (it is
       singular top-reducible) is dropped: an element of that signature and
       leading term is there already.  Otherwise it joins the elements.
 
     Once f_i's pairs are done, its elements and `basis` form a Groebner
-    basis of the inputs so far, which is made minimal and reduced for the
-    next input; the last is left minimal for the shared tail.  A constant
-    ends the run: the ideal is the unit ideal.
+    basis of the inputs so far, which is made minimal for the next input
+    and left minimal for the shared tail.  For rank 1 a constant ends the
+    run: the ideal is the unit ideal.
     """
     p = field.p
     guard, low, width, top, ones = (packing.guard, packing.low, packing.width, packing.top,
@@ -1355,36 +1353,39 @@ def _signature_loop(inputs: list, packing: _Packing, field) -> list:
     basis, found = inputs[:1], []   # found: the elements found for the current input
     for f in inputs[1:]:
         if found:
-            basis = [_loop_form(rem, None, packing, field)
-                     for rem, _ in _interreduced(_minimal(basis + found, packing), packing,
-                                                 field, False)]
+            basis = _minimal(basis + found, packing)
+            for g in basis:
+                g.sig = None
         rem, _, _ = _pseudo_reduce(f.vec, basis, packing, p)
         if not rem:
             found = []
             continue
         if rem != f.vec:
             f = _loop_form(rem, None, packing, field)
-        if not f.fields:
+        if rank == 1 and not f.fields:
             return [f]
         f.sig = packing.base    # the signature 1 * e_i
         found = [f]
         reducers = basis + found
-        syz = [g.fields for g in basis]     # the exponent fields of syzygy signatures
+        # the exponent fields of syzygy signatures
+        syz = [g.fields for g in basis] if rank == 1 else []
         # (minus the signature, index in found of the element it multiplies)
         pairs: list = []
         nb = len(basis)
         new = f
         while new is not None:
-            nf, nsig, nlt = new.fields, new.sig, new.lt
+            nf, nsig, nlt, npos = new.fields, new.sig, new.lt, new.pos
             n = len(found) - 1
             for k in range(nb + n):
                 h = reducers[k]
+                if h.pos != npos:
+                    continue
                 a = h.fields
-                if h.sig is None and not (a + ones) & (nf + ones) & guard:
+                if rank == 1 and h.sig is None and not (a + ones) & (nf + ones) & guard:
                     continue    # T = lt(h) * sig(new): the F5 criterion drops it
                 # per field, m is `top` where h's field is at least new's
                 m = (((a | guard) - nf & guard) >> width) * top
-                lcm = pack(0, exps(a & m | nf & ~m & low))
+                lcm = pack(npos, exps(a & m | nf & ~m & low))
                 T, gen = nsig + lcm - nlt, n
                 if h.sig is not None:
                     other = h.sig + lcm - h.lt
@@ -1432,94 +1433,12 @@ def _signature_loop(inputs: list, packing: _Packing, field) -> list:
                             break
                     else:
                         new = _loop_form(rem, None, packing, field)
-                        if not new.fields:
+                        if rank == 1 and not new.fields:
                             return [new]
                         new.sig = T
                         found.append(new)
                         reducers.append(new)
     return _minimal(basis + found, packing)
-
-
-def _pair_update_loop(inputs: list, packing: _Packing, field) -> list:
-    """A minimal Groebner basis of the submodule (of rank > 1) the inputs
-    generate, by Buchberger's algorithm with the Gebauer-Moeller update
-    (Gebauer & Moeller 1988).  As each element h is added, a queued pair
-    whose lcm lt(h) divides, unless lt(h) shares that lcm with one of the
-    pair, is dropped; of the new pairs with h, one is kept per minimal lcm;
-    elements whose leading term lt(h) divides take no new pairs, and the
-    minimal basis is the elements never so marked.  The inputs are added
-    largest leading term first, so an input's leading term never divides an
-    earlier one's except when equal.  Pairs are selected by sugar."""
-    p = field.p
-    guard, low, width, top = packing.guard, packing.low, packing.width, packing.top
-    G: list = []
-    # (sugar, -lcm, i, j), so that of equal sugar the smallest lcm is first
-    pairs: list = []
-    queued: dict = {}       # (i, j) -> lcm fields of each live pair
-    redundant: list = []    # G[k]'s leading term is a later one's multiple
-
-    def update(h) -> bool:
-        """The update of the pairs for the new element G[h]; whether it
-        marked an element redundant."""
-        gh = G[h]
-        hf, hpos = gh.fields, gh.pos
-        lcms = [None] * h
-        new = []        # (lcm, k) for each element that takes pairs
-        divided = []
-        for k in range(h):
-            gk = G[k]
-            if gk.pos == hpos:
-                # per field, m is `top` where G[k]'s field is at least h's
-                a = gk.fields
-                m = (((a | guard) - hf & guard) >> width) * top
-                lcms[k] = lcm = a & m | hf & ~m & low
-                if not redundant[k]:
-                    new.append((lcm, k))
-                    if lcm == a:
-                        divided.append(k)
-        if queued:
-            for pair in [(i, j) for (i, j), lcm in queued.items()
-                         if not (lcm - hf) & guard and G[i].pos == hpos
-                         and lcms[i] != lcm and lcms[j] != lcm]:
-                del queued[pair]
-        # a divisor's fields are at most its multiple's as ints, so in this
-        # order every minimal lcm comes before its multiples
-        new.sort()
-        kept = []
-        for lcm, k in new:
-            for other in kept:
-                if not (lcm - other) & guard:
-                    break
-            else:
-                kept.append(lcm)
-                gk = G[k]
-                exps = packing.exps(lcm)
-                sugar = sum(exps) + max(gk.sugar - sum(gk.exps), gh.sugar - sum(gh.exps))
-                queued[(k, h)] = lcm
-                heappush(pairs, (sugar, -packing.pack(hpos, exps), k, h))
-        for k in divided:
-            redundant[k] = True
-        redundant.append(False)
-        return bool(divided)
-
-    for g in sorted(inputs, key=attrgetter("lt")):
-        G.append(g)
-        update(len(G) - 1)
-    reducers = [g for g, r in zip(G, redundant) if not r]
-    while pairs:
-        _, key, i, j = heappop(pairs)
-        if queued.pop((i, j), None) is None:
-            continue
-        red, _, _ = _pseudo_reduce(_spoly(G[i], G[j], -key, packing, field)[0], reducers,
-                                   packing, p)
-        if not red:
-            continue
-        G.append(_sugared(_loop_form(red, None, packing, field)))
-        if update(len(G) - 1):
-            reducers = [g for g, r in zip(G, redundant) if not r]
-        else:
-            reducers.append(G[-1])
-    return reducers   # the elements whose leading term no later one divides
 
 
 def _spoly(gi: _Prepared, gj: _Prepared, lcm: int, packing: _Packing, field):

@@ -5,13 +5,19 @@ kernel presentation and inclusion, and the same tensor presentation.
 The maps are those of `test_hom_differential`'s module pairs (the map whose
 kernel presents HOM(M, N), the maps M -> N of hom generators and a seeded
 map from a free module into N) and seeded maps between random
-modules over QQ, GF(7) and a quotient ring."""
+modules over QQ, GF(7) and a quotient ring.
+
+Over a ring whose quotient is not homogeneous `kernel` hands no degrees to
+the kernel generators, where the frozen copy grades them by the source and
+may raise `GradingError`; there the kernel is compared with the frozen
+copy's kernel of the same map from a source that carries no grading."""
 
 import random
+from copy import copy
 
 import pytest
 
-from idals import ModuleMap, free_module, hom_module, kernel, tensor
+from idals import ModuleMap, PresentedModule, free_module, hom_module, kernel, tensor
 from idals.errors import GradingError
 from idals.fpmod import kernel_columns, ring_is_graded
 
@@ -25,20 +31,24 @@ def column_keys(cols):
     return [tuple(str(p) for p in col) for col in cols]
 
 
+def ungraded_source(phi):
+    """phi from a copy of its source that carries no grading."""
+    src = copy(phi.source)
+    src.grading = None
+    return ModuleMap(src, phi.target, phi.matrix, check=False)
+
+
 def kernel_key(kernel_fn, phi):
-    """The presentation and inclusion of the kernel, or the error raised:
-    a graded source hands its degrees to kernel generators whose relations
-    need not be homogeneous for them, and both versions refuse that alike."""
-    try:
-        K, incl = kernel_fn(phi)
-    except GradingError as exc:
-        return "GradingError", str(exc)
-    return K.presentation_key(), matrix_key(incl)
+    """The presentation of the kernel and its inclusion into phi's source."""
+    K, incl = kernel_fn(phi)
+    assert incl.source is K
+    return K.presentation_key(), tuple(tuple(str(p) for p in row) for row in incl.matrix)
 
 
 def assert_kernel_matches(phi):
     assert column_keys(kernel_columns(phi)) == column_keys(oracle.kernel_columns(phi))
-    assert kernel_key(kernel, phi) == kernel_key(oracle.kernel, phi)
+    want = phi if ring_is_graded(phi.ring) else ungraded_source(phi)
+    assert kernel_key(kernel, phi) == kernel_key(oracle.kernel, want)
 
 
 def hom_defining_map(M, N):
@@ -54,19 +64,14 @@ def hom_defining_map(M, N):
 
 
 def seeded_maps(M, N, rng):
-    """The maps M -> N of the first three hom generators, and over a graded
-    ring a random map of degree-1 entries from a free module into N.
-
-    Over QQ[x,y]/(x^2 - y^3) such a random map can make `_syzygy_vecs`
-    run for minutes (2x2 into a module of one relation), so that ring is
-    checked on the hom generator maps alone."""
+    """The maps M -> N of the first three hom generators, and a random map
+    of degree-1 entries from a free module into N."""
     ring = M.ring
     H = hom_module(M, N)
     maps = [H.generator_map(k) for k in range(min(3, H.module.gens))]
-    if ring_is_graded(ring):
-        F = free_module(ring, rng.randint(1, 3))
-        maps.append(ModuleMap(F, N, [[random_poly(ring, rng, 1) for _ in range(F.gens)]
-                                     for _ in range(N.gens)], check=False))
+    F = free_module(ring, rng.randint(1, 3))
+    maps.append(ModuleMap(F, N, [[random_poly(ring, rng, 1) for _ in range(F.gens)]
+                                 for _ in range(N.gens)], check=False))
     return maps
 
 
@@ -98,3 +103,22 @@ def test_seeded_maps_between_random_modules(ring_name, seed):
     for phi in seeded_maps(M, N, rng):
         assert_kernel_matches(phi)
     assert tensor(M, N).presentation_key() == oracle.tensor(M, N).presentation_key()
+
+
+def test_kernel_over_an_ungraded_ring_is_ungraded():
+    """diag(-x - 2, -y + 1) from free(2) into O^2/((0, -2xy + 2y^2)) over
+    QQ[x,y]/(x^2 - y^3): the kernel columns (0, x^2) and (0, xy - y^2) are
+    homogeneous, their relations are not, and the ring is not graded, so
+    the kernel carries no grading; the frozen copy, which grades it by the
+    source, raises instead."""
+    R = QUOT
+    N = PresentedModule(R, 2, [[R.zero(), R.poly("-2*x*y + 2*y^2")]])
+    phi = ModuleMap(free_module(R, 2), N, [[R.poly("-x - 2"), R.zero()],
+                                           [R.zero(), R.poly("-y + 1")]], check=False)
+    K, incl = kernel(phi)
+    assert K.grading is None
+    assert [tuple(map(str, col)) for col in kernel_columns(phi)] == [("0", "x^2"),
+                                                                     ("0", "x*y - y^2")]
+    with pytest.raises(GradingError):
+        oracle.kernel(phi)
+    assert_kernel_matches(phi)

@@ -19,7 +19,8 @@ when integral, otherwise a Fraction): no other module imports `fractions`
 or makes a Fraction.
 
 polyring has one reducer: no function but `_pseudo_reduce` iterates the
-tail of a prepared divisor."""
+tail of a prepared divisor.  It has two S-vector loops, the signature loop
+of untracked runs and the tracked loop: no other function pops a heap."""
 
 import ast
 import pathlib
@@ -329,3 +330,51 @@ def test_tail_guard_sees_what_it_forbids(tmp_path):
         "    return sum(c for g in G for _, c in g.tail)\n")
     assert tail_iterations(sample) == [
         ("_Prepared.shifted", 7), ("_loop", 9), ("_loop", 11), ("_pseudo_reduce", 3)]
+
+
+def heap_poppers(path):
+    """Sorted names of the module-level functions (and `Class.method`s)
+    that call `heappop`, by name or as `heapq.heappop`, in their own body or
+    in a function nested in it."""
+    found = set()
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defs = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            defs.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            defs += [(f"{node.name}.{item.name}", item) for item in node.body
+                     if isinstance(item, ast.FunctionDef)]
+    for name, node in defs:
+        if any(isinstance(n, ast.Call) and _call_name(n) == "heappop" for n in ast.walk(node)):
+            found.add(name)
+    return sorted(found)
+
+
+def test_two_s_vector_loops_and_one_reducer():
+    assert heap_poppers(SRC / "polyring.py") == [
+        "_pseudo_reduce", "_signature_loop", "_tracked_loop"]
+
+
+def test_heap_guard_sees_what_it_forbids(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import heapq\n"
+        "from heapq import heappop, heappush\n"
+        "def _pseudo_reduce(heap):\n"
+        "    return heappop(heap)\n"
+        "def _pair_update_loop(pairs):\n"
+        "    def update(h):\n"
+        "        heappush(pairs, h)\n"
+        "    while pairs:\n"
+        "        update(heapq.heappop(pairs))\n"
+        "def _outer(pairs):\n"
+        "    def inner():\n"
+        "        return heappop(pairs)\n"
+        "    return inner\n"
+        "class _Queue:\n"
+        "    def pop(self):\n"
+        "        return heappop(self.heap)\n"
+        "def _sorted(xs):\n"
+        "    return sorted(xs)\n")
+    assert heap_poppers(sample) == ["_Queue.pop", "_outer", "_pair_update_loop", "_pseudo_reduce"]

@@ -1,4 +1,4 @@
-"""The signature loop of untracked rank-1 Groebner runs.
+"""The signature loop of untracked Groebner runs, of every rank.
 
 `polyring._signature_loop` reduces other S-vectors than the frozen
 Buchberger loop in `reducer_oracle`, and fewer.  The reduced basis is unique,
@@ -8,6 +8,14 @@ lex and grlex, with the inputs the loop treats apart (zero and duplicate
 inputs, an input already in the ideal of the earlier ones, constants and
 unit ideals, quotient rings, exponents that restart the packing wider), and
 a small system whose run drops a singular J-pair.
+
+Module runs (rank 2 and 3) are compared alike on free rings and over
+QQ[x,y]/(x^2 - y^3) and QQ[x,y]/(xy - 1): seeded inputs with zero,
+duplicate and in-module inputs and constant leading terms in one position,
+and the tagged inputs of `_syzygy_vecs`, whose elements of a zero or
+repeated column lead with a constant tag.  A module has no principal
+syzygies, and a constant leading term fills one position only, so neither
+may end or prune a module run as they do an ideal's.
 
 The oracle takes about 9 s on cyclic-6, so that system is checked without
 it.  Over GF(32003) its run exercises both criteria that stop a J-pair after
@@ -26,12 +34,12 @@ from operator import add, ge, sub
 import pytest
 
 from idals import GF, QQ, PolyRing, groebner, polyring
-from idals.polyring import Poly, _buchberger, _module_gb
+from idals.polyring import Poly, _buchberger, _module_gb, _quotient_vecs, _syzygy_vecs
 
 import reducer_oracle as oracle
 from test_reducer_differential import (FIELDS, ORDERS, assert_canonical, assert_same_gb,
-                                       big_exponent_systems, cyclic, items, random_vec,
-                                       spy_on_widths, system_vecs)
+                                       big_exponent_systems, cyclic, items, oracle_syzygies,
+                                       random_vec, spy_on_widths, system_vecs)
 
 
 def spy_on_pairs(monkeypatch):
@@ -168,6 +176,96 @@ def test_exponents_past_two_to_the_sixteen_restart_the_packing(field, monkeypatc
         vecs = [to_vec(g) for g in gens]
         assert_same_gb(_buchberger(vecs, ring, 1), oracle.buchberger(vecs, ring, 1))
         assert widths == [8, 16, 32]
+
+
+# -- module runs -----------------------------------------------------------------
+
+
+def module_rings(field, order):
+    yield PolyRing(field, ["x", "y"], order)
+    yield PolyRing(field, ["x", "y", "z"], order)
+    yield PolyRing(field, ["x", "y"], order, quotient=["x^2 - y^3"])
+    yield PolyRing(field, ["x", "y"], order, quotient=["x*y - 1"])
+
+
+def module_combination(ring, gens, rng):
+    """A random combination of the gens with term coefficients: an input in
+    the module they generate."""
+    field, out = ring.field, {}
+    for g in gens:
+        ((_, shift), c), = random_vec(ring, 1, rng, terms=1, deg=2).items()
+        for (pos, e), d in g.items():
+            key = (pos, tuple(map(add, e, shift)))
+            v = field.add(out.get(key, field.zero()), field.mul(c, d))
+            if v:
+                out[key] = v
+            else:
+                out.pop(key, None)
+    return out
+
+
+def constant_lead(ring, rank, pos, rng):
+    """A vector whose leading term is a constant in position pos, with a
+    tail of degree 3 in a later position, so that it is not taken first."""
+    one = (0,) * ring.nvars
+    cube = tuple(3 if i == 0 else 0 for i in range(ring.nvars))
+    return {(pos, one): ring.field.of(rng.choice([2, 3, -1])),
+            (rank - 1, cube): ring.field.one()}
+
+
+def seeded_modules(field, order):
+    """Inputs of rank 2 and 3 on each ring of `module_rings`: 2-4 random
+    vectors, the later draws with a zero input, a duplicate, an input in
+    the module of the earlier ones, or constant leading terms in one
+    position added."""
+    rng = random.Random(f"modules-{field.p}-{order}")
+    for ring in module_rings(field, order):
+        free = ring.free()
+        for k in range(6):
+            rank = 2 + k % 2
+            gens = [random_vec(free, rank, rng, terms=3, deg=2)
+                    for _ in range(rng.randint(2, 4))]
+            extra = k % 5
+            if extra == 1:
+                gens.insert(1, {})
+            elif extra == 2:
+                gens.append(dict(gens[0]))
+            elif extra == 3:
+                gens.insert(rng.randrange(len(gens) + 1),
+                            module_combination(free, gens[:2], rng))
+            elif extra == 4:
+                gens += [constant_lead(free, rank, 1, rng), constant_lead(free, rank, 1, rng)]
+            yield ring, rank, gens
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("order", ORDERS)
+def test_seeded_modules_match_oracle(field, order):
+    for ring, rank, gens in seeded_modules(field, order):
+        free = ring.free()
+        want = oracle.buchberger(gens + _quotient_vecs(ring, rank), free, rank)
+        got = _module_gb(gens, ring, rank)
+        assert [items(v) for v in got] == [items(v) for v in want]
+        assert_canonical(got)
+
+
+def tagged_columns(ring, rank, rng):
+    """Columns for `_syzygy_vecs`: random ones, then a zero column and a
+    repeated one, whose tagged inputs lead with constant tags."""
+    columns = [random_vec(ring.free(), rank, rng, terms=3, deg=2)
+               for _ in range(rng.randint(2, 3))]
+    return columns + [{}, dict(columns[0])]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("order", ORDERS)
+def test_tagged_syzygy_inputs_match_oracle(field, order):
+    rng = random.Random(f"tagged-{field.p}-{order}")
+    for ring in module_rings(field, order):
+        for rank in (2, 3):
+            columns = tagged_columns(ring, rank, rng)
+            assert ([items(v) for v in _syzygy_vecs(columns, ring, rank)]
+                    == [items(v) for v in oracle_syzygies(columns, ring, rank)])
 
 
 # -- cyclic-6 ------------------------------------------------------------------
