@@ -853,7 +853,7 @@ def chart_idal(scheme: TwoChartScheme, which: int, power: int = 1):
         to_near = J.collapse(near, 2 * power, 0)
         fwd, bwd = _oriented(which, to_far, to_near)
         L = GluedModule(scheme, *_oriented(which, near, far), OverlapDatum(power, fwd, power, bwd))
-        e_far = ModuleMap(far, near, J.power_map(power).matrix, check=False)
+        e_far = ModuleMap(far, near, J.collapse(near, power, 0), check=False)
     return L, GluedMap(L, O, *_oriented(which, ModuleMap.identity(near), e_far))
 
 

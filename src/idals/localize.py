@@ -30,7 +30,6 @@ from .fpmod import (
     kernel,  # unused here; perfbench's tracer test wraps it through this module
     kernel_columns,
     tensor,
-    unit_module,
 )
 from .idal import Idal, IdalMorphism, idal_product
 from .polyring import Poly, PolyRing, RingHom
@@ -113,9 +112,9 @@ class HomChain:
         return J
 
     def stage(self, n: int) -> HomModule:
-        if n not in self._stages:
-            self._stages[n] = hom_module(self.mid, self.target) if n == 0 \
-                else hom_module(self.J.carrier, self.stage(n - 1).module)
+        for k in range(len(self._stages), n + 1):   # stages are built in order
+            self._stages[k] = hom_module(self.mid, self.target) if k == 0 \
+                else hom_module(self.J.carrier, self._stages[k - 1].module)
         return self._stages[n]
 
     def shrink(self, n: int):
@@ -139,22 +138,25 @@ class HomChain:
 
     def uncurry(self, n: int, coeffs):
         """The matrix of the staged map of a stage-n element."""
-        phi = self.stage(n).interpret(coeffs)
-        if n == 0:
-            return phi.matrix
-        blocks = [self.uncurry(n - 1, phi.column(j)) for j in range(phi.source.gens)]
-        return [[p for b in blocks for p in b[r]] for r in range(self.target.gens)]
+        # a stage-k element is a map out of J (out of mid at k = 0); its
+        # columns are stage-(k-1) elements (target columns at k = 0)
+        cols = [coeffs]
+        for k in range(n, -1, -1):
+            H = self.stage(k)
+            cols = [c for h in cols for c in H.interpret(h).columns()]
+        return [[c[r] for c in cols] for r in range(self.target.gens)]
 
     def curry(self, n: int, matrix):
         """Stage-n coordinates of the matrix of a staged map; a LiftError
         unless that map is well defined."""
-        H = self.stage(n)
-        if n == 0:
-            return H.express(ModuleMap(H.source, H.target, matrix, check=False))
-        w = self.J.carrier.gens ** (n - 1) * self.mid.gens
-        cols = [self.curry(n - 1, [row[j * w:(j + 1) * w] for row in matrix])
-                for j in range(self.J.carrier.gens)]
-        return H.express(ModuleMap.from_columns(H.source, H.target, cols))
+        g = self.J.carrier.gens
+        cols = [tuple(row[j] for row in matrix) for j in range(g ** n * self.mid.gens)]
+        for k in range(n + 1):
+            H = self.stage(k)
+            w = H.source.gens
+            cols = [H.express(ModuleMap.from_columns(H.source, H.target, cols[i * w:(i + 1) * w]))
+                    for i in range(g ** (n - k))]
+        return cols[0]
 
     def saturated_kernel(self, n: int, budget: int):
         """`_saturated_kernel(self, n, budget)`, computed once per chain."""
@@ -410,29 +412,26 @@ def intersection_check(I: Idal, J: Idal, M: PresentedModule) -> bool:
 
 def idal_comparison_search(I: Idal, J: Idal, n_max: int = 8):
     """Smallest n <= n_max such that the idal map J^{(x)n} -> O lifts through
-    e_I, with the lift as an idal morphism; None if no power lifts."""
+    e_I, with the lift as an idal morphism; None if no power lifts.  Read on
+    J's hom chains into I and O, presenting J^{(x)n} only for the power found."""
     if I.ring != J.ring:
         raise RingMismatchError("comparison of idals over different rings")
     if n_max < 1:
         raise AlgebraError("n_max must be >= 1")
-    O = unit_module(I.ring)
+    O = J.carrier_power(0)
+    into_I, into_O = HomChain.of(J, O, I.carrier), HomChain.of(J, O, O)
+    post = ModuleMap(into_I.stage(0).module, into_O.stage(0).module, I.e.matrix, check=False)
+    power = (I.ring.one(),)
     for n in range(1, n_max + 1):
-        Jn = J.power_idal(n)
-        source = Jn.carrier
-        H_O = hom_module(source, O)
-        H_I = hom_module(source, I.carrier)
-        try:
-            u = H_O.express(Jn.e)
-        except LiftError as exc:
-            raise LiftError(f"power map not in its own hom module (internal): {exc}")
-        # postcomposition with e_I as a map of hom modules H_I -> H_O
+        J.power_gens(n)   # an AlgebraError past MAX_POWER_GENS
+        H_I, H_O = into_I.stage(n), into_O.stage(n)
         post = ModuleMap.from_columns(H_I.module, H_O.module,
-                                      [H_O.express(I.e.compose(H_I.generator_map(k)))
+                                      [H_O.express(post.compose(H_I.generator_map(k)))
                                        for k in range(H_I.module.gens)])
-        coeffs = post.lift(u)
-        if coeffs is None:
-            continue
-        lift_map = H_I.interpret(coeffs)
-        morphism = IdalMorphism(Jn, I, lift_map)
-        return n, morphism
+        power = into_O.transition(n - 1).apply_column(power)
+        coeffs = post.lift(power)
+        if coeffs is not None:
+            Jn = J.power_idal(n)
+            lift = ModuleMap(Jn.carrier, I.carrier, into_I.uncurry(n, coeffs), check=False)
+            return n, IdalMorphism(Jn, I, lift)
     return None

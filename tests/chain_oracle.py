@@ -7,13 +7,20 @@ with the map J^{(x)(n+1)} (x) mid -> J^{(x)n} (x) mid that applies e at the
 reflection unit is the canonical map into the stage built from the full
 power map J^{(x)n} -> O.  The present `HomChain` must present the same
 stages up to isomorphism, with the same transitions, units and scan
-decisions.  Do not optimise this file; its value is that it stays as it was.
+decisions.
+
+`comparison_search` is the idal comparison search that presented J^{(x)n}
+for every n and read both hom modules out of it; the present search reads
+the idal's hom chains instead and must find the same power and lift and
+raise the same errors.  Do not optimise this file; its value is that it
+stays as it was.
 """
 
 from __future__ import annotations
 
-from idals.errors import LiftError
-from idals.fpmod import ModuleMap, hom_module
+from idals.errors import AlgebraError, LiftError, RingMismatchError
+from idals.fpmod import ModuleMap, hom_module, unit_module
+from idals.idal import IdalMorphism
 from idals.localize import _saturated_kernel
 
 import staged_oracle as staged
@@ -78,3 +85,33 @@ class OldHomChain:
     def unit(self, n):
         """The reflection unit target -> stage n (mid = O)."""
         return canonical_stage_map(self.J, self.target, self.stage(n), n)
+
+
+def comparison_search(I, J, n_max=8):
+    """Smallest n <= n_max such that the idal map J^{(x)n} -> O lifts through
+    e_I, with the lift as an idal morphism; None if no power lifts."""
+    if I.ring != J.ring:
+        raise RingMismatchError("comparison of idals over different rings")
+    if n_max < 1:
+        raise AlgebraError("n_max must be >= 1")
+    O = unit_module(I.ring)
+    for n in range(1, n_max + 1):
+        Jn = J.power_idal(n)
+        source = Jn.carrier
+        H_O = hom_module(source, O)
+        H_I = hom_module(source, I.carrier)
+        try:
+            u = H_O.express(Jn.e)
+        except LiftError as exc:
+            raise LiftError(f"power map not in its own hom module (internal): {exc}")
+        # postcomposition with e_I as a map of hom modules H_I -> H_O
+        post = ModuleMap.from_columns(H_I.module, H_O.module,
+                                      [H_O.express(I.e.compose(H_I.generator_map(k)))
+                                       for k in range(H_I.module.gens)])
+        coeffs = post.lift(u)
+        if coeffs is None:
+            continue
+        lift_map = H_I.interpret(coeffs)
+        morphism = IdalMorphism(Jn, I, lift_map)
+        return n, morphism
+    return None

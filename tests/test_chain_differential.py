@@ -7,7 +7,11 @@ modules that commutes with the transitions; `curry` must invert `uncurry`;
 the reflection units must agree through it; and the scan must reach the
 same decisions on both chains.  The workspace loader's check of a staged
 map, a curry into the chain, must accept exactly the matrices that are
-well defined on the presented source."""
+well defined on the presented source.
+
+The idal comparison search, which reads the chains into I and into O, must
+find the same power and the same lift as the frozen search that presented
+J^{(x)n} for every n, and raise the same errors."""
 
 import random
 
@@ -16,8 +20,8 @@ import pytest
 from idals import (GF, QQ, ModuleMap, PolyRing, PresentedModule, deligne_hom, idal_from_ideal,
                    is_iso, reflect)
 from idals.cli import Workspace, _staged_matrix, load_preset
-from idals.errors import WellDefinednessError
-from idals.localize import HomChain, _scan_hom_chain
+from idals.errors import AlgebraError, WellDefinednessError
+from idals.localize import HomChain, _scan_hom_chain, idal_comparison_search
 
 import chain_oracle as oracle
 import staged_oracle
@@ -190,3 +194,82 @@ def test_staged_check_matches_the_presented_source(name, J, M, T):
             assert got == expected, f"stage {n}: {tau}"
             verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def comparison_pairs():
+    """(label, I, J, n_max): seeded idals of 1, 2 and 3 generators against
+    each other over QQ, GF(5) and QQ[x,y]/(x^3), searched to n_max 3 (2 when
+    J has 3 generators, whose third power the frozen search presents with 27
+    generators); the oracle finds powers 1, 2 and 3 among them, and none."""
+    rng = random.Random(5)
+    out = []
+    for label, ring in (("QQ", QQ_XY), ("GF5", GF5_XY),
+                        ("QQ/(x^3)", PolyRing(QQ, ["x", "y"], quotient=["x^3"]))):
+        def seeded(k):
+            return idal_from_ideal([ring.var(rng.choice(ring.variables))
+                                    * random_poly(ring, rng, 1, zero_ok=False)
+                                    for _ in range(k)], ring)
+        for gi in (1, 2, 3):
+            for gj in (1, 2, 3):
+                out.append((f"{label}-{gi}/{gj}", seeded(gi), seeded(gj), 3 if gj < 3 else 2))
+    plane = Workspace()
+    plane.load(load_preset("double-origin-plane"))
+    # the frozen search raises the MAX_POWER_GENS error at n = 9, after 1-8
+    out.append(("double-origin-plane:Jx/Jxy", plane.idal("Jx"), plane.idal("Jxy"), 9))
+    qq, gf5 = out[0][1], out[9][1]
+    out += [("rings-differ", qq, gf5, 2), ("n_max-0", qq, qq, 0)]
+    return out
+
+
+COMPARISON_PAIRS = comparison_pairs()
+OLD_OUTCOMES: dict = {}
+
+
+def search_outcome(search, I, J, n_max):
+    """(power, lift matrix as strings), None, or (error type, message)."""
+    try:
+        found = search(I, J, n_max)
+    except AlgebraError as exc:
+        return type(exc), str(exc)
+    if found is None:
+        return None
+    n, morphism = found
+    return n, [[str(p) for p in row] for row in morphism.f.matrix]
+
+
+@pytest.mark.parametrize("name,I,J,n_max", COMPARISON_PAIRS, ids=[c[0] for c in COMPARISON_PAIRS])
+def test_comparison_search_matches_the_presented_powers(name, I, J, n_max):
+    OLD_OUTCOMES[name] = old = search_outcome(oracle.comparison_search, I, J, n_max)
+    assert search_outcome(idal_comparison_search, I, J, n_max) == old
+    if old is not None and isinstance(old[0], int):
+        # the lift read off the chain is well defined on the presented power
+        n, morphism = idal_comparison_search(I, J, n_max)
+        ModuleMap(J.carrier_power(n), I.carrier, morphism.f.matrix, check=True)
+
+
+def test_comparison_pairs_reach_every_outcome():
+    for name, I, J, n_max in COMPARISON_PAIRS:
+        if name not in OLD_OUTCOMES:
+            OLD_OUTCOMES[name] = search_outcome(oracle.comparison_search, I, J, n_max)
+    powers = {o[0] if isinstance(o, tuple) else o for o in OLD_OUTCOMES.values()}
+    assert powers >= {None, 1, 2, 3}
+    plane = OLD_OUTCOMES["double-origin-plane:Jx/Jxy"]
+    assert plane[0] is AlgebraError and "2^n <= 256" in plane[1]
+    assert OLD_OUTCOMES["rings-differ"][1] == "comparison of idals over different rings"
+    assert OLD_OUTCOMES["n_max-0"][1] == "n_max must be >= 1"
+
+
+def test_a_different_lift_is_an_idal_morphism_too():
+    """A lift is unique only up to maps into the kernel of e_I.  For this
+    pair the two searches find the power 2 with lifts that differ as maps;
+    each is well defined on the presented J^{(x)2} and makes the triangle
+    over O commute."""
+    I = idal_from_ideal(["2*y^2 + 4*y", "y^2", "x^2"], QQ_XY)
+    J = idal_from_ideal(["-x^2 - x", "-2*x*y - y"], QQ_XY)
+    (n, new), (m, old) = idal_comparison_search(I, J, 3), oracle.comparison_search(I, J, 3)
+    assert n == m == 2
+    assert not new.f.equals(old.f)
+    power = J.carrier_power(2)
+    for f in (new.f, old.f):
+        lift = ModuleMap(power, I.carrier, f.matrix, check=True)
+        assert I.e.compose(lift).equals(J.power_map(2))

@@ -218,6 +218,30 @@ def test_oversized_stage_exits_one_quickly(capsys, tmp_path):
         assert "256" in report["result"]["message"]
 
 
+def test_deep_staged_tau_is_reported_not_a_traceback(capsys, tmp_path):
+    # the line's idal (x) has one generator, so a tau at stage 500 is a
+    # 1 x 1 matrix; checking it curries through 500 hom stages, which must
+    # not take one Python frame per stage
+    tau = {"fwd_stage": 500, "fwd": [["x"]], "bwd_stage": 500, "bwd": [["x"]]}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"glued": {"deep": {"scheme": "DOL", "m1": "O", "m2": "O",
+                                                   "tau": tau}}}))
+    code, report = invoke(capsys, "glue", "deep", "--workspace", str(path),
+                          "--preset", "double-origin-line")
+    assert code == 2
+    assert report["result"] == {"valid": False, "error": "tau not invertible"}
+
+
+def test_compare_idals_on_the_plane_finds_no_power(capsys):
+    # the search reads the hom chains of (x, y) to n_max 8 without
+    # presenting its tensor powers of up to 256 generators
+    started = time.perf_counter()
+    code, report = invoke(capsys, "compare-idals", "Jx", "Jxy",
+                          "--preset", "double-origin-plane")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and report["result"] == {"found": False}
+
+
 def staged_o_workspace(tmp_path, stage):
     """A workspace gluing O on both charts of the self-glued (x, y) plane by
     e^{(x)stage} forward and 1 back; idal generation needs the chart idal

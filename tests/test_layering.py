@@ -20,7 +20,11 @@ or makes a Fraction.
 
 polyring has one reducer: no function but `_pseudo_reduce` iterates the
 tail of a prepared divisor.  It has two S-vector loops, the signature loop
-of untracked runs and the tracked loop: no other function pops a heap."""
+of untracked runs and the tracked loop: no other function pops a heap.
+
+localize builds a HOM out of a tensor power only through the hom chain:
+no function but `HomChain.stage` and `canonical_to_hom` calls
+`hom_module`."""
 
 import ast
 import pathlib
@@ -332,10 +336,10 @@ def test_tail_guard_sees_what_it_forbids(tmp_path):
         ("_Prepared.shifted", 7), ("_loop", 9), ("_loop", 11), ("_pseudo_reduce", 3)]
 
 
-def heap_poppers(path):
+def callers(path, callee):
     """Sorted names of the module-level functions (and `Class.method`s)
-    that call `heappop`, by name or as `heapq.heappop`, in their own body or
-    in a function nested in it."""
+    that call `callee`, by name or as an attribute such as `heapq.heappop`,
+    in their own body or in a function nested in it."""
     found = set()
     tree = ast.parse(path.read_text(), filename=str(path))
     defs = []
@@ -346,13 +350,13 @@ def heap_poppers(path):
             defs += [(f"{node.name}.{item.name}", item) for item in node.body
                      if isinstance(item, ast.FunctionDef)]
     for name, node in defs:
-        if any(isinstance(n, ast.Call) and _call_name(n) == "heappop" for n in ast.walk(node)):
+        if any(isinstance(n, ast.Call) and _call_name(n) == callee for n in ast.walk(node)):
             found.add(name)
     return sorted(found)
 
 
 def test_two_s_vector_loops_and_one_reducer():
-    assert heap_poppers(SRC / "polyring.py") == [
+    assert callers(SRC / "polyring.py", "heappop") == [
         "_pseudo_reduce", "_signature_loop", "_tracked_loop"]
 
 
@@ -377,4 +381,31 @@ def test_heap_guard_sees_what_it_forbids(tmp_path):
         "        return heappop(self.heap)\n"
         "def _sorted(xs):\n"
         "    return sorted(xs)\n")
-    assert heap_poppers(sample) == ["_Queue.pop", "_outer", "_pair_update_loop", "_pseudo_reduce"]
+    assert callers(sample, "heappop") == [
+        "_Queue.pop", "_outer", "_pair_update_loop", "_pseudo_reduce"]
+
+
+def test_every_hom_out_of_a_tensor_power_goes_through_the_chain():
+    assert callers(SRC / "localize.py", "hom_module") == ["HomChain.stage", "canonical_to_hom"]
+
+
+def test_hom_guard_sees_what_it_forbids(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from . import fpmod\n"
+        "from .fpmod import hom_module\n"
+        "class HomChain:\n"
+        "    def stage(self, n):\n"
+        "        return hom_module(self.J.carrier, self.mid)\n"
+        "def canonical_to_hom(J, M):\n"
+        "    return fpmod.hom_module(J.carrier, M)\n"
+        "def idal_comparison_search(I, J, n_max):\n"
+        "    for n in range(1, n_max + 1):\n"
+        "        source = J.power_idal(n).carrier\n"
+        "        H_O, H_I = hom_module(source, O), hom_module(source, I.carrier)\n"
+        "def _power_homs(J, I):\n"
+        "    def at(n):\n"
+        "        return hom_module(J.carrier_power(n), I.carrier)\n"
+        "    return at\n")
+    assert callers(sample, "hom_module") == [
+        "HomChain.stage", "_power_homs", "canonical_to_hom", "idal_comparison_search"]
