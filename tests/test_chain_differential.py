@@ -10,8 +10,9 @@ map, a curry into the chain, must accept exactly the matrices that are
 well defined on the presented source.
 
 The idal comparison search, which reads the chains into I and into O, must
-find the same power and the same lift as the frozen search that presented
-J^{(x)n} for every n, and raise the same errors."""
+find the same power as the frozen search that presented J^{(x)n} for every
+n, with the same lift matrix on the seeded pairs and a lift that makes the
+triangle commute on all, and raise the same errors."""
 
 import random
 
@@ -240,11 +241,11 @@ def search_outcome(search, I, J, n_max):
 @pytest.mark.parametrize("name,I,J,n_max", COMPARISON_PAIRS, ids=[c[0] for c in COMPARISON_PAIRS])
 def test_comparison_search_matches_the_presented_powers(name, I, J, n_max):
     OLD_OUTCOMES[name] = old = search_outcome(oracle.comparison_search, I, J, n_max)
-    assert search_outcome(idal_comparison_search, I, J, n_max) == old
-    if old is not None and isinstance(old[0], int):
+    new = search_outcome(idal_comparison_search, I, J, n_max)
+    assert new == old
+    if new is not None and isinstance(new[0], int):
         # the lift read off the chain is well defined on the presented power
-        n, morphism = idal_comparison_search(I, J, n_max)
-        ModuleMap(J.carrier_power(n), I.carrier, morphism.f.matrix, check=True)
+        ModuleMap(J.carrier_power(new[0]), I.carrier, new[1], check=True)
 
 
 def test_comparison_pairs_reach_every_outcome():
