@@ -15,7 +15,6 @@ from importlib import resources
 from .errors import (
     AlgebraError,
     LiftError,
-    StabilizationError,
     TauNotInvertibleError,
     TauNotWellDefinedError,
     WellDefinednessError,
@@ -59,7 +58,6 @@ from .glued import (
     global_sections,
     idal_generation,
     inverse_of,
-    invertible_check,
     o_glued,
     p1_scheme,
     p1_sections_oracle,
@@ -70,13 +68,6 @@ from .glued import (
 from .polyring import QQ, PolyRing, groebner
 
 
-COMMANDS = (
-    "check-idal", "reflect-idal", "idal-product", "cover-check", "nilpotency",
-    "localize", "deligne-hom", "believes", "quotient", "compare-idals",
-    "glue", "sections", "roundtrip", "tensor-glued", "invertible",
-    "idal-generate", "demo",
-)
-
 PRESETS = ("p1", "double-origin-line", "double-origin-plane")
 
 # The largest --degree-bound.  Graded windows count every degree up to it, and
@@ -84,8 +75,36 @@ PRESETS = ("p1", "double-origin-line", "double-origin-plane")
 MAX_DEGREE_BOUND = 10_000
 
 
+def _idal_of(ws, spec):
+    if "ideal_generators" in spec:
+        return idal_from_ideal(spec["ideal_generators"], ws._ring(spec.get("ring")))
+    carrier = ws.module(spec["carrier"])
+    return Idal(carrier, ModuleMap(carrier, unit_module(carrier.ring), spec["e_matrix"]))
+
+
+def _scheme_of(ws, spec):
+    if spec.get("kind") == "selfglue":
+        return TwoChartScheme.selfglue(ws._ring(spec["ring"]), ws.idal(spec["idal"]))
+    return TwoChartScheme.affine(ws._ring(spec["chart1"]), ws._ring(spec["chart2"]),
+                                 spec["f1"], spec["f2"], spec["inv1"], spec["inv2"],
+                                 spec["to2"], spec["to1"])
+
+
+# (section, kind, builder) in load order; glued modules are built on first use
+SECTIONS = (
+    ("rings", "ring", lambda ws, spec: PolyRing.from_json(spec)),
+    ("modules", "module",
+     lambda ws, spec: PresentedModule.from_json(spec, ws._ring(spec.get("ring")))),
+    ("maps", "map", lambda ws, spec: ModuleMap(ws.module(spec.get("source")),
+                                               ws.module(spec.get("target")), spec["matrix"])),
+    ("idals", "idal", _idal_of),
+    ("schemes", "scheme", _scheme_of),
+    ("glued", "glued module", lambda ws, spec: spec),
+)
+
+
 class Workspace:
-    """Named rings, modules, maps, idals, schemes, and glued modules."""
+    """Named rings, modules, maps, idals, schemes, and glued module specs."""
 
     def __init__(self):
         self.rings: dict = {}
@@ -94,69 +113,30 @@ class Workspace:
         self.idals: dict = {}
         self.schemes: dict = {}
         self.glued: dict = {}
-        self._glued_specs: dict = {}
+        self._glued_modules: dict = {}
 
     def load(self, data: dict):
         if not isinstance(data, dict):
             raise WorkspaceError(f"a workspace must be a JSON object, not {type(data).__name__}")
-        for section in ("rings", "modules", "maps", "idals", "schemes", "glued"):
+        for section, _, _ in SECTIONS:
             names = data.get(section, {})
             if not isinstance(names, dict):
                 raise WorkspaceError(f"workspace section {section!r} must be a JSON object "
                                      f"mapping names to objects")
-            store = getattr(self, section if section != "glued" else "_glued_specs")
             for name, spec in names.items():
-                if name in store:
+                if name in getattr(self, section):
                     raise WorkspaceError(f"duplicate name {name!r} in {section}")
                 if not isinstance(spec, dict):
                     raise WorkspaceError(f"{section} entry {name!r} must be a JSON object")
-        for name, spec in data.get("rings", {}).items():
-            try:
-                self.rings[name] = PolyRing.from_json(spec)
-            except Exception as exc:
-                raise WorkspaceError(f"bad ring {name!r}: {exc}") from exc
-        for name, spec in data.get("modules", {}).items():
-            ring = self._ring(spec.get("ring"))
-            try:
-                self.modules[name] = PresentedModule.from_json(spec, ring)
-            except Exception as exc:
-                raise WorkspaceError(f"bad module {name!r}: {exc}") from exc
-        for name, spec in data.get("maps", {}).items():
-            src = self.module(spec.get("source"))
-            tgt = self.module(spec.get("target"))
-            try:
-                self.maps[name] = ModuleMap(src, tgt, spec["matrix"])
-            except Exception as exc:
-                raise WorkspaceError(f"bad map {name!r}: {exc}") from exc
-        for name, spec in data.get("idals", {}).items():
-            try:
-                if "ideal_generators" in spec:
-                    ring = self._ring(spec.get("ring"))
-                    self.idals[name] = idal_from_ideal(spec["ideal_generators"], ring)
-                else:
-                    carrier = self.module(spec["carrier"])
-                    e = ModuleMap(carrier, unit_module(carrier.ring), spec["e_matrix"])
-                    self.idals[name] = Idal(carrier, e)
-            except WorkspaceError:
-                raise
-            except Exception as exc:
-                raise WorkspaceError(f"bad idal {name!r}: {exc}") from exc
-        for name, spec in data.get("schemes", {}).items():
-            try:
-                if spec.get("kind") == "selfglue":
-                    self.schemes[name] = TwoChartScheme.selfglue(
-                        self._ring(spec["ring"]), self.idal(spec["idal"]))
-                else:
-                    self.schemes[name] = TwoChartScheme.affine(
-                        self._ring(spec["chart1"]), self._ring(spec["chart2"]),
-                        spec["f1"], spec["f2"], spec["inv1"], spec["inv2"],
-                        spec["to2"], spec["to1"])
-            except WorkspaceError:
-                raise
-            except Exception as exc:
-                raise WorkspaceError(f"bad scheme {name!r}: {exc}") from exc
-        for name, spec in data.get("glued", {}).items():
-            self._glued_specs[name] = spec
+        for section, kind, build in SECTIONS:
+            store = getattr(self, section)
+            for name, spec in data.get(section, {}).items():
+                try:
+                    store[name] = build(self, spec)
+                except WorkspaceError:
+                    raise
+                except Exception as exc:
+                    raise WorkspaceError(f"bad {kind} {name!r}: {exc}") from exc
 
     @staticmethod
     def _lookup(store: dict, kind: str, name):
@@ -183,12 +163,12 @@ class Workspace:
         return self._lookup(self.schemes, "scheme", name)
 
     def glued_spec(self, name):
-        return self._lookup(self._glued_specs, "glued module", name)
+        return self._lookup(self.glued, "glued module", name)
 
     def glued_module(self, name) -> GluedModule:
-        if name not in self.glued:
-            self.glued[name] = self._build_glued(self.glued_spec(name))
-        return self.glued[name]
+        if name not in self._glued_modules:
+            self._glued_modules[name] = self._build_glued(self.glued_spec(name))
+        return self._glued_modules[name]
 
     def _build_glued(self, spec) -> GluedModule:
         scheme = self.scheme(spec.get("scheme"))
@@ -235,12 +215,24 @@ def load_preset(name: str) -> dict:
 # serialization helpers
 
 
-def _mod_json(M: PresentedModule):
-    return M.to_json()
-
-
 def _map_json(m: ModuleMap):
     return {"matrix": [[str(x) for x in row] for row in m.matrix]}
+
+
+def _module_json(M: PresentedModule, degrees):
+    """M, whether it is zero and, when it is graded, its dimensions in degrees."""
+    out = {"module": M.to_json(), "is_zero": M.is_zero_module()}
+    if M.grading is not None:
+        out["graded_dims"] = {str(d): v for d, v in graded_dims(M, degrees).items()}
+    return out
+
+
+def _by_degree(S):
+    return {str(k): v for k, v in sorted((S.by_degree or {}).items())}
+
+
+def _blocks(gen):
+    return [{"chart": b.chart, "power": b.power} for b in gen.blocks]
 
 
 def _chain_json(chain, trace: bool):
@@ -248,10 +240,10 @@ def _chain_json(chain, trace: bool):
         "stabilized_at": chain.stabilized_at,
         "truncated": chain.truncated,
         "saturated": chain.saturated,
-        "value": _mod_json(chain.value),
+        "value": chain.value.to_json(),
     }
     if trace:
-        out["stages"] = [_mod_json(s) for s in chain.stages]
+        out["stages"] = [s.to_json() for s in chain.stages]
         out["transitions"] = [_map_json(t) for t in chain.transitions]
     return out
 
@@ -271,8 +263,7 @@ def _cmd_check_idal(ws, args):
 def _cmd_reflect_idal(ws, args):
     f = ws.map(args.names[0])
     idal, pi = idal_reflect(f)
-    pi_iso = is_iso(pi)
-    return ({"idal": idal.serialize(), "pi": _map_json(pi), "pi_is_iso": pi_iso},
+    return ({"idal": idal.serialize(), "pi": _map_json(pi), "pi_is_iso": is_iso(pi)},
             {"idal_law_holds": idal_check(idal.e)}, True)
 
 
@@ -297,8 +288,7 @@ def _cmd_cover_check(ws, args):
 
 
 def _cmd_nilpotency(ws, args):
-    e = ws.idal(args.names[0])
-    n = nilpotency_check(e, args.n_max)
+    n = nilpotency_check(ws.idal(args.names[0]), args.n_max)
     return {"nilpotent_at": n}, {}, n is not None
 
 
@@ -306,11 +296,7 @@ def _cmd_localize(ws, args):
     M = ws.module(args.names[1])
     f = M.ring.poly(args.names[0])
     out = localization_oracle(f, M)
-    result = {"module": _mod_json(out), "is_zero": out.is_zero_module()}
-    if out.grading is not None:
-        dims = graded_dims(out, range(-args.degree_bound, args.degree_bound + 1))
-        result["graded_dims"] = {str(d): v for d, v in dims.items()}
-    return result, {}, True
+    return _module_json(out, range(-args.degree_bound, args.degree_bound + 1)), {}, True
 
 
 def _cmd_deligne_hom(ws, args):
@@ -331,11 +317,7 @@ def _cmd_believes(ws, args):
 def _cmd_quotient(ws, args):
     I, M = ws.idal(args.names[0]), ws.module(args.names[1])
     Q = quotient_functor(I, M)
-    result = {"module": _mod_json(Q), "is_zero": Q.is_zero_module()}
-    if Q.grading is not None:
-        dims = graded_dims(Q, range(0, args.degree_bound + 1))
-        result["graded_dims"] = {str(d): v for d, v in dims.items()}
-    return result, {}, True
+    return _module_json(Q, range(0, args.degree_bound + 1)), {}, True
 
 
 def _cmd_compare_idals(ws, args):
@@ -349,9 +331,8 @@ def _cmd_compare_idals(ws, args):
 
 
 def _cmd_glue(ws, args):
-    name = args.names[0]
     try:
-        G = ws.glued_module(name)
+        G = ws.glued_module(args.names[0])
     except (TauNotWellDefinedError, TauNotInvertibleError) as exc:
         kind = "tau not well-defined" if isinstance(exc, TauNotWellDefinedError) \
             else "tau not invertible"
@@ -364,9 +345,9 @@ def _cmd_sections(ws, args):
     S = global_sections(G, args.degree_bound, args.n_max)
     result = {"kind": S.kind, "total": S.total}
     if S.by_degree is not None:
-        result["by_degree"] = {str(k): v for k, v in sorted(S.by_degree.items())}
+        result["by_degree"] = _by_degree(S)
     if S.module is not None:
-        result["module"] = _mod_json(S.module)
+        result["module"] = S.module.to_json()
     return result, {}, True
 
 
@@ -379,97 +360,23 @@ def _cmd_roundtrip(ws, args):
 
 def _cmd_tensor_glued(ws, args):
     G, H = ws.glued_module(args.names[0]), ws.glued_module(args.names[1])
-    T = tensor_glued(G, H)
-    return {"glued": T.serialize()}, {}, True
+    return {"glued": tensor_glued(G, H).serialize()}, {}, True
 
 
 def _cmd_invertible(ws, args):
     G = ws.glued_module(args.names[0])
-    ok = invertible_check(G)
-    result = {"invertible": ok}
-    cert = {}
-    if ok:
-        result["inverse"] = inverse_of(G).serialize()
-    else:
-        cert["rank_one_chart1"] = _free_rank_one_witness(G.m1) is not None
-        cert["rank_one_chart2"] = _free_rank_one_witness(G.m2) is not None
-    return result, cert, ok
+    try:
+        inverse = inverse_of(G)
+    except AlgebraError:
+        return {"invertible": False}, {
+            "rank_one_chart1": _free_rank_one_witness(G.m1) is not None,
+            "rank_one_chart2": _free_rank_one_witness(G.m2) is not None}, False
+    return {"invertible": True, "inverse": inverse.serialize()}, {}, True
 
 
 def _cmd_idal_generate(ws, args):
-    G = ws.glued_module(args.names[0])
-    gen = idal_generation(G, args.n_max)
-    return ({"blocks": [{"chart": b.chart, "power": b.power} for b in gen.blocks],
-             "surjective": gen.verified}, {}, True)
-
-
-def _run_demo(args):
-    name = args.names[0] if args.names else ""
-    n = args.n
-    if name == "p1-sections":
-        G = p1_standard(n)
-        S = global_sections(G, args.degree_bound)
-        oracle = p1_sections_oracle(n)
-        ok = S.total == oracle
-        return ({"twist": n, "dimension": S.total, "oracle": oracle,
-                 "by_degree": {str(k): v for k, v in sorted((S.by_degree or {}).items())}},
-                {"matches_oracle": ok}, ok)
-    if name == "serre-twist":
-        a, b = n, args.m
-        sch = p1_scheme()
-        T = tensor_glued(p1_standard(a, sch), p1_standard(b, sch))
-        E = p1_standard(a + b, sch)
-        iso = GluedMap(E, T, _free_rank_one_witness(T.m1), _free_rank_one_witness(T.m2))
-        ok = is_iso(iso.c1) and is_iso(iso.c2)
-        return {"a": a, "b": b, "isomorphic_to_sum_twist": ok}, {}, ok
-    if name == "hartogs":
-        R = PolyRing(QQ, ["x", "y"])
-        J = idal_from_ideal(["x", "y"], R)
-        res = reflect(J, unit_module(R), args.n_max)
-        ok = res.chain.stabilized_at == 1 and is_iso(res.unit)
-        return ({"stabilized_at": res.chain.stabilized_at,
-                 "unit_is_iso": is_iso(res.unit)}, {}, ok)
-    if name == "nilpotent-line":
-        Q3 = PolyRing(QQ, ["x"], quotient=["x^3"])
-        O3 = unit_module(Q3)
-        e = Idal.from_map(ModuleMap(O3, O3, [["x"]]))
-        nil = nilpotency_check(e, args.n_max)
-        res = reflect(e, O3, args.n_max)
-        ok = nil == 3 and res.value.is_zero_module()
-        return ({"nilpotent_at": nil, "reflected_to_zero": res.value.is_zero_module()},
-                {}, ok)
-    if name == "roundtrip-line":
-        A = PolyRing(QQ, ["x"])
-        I = idal_from_ideal(["x"], A)
-        J = idal_from_ideal(["x-1"], A)
-        res = roundtrip_check(A, I, J, unit_module(A), args.n_max, args.degree_bound)
-        return {"roundtrip": res.ok, "mode": res.mode}, dict(res.detail), res.ok
-    if name == "double-origin-plane":
-        R = PolyRing(QQ, ["x", "y"])
-        J = idal_from_ideal(["x", "y"], R)
-        sch = TwoChartScheme.selfglue(R, J)
-        S = global_sections(o_glued(sch), args.degree_bound, args.n_max)
-        return ({"sections_module": _mod_json(S.module),
-                 "by_degree": {str(k): v for k, v in sorted((S.by_degree or {}).items())}},
-                {}, True)
-    if name == "doubleorigin2":
-        R = PolyRing(QQ, ["T1", "T2"])
-        J1 = idal_from_ideal(["T1", "T2"], R)
-        J2 = Idal.identity(R)
-        prod = idal_product(J1, J2)
-        p = ModuleMap(free_module(R, 2, [1, 1]), prod.carrier,
-                      [["1", "0"], ["0", "1"]], check=False)
-        rep = doubleorigin2_datum_check(J1, J2, p)
-        return {"clauses": rep.clauses}, {}, rep.ok
-    if name == "p1-generate":
-        G = p1_standard(n)
-        gen = idal_generation(G, args.n_max)
-        return ({"twist": n, "blocks": [{"chart": b.chart, "power": b.power}
-                                        for b in gen.blocks],
-                 "surjective": gen.verified}, {}, gen.verified)
-    raise WorkspaceError(
-        f"unknown demo {name!r}; have p1-sections, serre-twist, hartogs, "
-        "nilpotent-line, roundtrip-line, double-origin-plane, doubleorigin2, p1-generate")
+    gen = idal_generation(ws.glued_module(args.names[0]), args.n_max)
+    return {"blocks": _blocks(gen), "surjective": gen.verified}, {}, True
 
 
 HANDLERS = {
@@ -490,6 +397,95 @@ HANDLERS = {
     "invertible": (_cmd_invertible, 1),
     "idal-generate": (_cmd_idal_generate, 1),
 }
+
+COMMANDS = (*HANDLERS, "demo")
+
+
+# ---------------------------------------------------------------------------
+# demos: take the parsed flags, return (result, certificates, ok)
+
+
+def _demo_p1_sections(args):
+    S = global_sections(p1_standard(args.n), args.degree_bound)
+    oracle = p1_sections_oracle(args.n)
+    ok = S.total == oracle
+    return ({"twist": args.n, "dimension": S.total, "oracle": oracle,
+             "by_degree": _by_degree(S)}, {"matches_oracle": ok}, ok)
+
+
+def _demo_serre_twist(args):
+    a, b = args.n, args.m
+    sch = p1_scheme()
+    T = tensor_glued(p1_standard(a, sch), p1_standard(b, sch))
+    E = p1_standard(a + b, sch)
+    iso = GluedMap(E, T, _free_rank_one_witness(T.m1), _free_rank_one_witness(T.m2))
+    ok = is_iso(iso.c1) and is_iso(iso.c2)
+    return {"a": a, "b": b, "isomorphic_to_sum_twist": ok}, {}, ok
+
+
+def _demo_hartogs(args):
+    R = PolyRing(QQ, ["x", "y"])
+    res = reflect(idal_from_ideal(["x", "y"], R), unit_module(R), args.n_max)
+    ok = res.chain.stabilized_at == 1 and is_iso(res.unit)
+    return {"stabilized_at": res.chain.stabilized_at, "unit_is_iso": is_iso(res.unit)}, {}, ok
+
+
+def _demo_nilpotent_line(args):
+    O3 = unit_module(PolyRing(QQ, ["x"], quotient=["x^3"]))
+    e = Idal.from_map(ModuleMap(O3, O3, [["x"]]))
+    nil = nilpotency_check(e, args.n_max)
+    res = reflect(e, O3, args.n_max)
+    ok = nil == 3 and res.value.is_zero_module()
+    return {"nilpotent_at": nil, "reflected_to_zero": res.value.is_zero_module()}, {}, ok
+
+
+def _demo_roundtrip_line(args):
+    A = PolyRing(QQ, ["x"])
+    I, J = idal_from_ideal(["x"], A), idal_from_ideal(["x-1"], A)
+    res = roundtrip_check(A, I, J, unit_module(A), args.n_max, args.degree_bound)
+    return {"roundtrip": res.ok, "mode": res.mode}, dict(res.detail), res.ok
+
+
+def _demo_double_origin_plane(args):
+    R = PolyRing(QQ, ["x", "y"])
+    sch = TwoChartScheme.selfglue(R, idal_from_ideal(["x", "y"], R))
+    S = global_sections(o_glued(sch), args.degree_bound, args.n_max)
+    return {"sections_module": S.module.to_json(), "by_degree": _by_degree(S)}, {}, True
+
+
+def _demo_doubleorigin2(args):
+    R = PolyRing(QQ, ["T1", "T2"])
+    J1, J2 = idal_from_ideal(["T1", "T2"], R), Idal.identity(R)
+    prod = idal_product(J1, J2)
+    p = ModuleMap(free_module(R, 2, [1, 1]), prod.carrier, [["1", "0"], ["0", "1"]],
+                  check=False)
+    rep = doubleorigin2_datum_check(J1, J2, p)
+    return {"clauses": rep.clauses}, {}, rep.ok
+
+
+def _demo_p1_generate(args):
+    gen = idal_generation(p1_standard(args.n), args.n_max)
+    return ({"twist": args.n, "blocks": _blocks(gen), "surjective": gen.verified},
+            {}, gen.verified)
+
+
+DEMOS = {
+    "p1-sections": _demo_p1_sections,
+    "serre-twist": _demo_serre_twist,
+    "hartogs": _demo_hartogs,
+    "nilpotent-line": _demo_nilpotent_line,
+    "roundtrip-line": _demo_roundtrip_line,
+    "double-origin-plane": _demo_double_origin_plane,
+    "doubleorigin2": _demo_doubleorigin2,
+    "p1-generate": _demo_p1_generate,
+}
+
+
+def _run_demo(args):
+    name = args.names[0] if args.names else ""
+    if name not in DEMOS:
+        raise WorkspaceError(f"unknown demo {name!r}; have {', '.join(DEMOS)}")
+    return DEMOS[name](args)
 
 
 def _format_text(report: dict) -> str:
@@ -560,15 +556,10 @@ def run(argv=None) -> int:
         report["result"] = result
         report["certificates"] = certs
         code = 0 if ok else 2
-    except (TauNotWellDefinedError, TauNotInvertibleError) as exc:
-        report["result"] = {"error": type(exc).__name__, "message": str(exc)}
-        code = 2
-    except (WorkspaceError, StabilizationError) as exc:
-        report["result"] = {"error": type(exc).__name__, "message": str(exc)}
-        code = 1
     except AlgebraError as exc:
+        # rejected overlap data is a mathematical failure, the rest input errors
         report["result"] = {"error": type(exc).__name__, "message": str(exc)}
-        code = 1
+        code = 2 if isinstance(exc, (TauNotWellDefinedError, TauNotInvertibleError)) else 1
     if args.timings:
         report["timings"] = {"seconds": round(time.perf_counter() - started, 6)}
     if args.format == "json":

@@ -79,6 +79,14 @@ def column_degree(ring: PolyRing, col, gen_degrees):
     return degs.pop()
 
 
+def _listed(value, what: str):
+    """value if it is a list or tuple, else an AlgebraError naming what (the
+    characters of a string would otherwise be read as entries)."""
+    if not isinstance(value, (list, tuple)):
+        raise AlgebraError(f"{what} must be a list, not {type(value).__name__}")
+    return value
+
+
 class PresentedModule:
     """A^gens modulo the span of the relation columns."""
 
@@ -87,7 +95,7 @@ class PresentedModule:
         self.gens = int(gens)
         cols = []
         for col in relations:
-            col = tuple(ring.poly(p) for p in col)
+            col = tuple(map(ring.poly, _listed(col, "a relation column")))
             if len(col) != self.gens:
                 raise AlgebraError(
                     f"relation column of length {len(col)} for {self.gens} generators")
@@ -95,7 +103,7 @@ class PresentedModule:
                 cols.append(col)
         self.relations = tuple(cols)
         if grading is not None:
-            grading = tuple(int(d) for d in grading)
+            grading = tuple(int(d) for d in _listed(grading, "a grading"))
             if len(grading) != self.gens:
                 raise GradingError("grading length must equal the generator count")
             if not self._homogeneous_for(grading):
@@ -194,9 +202,12 @@ class PresentedModule:
     @staticmethod
     def from_json(data, ring: PolyRing | None = None) -> "PresentedModule":
         ring = ring if ring is not None else PolyRing.from_json(data["ring"])
-        rows = data.get("relations", [])
+        rows = [_listed(row, "a relation row")
+                for row in _listed(data.get("relations", []), "relations")]
         gens = int(data["gens"])
         ncols = len(rows[0]) if rows else 0
+        if rows and (len(rows) != gens or any(len(row) != ncols for row in rows)):
+            raise AlgebraError(f"relations must be {gens} rows of equal length")
         cols = [tuple(rows[i][j] for i in range(gens)) for j in range(ncols)]
         return PresentedModule(ring, gens, cols, data.get("grading"))
 
@@ -251,7 +262,8 @@ class ModuleMap:
         self.source = source
         self.target = target
         self.ring = source.ring
-        rows = tuple(tuple(self.ring.poly(x) for x in row) for row in matrix)
+        rows = tuple(tuple(map(self.ring.poly, _listed(row, "a matrix row")))
+                     for row in _listed(matrix, "a matrix"))
         _check_shape(rows, target.gens, source.gens)
         self.matrix = rows
         self._lifter = None

@@ -598,12 +598,8 @@ def _free_rank_one_witness(M: PresentedModule):
 
 
 def invertible_check(G: GluedModule) -> bool:
-    """Chart pieces free of rank 1; when they are, an inverse triple is
-    constructed and verified (see inverse_of)."""
-    w1 = _free_rank_one_witness(G.m1)
-    w2 = _free_rank_one_witness(G.m2)
-    if w1 is None or w2 is None:
-        return False
+    """Whether an inverse triple is constructed and verified (see inverse_of):
+    the chart pieces must be free of rank 1."""
     try:
         inverse_of(G)
     except AlgebraError:
@@ -613,6 +609,12 @@ def invertible_check(G: GluedModule) -> bool:
 
 def inverse_of(G: GluedModule) -> GluedModule:
     """An explicit inverse triple for a line-bundle-like glued module."""
+    return _inverse_with_unit(G)[0]
+
+
+def _inverse_with_unit(G: GluedModule):
+    """(inv, unit): the inverse triple of inverse_of and its verified unit
+    O -> G (x) inv."""
     w1 = _free_rank_one_witness(G.m1)
     w2 = _free_rank_one_witness(G.m2)
     if w1 is None or w2 is None:
@@ -628,12 +630,12 @@ def inverse_of(G: GluedModule) -> GluedModule:
             raise AlgebraError("overlap scalar is not a unit")
         inv = GluedModule(scheme, unit_module(scheme.chart1), unit_module(scheme.chart2),
                           [uinv], [[u]])
-        _verify_inverse(G, inv)
-        return inv
+        return inv, _verify_inverse(G, inv)
     raise AlgebraError("inverse construction implemented for affine overlaps")
 
 
-def _verify_inverse(G: GluedModule, inv: GluedModule):
+def _verify_inverse(G: GluedModule, inv: GluedModule) -> "GluedMap":
+    """The unit O -> G (x) inv, once it is verified an isomorphism."""
     T = tensor_glued(G, inv)
     O = o_glued(G.scheme)
     w1 = _free_rank_one_witness(T.m1)
@@ -643,6 +645,7 @@ def _verify_inverse(G: GluedModule, inv: GluedModule):
     iso = GluedMap(O, T, w1, w2)   # validates overlap compatibility
     if not (is_iso(iso.c1) and is_iso(iso.c2)):
         raise AlgebraError("candidate inverse failed verification")
+    return iso
 
 
 def dualizable_check(G: GluedModule, dual: GluedModule, unit_map: GluedMap,
@@ -672,12 +675,8 @@ def symtrivial_check_glued(G: GluedModule) -> bool:
 
 def standard_dual_datum(G: GluedModule):
     """(dual, unit, counit) for a glued module with free rank-1 pieces."""
-    inv = inverse_of(G)
-    O = o_glued(G.scheme)
-    T = tensor_glued(G, inv)
-    w1 = _free_rank_one_witness(T.m1)
-    w2 = _free_rank_one_witness(T.m2)
-    unit_map = GluedMap(O, T, w1, w2)
+    inv, unit_map = _inverse_with_unit(G)
+    O = unit_map.source
     Tc = tensor_glued(inv, G)
     v1 = invert_iso(_free_rank_one_witness(Tc.m1))
     v2 = invert_iso(_free_rank_one_witness(Tc.m2))

@@ -4,12 +4,14 @@ oracle, the closed-complement quotient, and the comparison search.
 
 Chain stabilization policy (shared by reflect and deligne_hom): stage 0 is
 accepted only when the idal map J.e is an isomorphism (then every transition
-is one); from n = 1 on, the scan first saturates each stage by the stable
-kernel of the forward composites (the chain of saturated stages is
-injective), then accepts two consecutive surjective transitions.  Saturation
-is what detects collapse to zero for nilpotent idals and for targets killed
-by the image ideal; with trivial kernels it degenerates to the plain
-two-consecutive-isomorphisms rule.
+is one).  From n = 1 on, the scan reads transitions n and n + 1.  When both
+are injective it applies the plain rule alone: it accepts stage n when both
+are also surjective, and otherwise moves on to n + 1 without saturating.
+When either has a kernel, it saturates stages n, n + 1 and n + 2 by the
+stable kernel of the forward composites (the chain of saturated stages is
+injective) and accepts saturated stage n when the two saturated transitions
+are surjective.  Saturation is what detects collapse to zero for nilpotent
+idals and for targets killed by the image ideal.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import json
 import pathlib
+import re
 import time
 
 import pytest
@@ -629,3 +630,101 @@ def test_selfglue_glue_certificate_is_inverse_at_stage_zero(capsys):
     symbols = {v: sp.Symbol(v) for v in ("x", "y")}
     fwd, bwd = _sym_matrix(tau["fwd"], symbols), _sym_matrix(tau["bwd"], symbols)
     assert sp.expand(fwd * bwd) == sp.eye(1) and sp.expand(bwd * fwd) == sp.eye(1)
+
+
+def workspace_file(tmp_path, data):
+    path = tmp_path / "workspace.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+LINE = {"rings": {"A": {"field": "QQ", "variables": ["x"]}},
+        "modules": {"O": {"ring": "A", "gens": 1}}}
+
+
+@pytest.mark.parametrize("section,spec,message", [
+    ("rings", {"field": "QQ", "variables": 5}, "bad ring 'bad': "),
+    ("modules", {"ring": "A"}, "bad module 'bad': "),
+    ("modules", {"ring": "nope", "gens": 1}, "unresolved ring name 'nope'"),
+    ("maps", {"source": "O", "target": "O"}, "bad map 'bad': "),
+    ("maps", {"source": "nope", "target": "O", "matrix": [["1"]]},
+     "unresolved module name 'nope'"),
+    ("idals", {"carrier": "O", "e_matrix": [["x", "1"]]}, "bad idal 'bad': "),
+    ("idals", {"carrier": "nope", "e_matrix": [["x"]]}, "unresolved module name 'nope'"),
+    ("schemes", {"kind": "affine", "chart1": "A"}, "bad scheme 'bad': "),
+    ("schemes", {"kind": "selfglue", "ring": "A", "idal": "nope"},
+     "unresolved idal name 'nope'"),
+], ids=["ring", "module", "module-ring", "map", "map-source", "idal", "idal-carrier",
+        "scheme", "scheme-idal"])
+def test_workspace_entry_errors_have_one_form(capsys, tmp_path, section, spec, message):
+    # a malformed entry is wrapped with its kind and name; an unresolved
+    # reference inside it is reported as it is, not wrapped
+    data = {key: dict(entries) for key, entries in LINE.items()}
+    data.setdefault(section, {})["bad"] = spec
+    code, report = invoke(capsys, "check-idal", "bad", "--workspace",
+                          workspace_file(tmp_path, data))
+    assert code == 1 and report["result"]["error"] == "WorkspaceError"
+    assert report["result"]["message"].startswith(message)
+    if message.startswith("unresolved"):
+        assert report["result"]["message"] == message
+
+
+def test_affine_tau_that_is_not_a_matrix_exits_one(capsys, tmp_path):
+    spec = dict(load_preset("p1")["glued"]["O1twist"], tau=5)
+    path = workspace_file(tmp_path, {"glued": {"G": spec}})
+    for command in ("glue", "sections", "invertible"):
+        code, report = invoke(capsys, command, "G", "--workspace", path, "--preset", "p1")
+        assert code == 1
+        assert report["result"] == {"error": "AlgebraError",
+                                    "message": "a matrix must be a list, not int"}
+
+
+def test_map_row_given_as_a_string_exits_one(capsys, tmp_path):
+    # read one character per entry, ["xy"] would be the idal (x, y) -> O
+    data = {"maps": {"g": {"source": "ideal_xy", "target": "O", "matrix": ["xy"]}}}
+    code, report = invoke(capsys, "check-idal", "g", "--workspace",
+                          workspace_file(tmp_path, data), "--preset", "double-origin-plane")
+    assert code == 1
+    assert report["result"] == {"error": "WorkspaceError",
+                                "message": "bad map 'g': a matrix row must be a list, not str"}
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("relations", ["xy", "yx"], "a relation row must be a list, not str"),
+    ("relations", "xy", "relations must be a list, not str"),
+    ("grading", "11", "a grading must be a list, not str"),
+    # rows past the generator count, or past the first row's length, were dropped
+    ("relations", [["x"], ["y"], ["x"]], "relations must be 2 rows of equal length"),
+    ("relations", [["x"], ["y", "x"]], "relations must be 2 rows of equal length"),
+], ids=["row-strings", "string", "grading-string", "extra-row", "ragged"])
+def test_malformed_module_exits_one(capsys, tmp_path, field, value, message):
+    data = {"modules": {"M": {"ring": "B", "gens": 2, field: value}}}
+    code, report = invoke(capsys, "sections", "G", "--workspace",
+                          workspace_file(tmp_path, data), "--preset", "double-origin-plane")
+    assert code == 1
+    assert report["result"] == {"error": "WorkspaceError", "message": f"bad module 'M': {message}"}
+
+
+def test_invertible_builds_its_inverse_once(capsys, monkeypatch):
+    from idals import cli, glued
+    calls = {"inverse_of": 0, "built": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "inverse_of", counted("inverse_of", cli.inverse_of))
+    monkeypatch.setattr(glued, "_inverse_with_unit",
+                        counted("built", glued._inverse_with_unit))
+    code, report = invoke(capsys, "invertible", "O1twist", "--preset", "p1")
+    assert code == 0 and report["result"]["invertible"] is True
+    assert calls == {"inverse_of": 1, "built": 1}
+
+
+def test_readme_lists_the_cli_commands():
+    from idals.cli import COMMANDS
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = re.search(r"Commands: `([^`]*)`", readme).group(1)
+    assert tuple(name.strip() for name in listed.split(",")) == COMMANDS
