@@ -70,9 +70,11 @@ from .polyring import QQ, PolyRing, groebner
 
 PRESETS = ("p1", "double-origin-line", "double-origin-plane")
 
-# The largest --degree-bound.  Graded windows count every degree up to it, and
-# at 10^8 the process runs out of memory before it writes a report.
+# The largest --degree-bound and --n-max.  Graded windows count every degree up
+# to the bound, and at 10^8 the process runs out of memory before it writes a
+# report; hom chains and nilpotency scans may walk n-max stages.
 MAX_DEGREE_BOUND = 10_000
+MAX_N_MAX = 10_000
 
 
 def _idal_of(ws, spec):
@@ -535,6 +537,8 @@ def run(argv=None) -> int:
             raise WorkspaceError("flags out of range: need n-max >= 1, degree-bound >= 0")
         if args.degree_bound > MAX_DEGREE_BOUND:
             raise WorkspaceError(f"flags out of range: need degree-bound <= {MAX_DEGREE_BOUND}")
+        if args.n_max > MAX_N_MAX:
+            raise WorkspaceError(f"flags out of range: need n-max <= {MAX_N_MAX}")
         ws = Workspace()
         for preset in args.preset:
             ws.load(load_preset(preset))

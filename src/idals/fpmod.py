@@ -178,8 +178,8 @@ class PresentedModule:
                 self.grading)
 
     def __eq__(self, other):
-        return (isinstance(other, PresentedModule)
-                and self.presentation_key() == other.presentation_key())
+        return other is self or (isinstance(other, PresentedModule)
+                                 and self.presentation_key() == other.presentation_key())
 
     def __hash__(self):
         return hash(self.presentation_key())

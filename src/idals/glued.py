@@ -51,7 +51,6 @@ from .fpmod import (
     pullback,
     symtrivial_check,
     tensor,
-    tensor_map,
     unit_module,
 )
 from .idal import Idal, cover_check, idal_product
@@ -656,14 +655,16 @@ def dualizable_check(G: GluedModule, dual: GluedModule, unit_map: GluedMap,
     """
     for g, d, unit_c, counit_c in ((G.m1, dual.m1, unit_map.c1, counit_map.c1),
                                    (G.m2, dual.m2, unit_map.c2, counit_map.c2)):
-        idg, idd = ModuleMap.identity(g), ModuleMap.identity(d)
+        ring = g.ring
+        idg, idd = _identity_matrix(ring, g.gens), _identity_matrix(ring, d.gens)
         # (id_g (x) counit) . (unit (x) id_g) == id_g and
         # (counit (x) id_d) . (id_d (x) unit) == id_d, where O (x) X == X == X (x) O
-        for X, first, second in ((g, tensor_map(unit_c, idg), tensor_map(idg, counit_c)),
-                                 (d, tensor_map(idd, unit_c), tensor_map(counit_c, idd))):
-            there = ModuleMap(X, first.target, first.matrix, check=False)
-            back = ModuleMap(first.target, X, second.matrix, check=False)
-            if not back.compose(there).equals(ModuleMap.identity(X)):
+        for X, ident, first, second in (
+                (g, idg, _kron(ring, unit_c.matrix, idg), _kron(ring, idg, counit_c.matrix)),
+                (d, idd, _kron(ring, idd, unit_c.matrix), _kron(ring, counit_c.matrix, idd))):
+            _check_shape(first, len(first), X.gens)
+            _check_shape(second, X.gens, len(first))
+            if not _equal_into(X, _matmul(ring, second, first, X.gens), ident):
                 return False
     return True
 

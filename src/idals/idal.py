@@ -22,7 +22,6 @@ from .fpmod import (
     is_iso,
     pushout,
     tensor,
-    tensor_map,
     unit_module,
 )
 from .polyring import PolyRing, RingHom
@@ -35,16 +34,20 @@ MAX_POWER_GENS = 256
 
 
 def _law_sides(e: ModuleMap):
-    """The two maps I (x) I -> I compared by the idal law.
+    """The matrices of the two maps I (x) I -> I compared by the idal law.
 
     e (x) I sends generator (i, j) to e_i * g_j; I (x) e sends it to e_j * g_i.
     """
-    I = e.source
-    II = tensor(I, I)
-    ident = _identity_matrix(e.ring, I.gens)
-    lmap = ModuleMap(II, I, _kron(e.ring, e.matrix, ident), check=False)
-    rmap = ModuleMap(II, I, _kron(e.ring, ident, e.matrix), check=False)
-    return II, lmap, rmap
+    ident = _identity_matrix(e.ring, e.source.gens)
+    return _kron(e.ring, e.matrix, ident), _kron(e.ring, ident, e.matrix)
+
+
+def _law_difference(e: ModuleMap) -> ModuleMap:
+    """e (x) I - I (x) e as a map out of the free module on the generators
+    (i, j) of I (x) I, whose relations neither the law nor reflection reads."""
+    left, right = _law_sides(e)
+    return ModuleMap(free_module(e.ring, e.source.gens ** 2), e.source,
+                     [[a - b for a, b in zip(l, r)] for l, r in zip(left, right)], check=False)
 
 
 def idal_check(e: ModuleMap) -> bool:
@@ -57,15 +60,10 @@ def idal_check_witness(e: ModuleMap):
     if e.target.gens != 1 or e.target.relations:
         raise AlgebraError("idal target must be the rank-1 free module")
     I = e.source
-    _, lmap, rmap = _law_sides(e)
-    diff = lmap - rmap
-    g = I.gens
-    for i in range(g):
-        for j in range(g):
-            col = diff.column(i * g + j)
-            if not I.contains_column(col):
-                return {"generator_pair": [i + 1, j + 1],
-                        "difference": [str(p) for p in col]}
+    for k, col in enumerate(_law_difference(e).columns()):
+        if not I.contains_column(col):
+            return {"generator_pair": [k // I.gens + 1, k % I.gens + 1],
+                    "difference": [str(p) for p in col]}
     return None
 
 
@@ -167,9 +165,8 @@ class Idal:
 
     def power_map(self, n: int) -> ModuleMap:
         """The full composite I^{(x)n} -> O."""
-        t = self.power_transition(n, 0)
-        O = unit_module(self.ring)
-        return ModuleMap(self.carrier_power(n), O, t.matrix, check=False)
+        return ModuleMap(self.carrier_power(n), unit_module(self.ring),
+                         self._transition_matrix(n, 0), check=False)
 
     def power_idal(self, n: int) -> "Idal":
         if n == 0:
@@ -207,9 +204,7 @@ def idal_reflect(f: ModuleMap):
     """
     if f.target.gens != 1 or f.target.relations:
         raise AlgebraError("reflection input must map to the rank-1 free module")
-    _, lmap, rmap = _law_sides(f)
-    diff = lmap - rmap
-    I, pi = cokernel(diff)
+    I, pi = cokernel(_law_difference(f))
     e = ModuleMap(I, f.target, f.matrix, check=True)
     return Idal(I, e, check=False), pi
 
@@ -246,18 +241,15 @@ def cover_check_pushout(e: Idal, f: Idal) -> bool:
     """The pushout form of the cover condition: the square built on
     e (x) J and I (x) f has pushout mapping isomorphically onto O."""
     ring = e.ring
-    O = unit_module(ring)
-    idI = ModuleMap.identity(e.carrier)
-    idJ = ModuleMap.identity(f.carrier)
-    eJ_raw = tensor_map(e.e, idJ)   # I(x)J -> O(x)J
-    If_raw = tensor_map(idI, f.e)   # I(x)J -> I(x)O
-    IJ = eJ_raw.source
-    eJ = ModuleMap(IJ, f.carrier, eJ_raw.matrix, check=False)
-    If = ModuleMap(IJ, e.carrier, If_raw.matrix, check=False)
-    P, iJ, iI = pushout(eJ, If)
-    induced = [[f.e.matrix[0][j] for j in range(f.carrier.gens)]
-               + [e.e.matrix[0][i] for i in range(e.carrier.gens)]]
-    to_O = ModuleMap(P, O, induced, check=True)
+    # the pushout reads only the targets' relations, so the shared source
+    # I (x) J is held as the free module on its generators (i, j)
+    IJ = free_module(ring, e.carrier.gens * f.carrier.gens)
+    eJ = ModuleMap(IJ, f.carrier,   # I(x)J -> O(x)J = J
+                   _kron(ring, e.e.matrix, _identity_matrix(ring, f.carrier.gens)), check=False)
+    If = ModuleMap(IJ, e.carrier,   # I(x)J -> I(x)O = I
+                   _kron(ring, _identity_matrix(ring, e.carrier.gens), f.e.matrix), check=False)
+    P, _, _ = pushout(eJ, If)
+    to_O = ModuleMap(P, unit_module(ring), [f.e.matrix[0] + e.e.matrix[0]], check=True)
     return is_iso(to_O)
 
 

@@ -185,7 +185,8 @@ def _saturated_kernel(chain: HomChain, n: int, budget: int):
 
 
 def _saturated_stage(chain: HomChain, n: int, ker_cols) -> PresentedModule:
-    """Stage n of the chain modulo the stable kernel columns (ungraded)."""
+    """Stage n of the chain modulo the stable kernel columns, graded by zero
+    when its relation columns allow (the stage's own grading is not kept)."""
     base = chain.stage(n).module
     if not ker_cols:
         return base

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from idals import QQ, PolyRing
-from idals.cli import MAX_DEGREE_BOUND, Workspace, load_preset, run
+from idals.cli import MAX_DEGREE_BOUND, MAX_N_MAX, Workspace, load_preset, run
 
 
 def invoke(capsys, *argv):
@@ -316,6 +316,24 @@ def test_ill_defined_staged_tau_exits_one(capsys, tmp_path, preset, spec):
 def test_degree_bound_past_the_limit_exits_one(capsys, argv):
     code, report = invoke(capsys, *argv)
     assert code == 1 and report["result"]["error"] == "WorkspaceError"
+
+
+@pytest.mark.parametrize("command,n_max", [
+    (["roundtrip", "I", "J", "O"], MAX_N_MAX + 1),
+    (["nilpotency", "I"], 10 ** 5),
+], ids=["just-past", "1e5"])
+def test_n_max_past_the_limit_exits_one(capsys, command, n_max):
+    code, report = invoke(capsys, *command, "--preset", "double-origin-line",
+                          "--n-max", str(n_max))
+    assert code == 1
+    assert report["result"] == {"error": "WorkspaceError",
+                                "message": f"flags out of range: need n-max <= {MAX_N_MAX}"}
+
+
+def test_n_max_at_the_limit_runs(capsys):
+    code, report = invoke(capsys, "nilpotency", "I", "--preset", "double-origin-line",
+                          "--n-max", str(MAX_N_MAX))
+    assert code == 2 and report["result"] == {"nilpotent_at": None}
 
 
 def test_chart_idal_power_four_generates(capsys, tmp_path):

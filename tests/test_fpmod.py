@@ -38,6 +38,18 @@ def xy_ideal_module(R2):
     return PresentedModule(R2, 2, [("y", R2.poly("-x"))], grading=[1, 1])
 
 
+class TestEquality:
+    def test_a_module_equals_itself_without_rendering(self, monkeypatch, xy_ideal_module):
+        # comparing a module with itself is the common case (a map's source
+        # against the carrier it was built on) and reads no presentation
+        def refuse(M):
+            raise AssertionError("rendered a presentation")
+
+        monkeypatch.setattr(PresentedModule, "presentation_key", refuse)
+        M = xy_ideal_module
+        assert M == M and not M != M
+
+
 class TestIsZero:
     def test_unit_relation(self, R1):
         assert is_zero(PresentedModule(R1, 1, [("1",)]))

@@ -313,3 +313,30 @@ class TestProductLocusIdentities:
                 I = random_idal(ring, rng)
                 J = random_idal(ring, rng)
                 assert cover_check(I, J) == cover_check_pushout(I, J)
+
+
+class TestLawMapsAreMatrices:
+    def test_no_tensor_product_is_presented(self, monkeypatch, R1, R2):
+        """The idal law, reflection, the pushout cover check and the dual
+        triangles compare maps out of tensor products as matrices, so none
+        of them presents a tensor product."""
+        from idals import fpmod, glued, idal
+        from idals.glued import dualizable_check, p1_scheme, p1_standard, standard_dual_datum
+
+        line = p1_standard(1, p1_scheme())
+        datum = standard_dual_datum(line)   # built before the wrap: it tensors glued pieces
+        presented = []
+        for module in (fpmod, idal, glued):
+            def counted(M, N, tensor=module.tensor):
+                presented.append((M.gens, N.gens))
+                return tensor(M, N)
+            monkeypatch.setattr(module, "tensor", counted)
+
+        J = idal_from_ideal(["x", "y"], R2)
+        K = idal_from_ideal(["x - 1", "y"], R2)
+        assert idal_check(J.e) and idal_check(K.e)
+        free = ModuleMap(free_module(R1, 2), unit_module(R1), [["x", "1"]])
+        assert idal_check_witness(free) == {"generator_pair": [1, 2], "difference": ["-1", "x"]}
+        assert cover_check_pushout(J, K) and not cover_check_pushout(J, J)
+        assert dualizable_check(line, *datum)
+        assert presented == []

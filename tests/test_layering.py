@@ -24,7 +24,12 @@ of untracked runs and the tracked loop: no other function pops a heap.
 
 localize builds a HOM out of a tensor power only through the hom chain:
 no function but `HomChain.stage` and `canonical_to_hom` calls
-`hom_module`."""
+`hom_module`.
+
+idal presents a tensor product only in `Idal.carrier_power` and
+`idal_product`, and neither idal nor glued calls `tensor_map`: the maps out
+of tensor products that the idal law, reflection, the pushout cover check
+and the dual triangles compare are matrices."""
 
 import ast
 import pathlib
@@ -409,3 +414,25 @@ def test_hom_guard_sees_what_it_forbids(tmp_path):
         "    return at\n")
     assert callers(sample, "hom_module") == [
         "HomChain.stage", "_power_homs", "canonical_to_hom", "idal_comparison_search"]
+
+
+def test_maps_out_of_tensor_products_are_matrices():
+    assert callers(SRC / "idal.py", "tensor") == ["Idal.carrier_power", "idal_product"]
+    for layer in ("idal", "glued"):
+        assert callers(SRC / f"{layer}.py", "tensor_map") == [], layer
+
+
+def test_tensor_guard_sees_what_it_forbids(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from . import fpmod\n"
+        "from .fpmod import tensor, tensor_map\n"
+        "def _law_sides(e):\n"
+        "    return tensor(e.source, e.source)\n"
+        "class Idal:\n"
+        "    def carrier_power(self, n):\n"
+        "        return fpmod.tensor(self.carrier, self.carrier)\n"
+        "def dualizable_check(unit, idg):\n"
+        "    return tensor_map(unit, idg)\n")
+    assert callers(sample, "tensor") == ["Idal.carrier_power", "_law_sides"]
+    assert callers(sample, "tensor_map") == ["dualizable_check"]
