@@ -369,20 +369,21 @@ def localized_ring(ring: PolyRing, f: Poly, inv_name: str | None = None):
     f = ring.poly(f)
     if f.is_zero():
         raise AlgebraError("cannot invert zero")
-    name = inv_name or fresh_variable(ring)
+    name = fresh_variable(ring) if inv_name is None else inv_name
     if f.is_constant():
         weight = 0   # the inverse variable is eliminated by c*t - 1
     elif f.is_homogeneous():
         weight = -f.degree()
     else:
         weight = 1
-    free = ring.free()
-    quotient = [str(Poly(free, dict(q))) for q in ring.quotient_gb]
-    B = PolyRing(ring.field, ring.variables + (name,), ring.order,
-                 quotient + [f"({f}) * {name} - 1"],
-                 ring.weights + (weight,))
-    hom = RingHom(ring, B, {v: v for v in ring.variables})
-    return B, hom, B.var(name)
+    # the quotient of B on the free ring over B's variables: the base
+    # relations with t to the power 0, then t*f - 1
+    free = PolyRing(ring.field, ring.variables + (name,), ring.order, (),
+                    ring.weights + (weight,))
+    quotient = [Poly(free, {e + (0,): c for e, c in q.items()}) for q in ring.quotient_gb]
+    quotient.append(Poly(free, {e + (1,): c for e, c in f.terms.items()}) - free.one())
+    B = PolyRing(ring.field, free.variables, ring.order, quotient, free.weights)
+    return B, RingHom.inclusion(ring, B), B.var(name)
 
 
 def localization_oracle(f, M: PresentedModule, inv_name: str | None = None) -> PresentedModule:

@@ -288,6 +288,12 @@ class PolyRing:
                  quotient=(), weights=None):
         self.field = field
         self.variables = tuple(variables)
+        for v in self.variables:
+            # a name the parser cannot read back would fail on first use; an
+            # ASCII identifier is one identifier token, [A-Za-z_][A-Za-z_0-9]*
+            if not (isinstance(v, str) and v.isascii() and v.isidentifier()):
+                raise AlgebraError(f"bad variable name {_shown(repr(v))}: a variable is "
+                                   f"a letter or '_' followed by letters, digits or '_'")
         if len(set(self.variables)) != len(self.variables):
             raise AlgebraError("duplicate variable names")
         self.order = order
@@ -506,11 +512,13 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise AlgebraError("negative polynomial power")
-        result = self.ring.one()
+        if not n:
+            return self.ring.one()
+        result = None   # 1 * base would be base, term for term
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if n > 1 else base
             n >>= 1
         return result
@@ -1726,7 +1734,18 @@ def syzygies(gens: list, ring: PolyRing) -> list:
 
 
 class RingHom:
-    """Ring homomorphism given by variable images; the base field is fixed."""
+    """Ring homomorphism given by variable images; the base field is fixed.
+
+    A hom keeps the image of every source monomial it has mapped, in normal
+    form in the target (`_monomials`; a hom never changes).  A new monomial's
+    image is the image of the monomial with its last variable peeled off,
+    times the image of that variable's power, both kept as well: one
+    product, reduced once.  A power of one variable is its image raised to
+    the power.  A polynomial's image is then the coefficient-scaled sum of
+    its monomials' images, which needs no product and no reduction, since a
+    sum of normal forms is a normal form.  The products are taken in the
+    order of `c * p1**e1 * p2**e2 * ...`, so an image lists its terms as
+    that expansion does."""
 
     def __init__(self, src: PolyRing, dst: PolyRing, images: dict):
         if src.field != dst.field:
@@ -1734,8 +1753,7 @@ class RingHom:
         self.src = src
         self.dst = dst
         self.images = {v: dst.poly(images[v]) for v in src.variables}
-        # (variable, exponent) -> image ** exponent; a hom never changes
-        self._powers = {}
+        self._monomials = {}
         for q in src.quotient_gb:
             img = self._apply_terms(dict(q))
             if not img.is_zero():
@@ -1743,19 +1761,39 @@ class RingHom:
                     f"ill-defined homomorphism: quotient relation {Poly(src.free(), dict(q))} "
                     f"maps to {img} != 0")
 
+    def _monomial_image(self, exps) -> Poly:
+        """The image of the monomial exps, kept on the hom."""
+        image = self._monomials.get(exps)
+        if image is None:
+            used = [i for i, e in enumerate(exps) if e]
+            if not used:
+                image = self.dst.one()
+            elif len(used) == 1:
+                k = used[0]
+                image = self.images[self.src.variables[k]] ** exps[k]
+            else:
+                k = used[-1]
+                rest = exps[:k] + (0,) * (len(exps) - k)
+                image = self._monomial_image(rest) * self._monomial_image((0,) * k + exps[k:])
+            self._monomials[exps] = image
+        return image
+
     def _apply_terms(self, terms: dict) -> Poly:
-        powers = self._powers
-        out = self.dst.zero()
+        known = self._monomials
+        field = self.dst.field
+        add, mul = field.add, field.mul
+        out: dict = {}
         for exps, c in terms.items():
-            m = self.dst.constant(c)
-            for name, e in zip(self.src.variables, exps):
-                if e:
-                    power = powers.get((name, e))
-                    if power is None:
-                        power = powers[name, e] = self.images[name] ** e
-                    m = m * power
-            out = out + m
-        return out
+            image = known.get(exps)
+            if image is None:
+                image = self._monomial_image(exps)
+            for e, v in image.terms.items():
+                s = add(out.get(e, 0), mul(c, v))
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        return Poly(self.dst, out)
 
     def apply(self, p) -> Poly:
         return self._apply_terms(self.src.poly(p).terms)

@@ -746,3 +746,21 @@ def test_readme_lists_the_cli_commands():
     readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
     listed = re.search(r"Commands: `([^`]*)`", readme).group(1)
     assert tuple(name.strip() for name in listed.split(",")) == COMMANDS
+
+
+@pytest.mark.parametrize("section,name,field,bad", [
+    ("rings", "A1", "variables", "t i"),
+    ("rings", "A1", "variables", "2t"),
+    ("schemes", "P1", "inv1", "t i"),
+    ("schemes", "P1", "inv2", "s+1"),
+    ("schemes", "P1", "inv2", ""),
+], ids=["ring-space", "ring-digit", "inv1-space", "inv2-plus", "inv2-empty"])
+def test_variable_names_that_cannot_be_parsed_exit_one(capsys, tmp_path, section, name, field,
+                                                       bad):
+    data = load_preset("p1")
+    data[section][name] = dict(data[section][name], **{field: [bad] if section == "rings" else bad})
+    code, report = invoke(capsys, "sections", "O", "--workspace", workspace_file(tmp_path, data))
+    kind = section[:-1]
+    assert code == 1 and report["result"]["error"] == "WorkspaceError"
+    assert report["result"]["message"].startswith(
+        f"bad {kind} {name!r}: bad variable name {bad!r}: ")

@@ -1,5 +1,7 @@
 import gc
+import itertools
 import random
+import re
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -53,6 +55,29 @@ class TestNormalForm:
     def test_variable_mismatch(self, R1):
         with pytest.raises(VariableMismatchError):
             R1.poly("z + 1")
+
+    @pytest.mark.parametrize("name", ["x y", "2x", "", "x+y", "x^2", " x", "x\n", "é", 5, None])
+    def test_variable_names_the_parser_cannot_read_are_refused(self, name):
+        # such a ring failed later, on its first parse or its repr
+        with pytest.raises(AlgebraError, match=r"^bad variable name " + re.escape(repr(name))):
+            PolyRing(QQ, ["x0", name])
+
+    def test_a_variable_name_is_exactly_one_identifier_token(self):
+        alphabet = ["a", "Z", "_", "0", "9", " ", "+", "é", "\n", "ǅ", "٣"]
+        for name in itertools.chain(alphabet, map("".join, itertools.product(alphabet, repeat=2))):
+            token = re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", name) is not None
+            try:
+                PolyRing(QQ, [name])
+                accepted = True
+            except AlgebraError:
+                accepted = False
+            assert accepted == token, repr(name)
+
+    @pytest.mark.parametrize("name", ["x", "_", "x_1", "Ti", "t2x"])
+    def test_identifier_variable_names_parse_back(self, name):
+        R = PolyRing(QQ, [name, "z"])
+        assert R.poly(f"2*{name}^2 - {name}*z") == R.var(name) ** 2 * 2 - R.var(name) * R.var("z")
+        assert repr(R) == f"QQ[{name}, z]"
 
 
 class TestGroebner:
