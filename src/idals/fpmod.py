@@ -613,6 +613,26 @@ def tensor_permutation(factors, perm) -> ModuleMap:
 # hom modules
 
 
+def hom_ambient(M: PresentedModule, N: PresentedModule) -> ModuleMap:
+    """The defining map N^{g_M} -> N^{s_M} of HOM(M, N), whose kernel is
+    HOM(M, N): a map M -> N is its column in the ambient N^{g_M} (block i
+    holds the image of generator i), and it is well defined exactly when
+    every relation of M, row (c, r) paired with target generator r, sends
+    it into N's relations.  The ambient is graded by N.grading[r] -
+    M.grading[i] when both modules are graded.  With no relations in M the
+    target has no generators and HOM(M, N) is the whole ambient."""
+    if M.ring != N.ring:
+        raise RingMismatchError("hom over different rings")
+    ring = M.ring
+    ambient_degrees = None
+    if M.grading is not None and N.grading is not None:
+        ambient_degrees = tuple(N.grading[r] - M.grading[i]
+                                for i in range(M.gens) for r in range(N.gens))
+    amb = _block_sum(ring, [N] * M.gens, ambient_degrees)
+    rows = _kron(ring, M.relations, _identity_matrix(ring, N.gens))
+    return ModuleMap(amb, _block_sum(ring, [N] * len(M.relations)), rows, check=False)
+
+
 class HomModule:
     """HOM(M, N) presented as the kernel of N^{g_M} -> N^{s_M}.
 
@@ -623,23 +643,13 @@ class HomModule:
     """
 
     def __init__(self, M: PresentedModule, N: PresentedModule):
-        if M.ring != N.ring:
-            raise RingMismatchError("hom over different rings")
+        defining = hom_ambient(M, N)
         self.source = M
         self.target = N
         self.ring = M.ring
-        ambient_degrees = None
-        if M.grading is not None and N.grading is not None:
-            ambient_degrees = tuple(N.grading[r] - M.grading[i]
-                                    for i in range(M.gens) for r in range(N.gens))
-        amb = _block_sum(self.ring, [N] * M.gens, ambient_degrees)
-        self.ambient = amb
+        self.ambient = amb = defining.source
         if M.relations:
-            # row (c, r) pairs relation c of M with target generator r
-            rows = _kron(self.ring, M.relations, _identity_matrix(self.ring, N.gens))
-            tmap = ModuleMap(amb, _block_sum(self.ring, [N] * len(M.relations)), rows,
-                             check=False)
-            K, incl = kernel(tmap)
+            K, incl = kernel(defining)
         else:
             K, incl = amb, ModuleMap.identity(amb)
         self.module = K
@@ -723,9 +733,9 @@ def iso_failure_certificate(phi: ModuleMap):
         for i in range(C.gens):
             if not C.contains_column(C.unit_column(i)):
                 return {"kind": "cokernel_generator", "index": i}
-    for col in kernel_columns(phi):
-        if not phi.source.contains_column(col):
-            return {"kind": "kernel_element", "column": [str(p) for p in col]}
+    cols = kernel_columns(phi)
+    if cols:
+        return {"kind": "kernel_element", "column": [str(p) for p in cols[0]]}
     return None
 
 

@@ -2,6 +2,11 @@
 colimit of hom modules, Deligne morphism spaces, the principal-localization
 oracle, the closed-complement quotient, and the comparison search.
 
+`believes` decides whether M -> HOM(J, M) is an isomorphism inside the
+ambient M^g of HOM(J, M), by two kernel tests, without presenting HOM(J, M)
+or lifting into it; `canonical_to_hom` presents the map itself, for callers
+that read it (the CLI's failure certificate).
+
 Chain stabilization policy (shared by reflect and deligne_hom): stage 0 is
 accepted only when the idal map J.e is an isomorphism (then every transition
 is one).  From n = 1 on, the scan reads transitions n and n + 1.  When both
@@ -27,6 +32,7 @@ from .fpmod import (
     base_change_module,
     cokernel,
     graded_dims,
+    hom_ambient,
     hom_module,
     is_iso,
     kernel,  # unused here; perfbench's tracer test wraps it through this module
@@ -63,8 +69,28 @@ def canonical_to_hom(J: Idal, M: PresentedModule) -> ModuleMap:
 
 
 def believes(J: Idal, M: PresentedModule) -> bool:
-    """Whether the canonical M -> HOM(J, M) is an isomorphism."""
-    return is_iso(canonical_to_hom(J, M))
+    """Whether the canonical c : M -> HOM(J, M) is an isomorphism, decided
+    inside the ambient M^g of HOM(J, M) (g the generators of J's carrier),
+    where HOM(J, M) is the kernel of the defining map d : M^g -> M^s.
+
+    Let c' : M -> M^g send m to (e_t m)_t: c followed by the inclusion of
+    HOM(J, M), which is a monomorphism.  So c is one to one exactly when c'
+    is, and onto exactly when ker d lies in the image of c', that is, when
+    the map M^g / im c' -> M^s that d induces is one to one.  That test
+    runs first, since surjectivity is what fails most often; then the
+    kernel of c'.  HOM's relations are never presented and nothing is
+    lifted to HOM coordinates."""
+    if J.ring != M.ring:
+        raise RingMismatchError("idal and module over different rings")
+    d = hom_ambient(J.carrier, M)
+    zero, e = M.ring.zero(), J.e.matrix[0]
+    # row i * M.gens + r of c' holds e_i in column r
+    c = ModuleMap(M, d.source, [[e[i] if k == r else zero for k in range(M.gens)]
+                                for i in range(J.carrier.gens) for r in range(M.gens)],
+                  check=False)
+    beyond_image, _ = cokernel(c)   # M^g / im c'
+    induced = ModuleMap(beyond_image, d.target, d.matrix, check=False)
+    return not kernel_columns(induced) and not kernel_columns(c)
 
 
 # ---------------------------------------------------------------------------

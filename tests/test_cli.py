@@ -764,3 +764,33 @@ def test_variable_names_that_cannot_be_parsed_exit_one(capsys, tmp_path, section
     assert code == 1 and report["result"]["error"] == "WorkspaceError"
     assert report["result"]["message"].startswith(
         f"bad {kind} {name!r}: bad variable name {bad!r}: ")
+
+
+def _believes_by_presented_hom(ws, args):
+    """The `believes` handler as it was before `believes` decided inside the
+    ambient: present the canonical map into HOM(J, M) and ask `is_iso`."""
+    from idals import canonical_to_hom, is_iso
+    from idals.fpmod import iso_failure_certificate
+
+    c = canonical_to_hom(ws.idal(args.names[0]), ws.module(args.names[1]))
+    ok = is_iso(c)
+    return {"believes": ok}, {} if ok else {"iso_failure": iso_failure_certificate(c)}, ok
+
+
+def _preset_pairs():
+    for preset in ("double-origin-line", "double-origin-plane", "p1"):
+        data = load_preset(preset)
+        for idal, module in itertools.product(data["idals"], data["modules"]):
+            yield preset, idal, module
+
+
+@pytest.mark.parametrize("preset,idal,module", list(_preset_pairs()))
+def test_believes_report_matches_the_presented_hom_route(capsys, monkeypatch,
+                                                         preset, idal, module):
+    from idals import cli
+
+    argv = ("believes", idal, module, "--preset", preset)
+    code, report = invoke(capsys, *argv)
+    monkeypatch.setitem(cli.HANDLERS, "believes", (_believes_by_presented_hom, 2))
+    assert invoke(capsys, *argv) == (code, report)
+    assert code in (0, 1, 2)

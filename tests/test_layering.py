@@ -24,7 +24,8 @@ of untracked runs and the tracked loop: no other function pops a heap.
 
 localize builds a HOM out of a tensor power only through the hom chain:
 no function but `HomChain.stage` and `canonical_to_hom` calls
-`hom_module`.
+`hom_module`.  `believes` decides inside the ambient of HOM(J, M): it
+presents no HOM and no canonical map and asks no `is_iso`.
 
 idal presents a tensor product only in `Idal.carrier_power` and
 `idal_product`, and neither idal nor glued calls `tensor_map`: the maps out
@@ -414,6 +415,48 @@ def test_hom_guard_sees_what_it_forbids(tmp_path):
         "    return at\n")
     assert callers(sample, "hom_module") == [
         "HomChain.stage", "_power_homs", "canonical_to_hom", "idal_comparison_search"]
+
+
+def called_names(path, name):
+    """Sorted names called, by name or as an attribute, inside the named
+    top-level function or `Class.method` of the file, nested functions
+    included."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            defs[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            defs.update({f"{node.name}.{item.name}": item for item in node.body
+                         if isinstance(item, ast.FunctionDef)})
+    return sorted({_call_name(n) for n in ast.walk(defs[name]) if isinstance(n, ast.Call)}
+                  - {None})
+
+
+HOM_ROUTE = {"hom_module", "HomModule", "canonical_to_hom", "is_iso"}
+
+
+def test_believes_presents_no_hom():
+    called = called_names(SRC / "localize.py", "believes")
+    assert "hom_ambient" in called
+    assert HOM_ROUTE.isdisjoint(called), called
+
+
+def test_believes_guard_sees_what_it_forbids(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from . import fpmod\n"
+        "def believes(J, M):\n"
+        "    def lifted():\n"
+        "        return fpmod.HomModule(J.carrier, M)\n"
+        "    return is_iso(canonical_to_hom(J, M)) and hom_module(J.carrier, M)\n"
+        "class Chain:\n"
+        "    def stage(self, n):\n"
+        "        return self.hom(n)\n")
+    assert HOM_ROUTE <= set(called_names(sample, "believes"))
+    assert called_names(sample, "Chain.stage") == ["hom"]
+    # the route believes replaced is seen where it still lives
+    assert HOM_ROUTE & set(called_names(SRC / "localize.py", "canonical_to_hom"))
 
 
 def test_maps_out_of_tensor_products_are_matrices():
