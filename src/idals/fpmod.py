@@ -613,14 +613,14 @@ def tensor_permutation(factors, perm) -> ModuleMap:
 # hom modules
 
 
-def hom_ambient(M: PresentedModule, N: PresentedModule) -> ModuleMap:
-    """The defining map N^{g_M} -> N^{s_M} of HOM(M, N), whose kernel is
-    HOM(M, N): a map M -> N is its column in the ambient N^{g_M} (block i
-    holds the image of generator i), and it is well defined exactly when
-    every relation of M, row (c, r) paired with target generator r, sends
-    it into N's relations.  The ambient is graded by N.grading[r] -
-    M.grading[i] when both modules are graded.  With no relations in M the
-    target has no generators and HOM(M, N) is the whole ambient."""
+def hom_ambient(M: PresentedModule, N: PresentedModule):
+    """(ambient, defining) for HOM(M, N): a map M -> N is its column in the
+    ambient N^{g_M} (block i holds the image of generator i), graded by
+    N.grading[r] - M.grading[i] when both modules are graded.  It is well
+    defined exactly when every relation of M, row (c, r) paired with target
+    generator r, sends it into N's relations, so HOM(M, N) is the kernel of
+    the defining map N^{g_M} -> N^{s_M}.  With no relations in M the
+    defining map is None: HOM(M, N) is the whole ambient."""
     if M.ring != N.ring:
         raise RingMismatchError("hom over different rings")
     ring = M.ring
@@ -629,8 +629,10 @@ def hom_ambient(M: PresentedModule, N: PresentedModule) -> ModuleMap:
         ambient_degrees = tuple(N.grading[r] - M.grading[i]
                                 for i in range(M.gens) for r in range(N.gens))
     amb = _block_sum(ring, [N] * M.gens, ambient_degrees)
+    if not M.relations:
+        return amb, None
     rows = _kron(ring, M.relations, _identity_matrix(ring, N.gens))
-    return ModuleMap(amb, _block_sum(ring, [N] * len(M.relations)), rows, check=False)
+    return amb, ModuleMap(amb, _block_sum(ring, [N] * len(M.relations)), rows, check=False)
 
 
 class HomModule:
@@ -643,15 +645,15 @@ class HomModule:
     """
 
     def __init__(self, M: PresentedModule, N: PresentedModule):
-        defining = hom_ambient(M, N)
+        amb, defining = hom_ambient(M, N)
         self.source = M
         self.target = N
         self.ring = M.ring
-        self.ambient = amb = defining.source
-        if M.relations:
-            K, incl = kernel(defining)
-        else:
+        self.ambient = amb
+        if defining is None:
             K, incl = amb, ModuleMap.identity(amb)
+        else:
+            K, incl = kernel(defining)
         self.module = K
         self.incl = incl
 
@@ -729,10 +731,9 @@ def is_iso(phi: ModuleMap) -> bool:
 def iso_failure_certificate(phi: ModuleMap):
     """A machine-checkable witness when phi is not an isomorphism."""
     C, _ = cokernel(phi)
-    if not C.is_zero_module():
-        for i in range(C.gens):
-            if not C.contains_column(C.unit_column(i)):
-                return {"kind": "cokernel_generator", "index": i}
+    for i in range(C.gens):
+        if not C.contains_column(C.unit_column(i)):
+            return {"kind": "cokernel_generator", "index": i}
     cols = kernel_columns(phi)
     if cols:
         return {"kind": "kernel_element", "column": [str(p) for p in cols[0]]}

@@ -82,15 +82,18 @@ def believes(J: Idal, M: PresentedModule) -> bool:
     lifted to HOM coordinates."""
     if J.ring != M.ring:
         raise RingMismatchError("idal and module over different rings")
-    d = hom_ambient(J.carrier, M)
+    amb, d = hom_ambient(J.carrier, M)
     zero, e = M.ring.zero(), J.e.matrix[0]
     # row i * M.gens + r of c' holds e_i in column r
-    c = ModuleMap(M, d.source, [[e[i] if k == r else zero for k in range(M.gens)]
-                                for i in range(J.carrier.gens) for r in range(M.gens)],
+    c = ModuleMap(M, amb, [[e[i] if k == r else zero for k in range(M.gens)]
+                           for i in range(J.carrier.gens) for r in range(M.gens)],
                   check=False)
     beyond_image, _ = cokernel(c)   # M^g / im c'
-    induced = ModuleMap(beyond_image, d.target, d.matrix, check=False)
-    return not kernel_columns(induced) and not kernel_columns(c)
+    if d is None:   # HOM(J, M) is all of M^g
+        onto = beyond_image.is_zero_module()
+    else:
+        onto = not kernel_columns(ModuleMap(beyond_image, d.target, d.matrix, check=False))
+    return onto and not kernel_columns(c)
 
 
 # ---------------------------------------------------------------------------

@@ -90,36 +90,39 @@ def test_rings_that_do_not_match_are_refused():
 
 def test_believes_presents_no_hom_and_lifts_nothing(monkeypatch):
     """The mechanism: no HomModule is built and no tracked basis is made."""
-    ws = Workspace()
-    ws.load(load_preset("double-origin-plane"))
+    plane, line = Workspace(), Workspace()
+    plane.load(load_preset("double-origin-plane"))
+    line.load(load_preset("double-origin-line"))
 
     def refuse(*args, **kwargs):
         raise AssertionError("believes built a HOM module or a lifter")
 
     monkeypatch.setattr(fpmod.HomModule, "__init__", refuse)
     monkeypatch.setattr(polyring.SubmoduleLifter, "__init__", refuse)
-    assert believes(ws.idal("Jxy"), ws.module("O")) is True
-    assert believes(ws.idal("Jx"), ws.module("O")) is False
-    assert believes(ws.idal("Jxy"), ws.module("ideal_xy")) is False
+    assert believes(plane.idal("Jxy"), plane.module("O")) is True
+    assert believes(plane.idal("Jx"), plane.module("O")) is False
+    assert believes(plane.idal("Jxy"), plane.module("ideal_xy")) is False
+    assert believes(line.idal("I"), line.module("k1")) is True
+    assert believes(line.idal("I"), line.module("k0")) is False
     with pytest.raises(AssertionError):
-        canonical_to_hom(ws.idal("Jxy"), ws.module("O"))
+        canonical_to_hom(plane.idal("Jxy"), plane.module("O"))
 
 
 @pytest.mark.parametrize("name", RINGS)
 def test_the_defining_map_presents_the_hom_module(name):
-    """`hom_ambient`, which `believes` reads, is the map whose kernel
-    columns generate HOM(M, N) as `HomModule` presents it."""
+    """`hom_ambient`, which `believes` reads, gives HomModule's ambient and
+    the defining map whose kernel columns generate HOM(M, N) in it."""
     ring = RINGS[name]
     rng = random.Random(7)
     for _ in range(6):
         M, N = random_module(ring, rng), random_module(ring, rng)
         for source in (M, random_idal(ring, rng).carrier, zero_module(ring)):
             hom = fpmod.HomModule(source, N)
-            d = fpmod.hom_ambient(source, N)
-            assert d.source == hom.ambient
-            assert d.target.gens == N.gens * len(source.relations)
+            amb, d = fpmod.hom_ambient(source, N)
+            assert amb == hom.ambient
             if source.relations:
+                assert d.source is amb and d.target.gens == N.gens * len(source.relations)
                 assert kernel_columns(d) == hom.incl.columns()
             else:
-                assert hom.incl.columns() == [d.source.unit_column(k)
-                                              for k in range(d.source.gens)]
+                assert d is None
+                assert hom.incl.columns() == [amb.unit_column(k) for k in range(amb.gens)]
