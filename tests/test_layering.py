@@ -417,29 +417,14 @@ def test_hom_guard_sees_what_it_forbids(tmp_path):
         "HomChain.stage", "_power_homs", "canonical_to_hom", "idal_comparison_search"]
 
 
-def called_names(path, name):
-    """Sorted names called, by name or as an attribute, inside the named
-    top-level function or `Class.method` of the file, nested functions
-    included."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    defs = {}
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            defs[node.name] = node
-        elif isinstance(node, ast.ClassDef):
-            defs.update({f"{node.name}.{item.name}": item for item in node.body
-                         if isinstance(item, ast.FunctionDef)})
-    return sorted({_call_name(n) for n in ast.walk(defs[name]) if isinstance(n, ast.Call)}
-                  - {None})
-
-
-HOM_ROUTE = {"hom_module", "HomModule", "canonical_to_hom", "is_iso"}
+HOM_ROUTE = ("hom_module", "HomModule", "canonical_to_hom", "is_iso")
 
 
 def test_believes_presents_no_hom():
-    called = called_names(SRC / "localize.py", "believes")
-    assert "hom_ambient" in called
-    assert HOM_ROUTE.isdisjoint(called), called
+    localize = SRC / "localize.py"
+    assert "believes" in callers(localize, "hom_ambient")
+    for name in HOM_ROUTE:
+        assert "believes" not in callers(localize, name), name
 
 
 def test_believes_guard_sees_what_it_forbids(tmp_path):
@@ -449,14 +434,9 @@ def test_believes_guard_sees_what_it_forbids(tmp_path):
         "def believes(J, M):\n"
         "    def lifted():\n"
         "        return fpmod.HomModule(J.carrier, M)\n"
-        "    return is_iso(canonical_to_hom(J, M)) and hom_module(J.carrier, M)\n"
-        "class Chain:\n"
-        "    def stage(self, n):\n"
-        "        return self.hom(n)\n")
-    assert HOM_ROUTE <= set(called_names(sample, "believes"))
-    assert called_names(sample, "Chain.stage") == ["hom"]
-    # the route believes replaced is seen where it still lives
-    assert HOM_ROUTE & set(called_names(SRC / "localize.py", "canonical_to_hom"))
+        "    return is_iso(canonical_to_hom(J, M)) and hom_module(J.carrier, M)\n")
+    for name in HOM_ROUTE:
+        assert callers(sample, name) == ["believes"], name
 
 
 def test_maps_out_of_tensor_products_are_matrices():
