@@ -79,6 +79,14 @@ def column_degree(ring: PolyRing, col, gen_degrees):
     return degs.pop()
 
 
+def _generator_count(value) -> int:
+    """value if it is a non-negative int, else an AlgebraError (a float, or a
+    bool such as JSON true, would otherwise be read as a count)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise AlgebraError(f"a generator count must be a non-negative integer, not {value!r}")
+    return value
+
+
 def _listed(value, what: str):
     """value if it is a list or tuple, else an AlgebraError naming what (the
     characters of a string would otherwise be read as entries)."""
@@ -92,7 +100,7 @@ class PresentedModule:
 
     def __init__(self, ring: PolyRing, gens: int, relations=(), grading=None):
         self.ring = ring
-        self.gens = int(gens)
+        self.gens = _generator_count(gens)
         cols = []
         for col in relations:
             col = tuple(map(ring.poly, _listed(col, "a relation column")))
@@ -103,7 +111,9 @@ class PresentedModule:
                 cols.append(col)
         self.relations = tuple(cols)
         if grading is not None:
-            grading = tuple(int(d) for d in _listed(grading, "a grading"))
+            grading = tuple(_listed(grading, "a grading"))
+            if any(isinstance(d, bool) or not isinstance(d, int) for d in grading):
+                raise AlgebraError(f"grading entries must be integers, not {list(grading)!r}")
             if len(grading) != self.gens:
                 raise GradingError("grading length must equal the generator count")
             if not self._homogeneous_for(grading):
@@ -164,7 +174,7 @@ class PresentedModule:
         return _module_gb(cols, self.ring, self.gens)
 
     def is_zero_module(self) -> bool:
-        return all(self.contains_column(self.unit_column(i)) for i in range(self.gens))
+        return _spans_everything(self.rel_gb(), self.gens)
 
     def unit_column(self, k: int):
         """The column of generator k."""
@@ -204,12 +214,19 @@ class PresentedModule:
         ring = ring if ring is not None else PolyRing.from_json(data["ring"])
         rows = [_listed(row, "a relation row")
                 for row in _listed(data.get("relations", []), "relations")]
-        gens = int(data["gens"])
+        gens = _generator_count(data["gens"])
         ncols = len(rows[0]) if rows else 0
         if rows and (len(rows) != gens or any(len(row) != ncols for row in rows)):
             raise AlgebraError(f"relations must be {gens} rows of equal length")
         cols = [tuple(rows[i][j] for i in range(gens)) for j in range(ncols)]
         return PresentedModule(ring, gens, cols, data.get("grading"))
+
+
+def _spans_everything(gb, rank: int) -> bool:
+    """Whether a reduced Groebner basis spans all of ring^rank.  The reduced
+    basis of a submodule is unique, so it does exactly when the basis is the
+    `rank` unit columns: `rank` elements, each one term with exponent zero."""
+    return len(gb) == rank and all(len(v) == 1 and not any(e) for v in gb for _, e in v)
 
 
 def free_module(ring: PolyRing, rank: int, degrees=None) -> PresentedModule:
@@ -367,14 +384,19 @@ class ModuleMap:
 # base change
 
 
+def _graded_or_plain(ring: PolyRing, gens: int, relations, grading) -> PresentedModule:
+    """The module graded by `grading`, or as `PresentedModule` grades it if that fails."""
+    try:
+        return PresentedModule(ring, gens, relations, grading)
+    except GradingError:
+        return PresentedModule(ring, gens, relations, None)
+
+
 def base_change_module(M: PresentedModule, hom: RingHom) -> PresentedModule:
     """M over hom.dst: the relations mapped entrywise, the grading kept when
     it still fits."""
     cols = [tuple(hom.apply(p) for p in col) for col in M.relations]
-    try:
-        return PresentedModule(hom.dst, M.gens, cols, M.grading)
-    except GradingError:
-        return PresentedModule(hom.dst, M.gens, cols, None)
+    return _graded_or_plain(hom.dst, M.gens, cols, M.grading)
 
 
 def base_change_map(phi: ModuleMap, hom: RingHom,
@@ -432,23 +454,22 @@ def kernel(phi: ModuleMap):
         degs = [column_degree(ring, col, src.grading) for col in kernel_cols]
         if all(isinstance(d, int) for d in degs):
             grading = tuple(degs)
-    try:
-        K = PresentedModule(ring, k, k_rels, grading)
-    except GradingError:
-        K = PresentedModule(ring, k, k_rels, None)
+    K = _graded_or_plain(ring, k, k_rels, grading)
     return K, ModuleMap.from_columns(K, src, kernel_cols)
 
 
 def cokernel(phi: ModuleMap):
     """(C, proj) with C = target/(image + target relations)."""
     tgt = phi.target
-    cols = list(phi.columns()) + list(tgt.relations)
-    grading = tgt.grading
-    if grading is not None:
-        if any(column_degree(phi.ring, c, grading) is None for c in cols):
-            grading = None
-    C = PresentedModule(phi.ring, tgt.gens, cols, grading)
+    C = _graded_or_plain(phi.ring, tgt.gens, list(phi.columns()) + list(tgt.relations),
+                         tgt.grading)
     return C, ModuleMap(tgt, C, _identity_matrix(phi.ring, tgt.gens), check=False)
+
+
+def is_surjective(phi: ModuleMap) -> bool:
+    """Whether phi is onto: its columns and the target's relations span the
+    whole free module on the target's generators.  No cokernel is presented."""
+    return _spans_everything(phi.target.span_key(phi.columns()), phi.target.gens)
 
 
 def _block_sum(ring: PolyRing, modules, grading=None) -> PresentedModule:
@@ -722,10 +743,7 @@ def pushout(phi: ModuleMap, psi: ModuleMap):
 
 
 def is_iso(phi: ModuleMap) -> bool:
-    C, _ = cokernel(phi)
-    if not C.is_zero_module():
-        return False
-    return not kernel_columns(phi)
+    return is_surjective(phi) and not kernel_columns(phi)
 
 
 def iso_failure_certificate(phi: ModuleMap):

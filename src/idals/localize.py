@@ -3,9 +3,9 @@ colimit of hom modules, Deligne morphism spaces, the principal-localization
 oracle, the closed-complement quotient, and the comparison search.
 
 `believes` decides whether M -> HOM(J, M) is an isomorphism inside the
-ambient M^g of HOM(J, M), by two kernel tests, without presenting HOM(J, M)
-or lifting into it; `canonical_to_hom` presents the map itself, for callers
-that read it (the CLI's failure certificate).
+ambient M^g of HOM(J, M), without presenting HOM(J, M) or lifting into it;
+`canonical_to_hom` and the chain's transitions lift the columns of the same
+c' : M -> M^g (`_canonical_into_ambient`) into HOM, for callers that read them.
 
 Chain stabilization policy (shared by reflect and deligne_hom): stage 0 is
 accepted only when the idal map J.e is an isomorphism (then every transition
@@ -16,11 +16,13 @@ When either has a kernel, it saturates stages n, n + 1 and n + 2 by the
 stable kernel of the forward composites (the chain of saturated stages is
 injective) and accepts saturated stage n when the two saturated transitions
 are surjective.  Saturation is what detects collapse to zero for nilpotent
-idals and for targets killed by the image ideal.
+idals and for targets killed by the image ideal.  Onto is `is_surjective`,
+which presents no cokernel.
 """
 
 from __future__ import annotations
 
+import functools
 import weakref
 from typing import NamedTuple
 
@@ -35,6 +37,7 @@ from .fpmod import (
     hom_ambient,
     hom_module,
     is_iso,
+    is_surjective,
     kernel,  # unused here; perfbench's tracer test wraps it through this module
     kernel_columns,
     tensor,
@@ -47,17 +50,22 @@ from .polyring import Poly, PolyRing, RingHom
 # the canonical map and believing
 
 
+def _canonical_into_ambient(J: Idal, M: PresentedModule, amb: PresentedModule) -> ModuleMap:
+    """c' : M -> M^g sending m to (e_t m)_t, into the ambient `amb` of
+    HOM(J.carrier, M): the canonical map followed by the inclusion of HOM."""
+    zero, e = M.ring.zero(), J.e.matrix[0]
+    # row i * M.gens + r holds e_i in column r
+    return ModuleMap(M, amb, [[e[i] if k == r else zero for k in range(M.gens)]
+                              for i in range(J.carrier.gens) for r in range(M.gens)],
+                     check=False)
+
+
 def _canonical_stage_map(J: Idal, M: PresentedModule, hom: HomModule) -> ModuleMap:
-    """M -> HOM(J, M) sending m to (t |-> e(t) * m), for hom = HOM(J.carrier, M)."""
-    zero_row = [M.ring.zero()] * J.carrier.gens
-    cols = []
-    for k in range(M.gens):
-        matrix = [zero_row] * M.gens
-        matrix[k] = J.e.matrix[0]
-        try:
-            cols.append(hom.express(ModuleMap(J.carrier, M, matrix, check=False)))
-        except LiftError as exc:
-            raise LiftError(f"canonical map failed to lift (internal): {exc}") from exc
+    """M -> HOM(J, M) sending m to (t |-> e(t) * m), for hom = HOM(J.carrier, M):
+    the columns of c' lifted through the inclusion of HOM into its ambient."""
+    cols = [hom.incl.lift(col) for col in _canonical_into_ambient(J, M, hom.ambient).columns()]
+    if any(col is None for col in cols):
+        raise LiftError("canonical map failed to lift (internal)")
     return ModuleMap.from_columns(M, hom.module, cols)
 
 
@@ -83,15 +91,11 @@ def believes(J: Idal, M: PresentedModule) -> bool:
     if J.ring != M.ring:
         raise RingMismatchError("idal and module over different rings")
     amb, d = hom_ambient(J.carrier, M)
-    zero, e = M.ring.zero(), J.e.matrix[0]
-    # row i * M.gens + r of c' holds e_i in column r
-    c = ModuleMap(M, amb, [[e[i] if k == r else zero for k in range(M.gens)]
-                           for i in range(J.carrier.gens) for r in range(M.gens)],
-                  check=False)
-    beyond_image, _ = cokernel(c)   # M^g / im c'
+    c = _canonical_into_ambient(J, M, amb)
     if d is None:   # HOM(J, M) is all of M^g
-        onto = beyond_image.is_zero_module()
+        onto = is_surjective(c)
     else:
+        beyond_image, _ = cokernel(c)   # M^g / im c'
         onto = not kernel_columns(ModuleMap(beyond_image, d.target, d.matrix, check=False))
     return onto and not kernel_columns(c)
 
@@ -257,20 +261,13 @@ def _scan_hom_chain(chain: HomChain, n_max: int) -> ChainColimitResult:
     def saturated(n):
         return chain.saturated_kernel(n, max(2, n_max - n))
 
-    ker_cache: dict = {}
-
+    @functools.cache
     def transition_kernel_is_zero(n):
-        if n not in ker_cache:
-            ker_cache[n] = not kernel_columns(chain.transition(n))
-        return ker_cache[n]
+        return not kernel_columns(chain.transition(n))
 
-    coker_cache: dict = {}
-
+    @functools.cache
     def transition_is_surjective(n):
-        if n not in coker_cache:
-            C, _ = cokernel(chain.transition(n))
-            coker_cache[n] = C.is_zero_module()
-        return coker_cache[n]
+        return is_surjective(chain.transition(n))
 
     for n in range(1, n_max - 1):
         if transition_kernel_is_zero(n) and transition_kernel_is_zero(n + 1):
@@ -287,9 +284,7 @@ def _scan_hom_chain(chain: HomChain, n_max: int) -> ChainColimitResult:
         Vn2 = _saturated_stage(chain, n + 2, kn2)
         tn = ModuleMap(Vn, Vn1, chain.transition(n).matrix, check=False)
         tn1 = ModuleMap(Vn1, Vn2, chain.transition(n + 1).matrix, check=False)
-        c1, _ = cokernel(tn)
-        c2, _ = cokernel(tn1)
-        if c1.is_zero_module() and c2.is_zero_module():
+        if is_surjective(tn) and is_surjective(tn1):
             any_sat = bool(kn or kn1 or kn2)
             stages, transitions = collect(n + 2, n + 1)
             return ChainColimitResult(stages, transitions, Vn, n, False,

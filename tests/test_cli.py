@@ -723,6 +723,24 @@ def test_malformed_module_exits_one(capsys, tmp_path, field, value, message):
     assert report["result"] == {"error": "WorkspaceError", "message": f"bad module 'M': {message}"}
 
 
+@pytest.mark.parametrize("spec,message", [
+    ({"gens": -2}, "a generator count must be a non-negative integer, not -2"),
+    ({"gens": 1.7}, "a generator count must be a non-negative integer, not 1.7"),
+    ({"gens": True}, "a generator count must be a non-negative integer, not True"),
+    ({"gens": "1"}, "a generator count must be a non-negative integer, not '1'"),
+    ({"gens": 1, "grading": [0.5]}, "grading entries must be integers, not [0.5]"),
+    ({"gens": 1, "grading": [True]}, "grading entries must be integers, not [True]"),
+], ids=["negative", "float", "bool", "string", "grading-float", "grading-bool"])
+def test_bad_generator_count_or_grading_exits_one(capsys, tmp_path, spec, message):
+    # -2 reached `believes` as a module whose grading length could not match;
+    # 1.7, true and [0.5] were read as 1, 1 and [0]
+    data = {"modules": {"M": {"ring": "A", **spec}}}
+    code, report = invoke(capsys, "believes", "I", "M", "--workspace",
+                          workspace_file(tmp_path, data), "--preset", "double-origin-line")
+    assert code == 1
+    assert report["result"] == {"error": "WorkspaceError", "message": f"bad module 'M': {message}"}
+
+
 def test_invertible_builds_its_inverse_once(capsys, monkeypatch):
     from idals import cli, glued
     calls = {"inverse_of": 0, "built": 0}

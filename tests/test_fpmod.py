@@ -25,7 +25,8 @@ from idals import (
     unit_module,
     zero_module,
 )
-from idals.errors import GradingError, LiftError, UngradedError, WellDefinednessError
+from idals.errors import (AlgebraError, GradingError, LiftError, UngradedError,
+                          WellDefinednessError)
 from idals.fpmod import _column_vec, _vec_column, column_rank, tensor_permutation
 from idals.polyring import Poly, SubmoduleLifter, _module_gb
 
@@ -59,6 +60,23 @@ class TestIsZero:
 
     def test_comaximal_relations(self, R1):
         assert is_zero(PresentedModule(R1, 1, [("x",), ("x-1",)]))
+
+    def test_no_generators(self, R1):
+        assert is_zero(zero_module(R1))
+
+    @pytest.mark.parametrize("gens", [-2, -1, 1.7, True, False, "1", None])
+    def test_generator_count_is_a_non_negative_int(self, R1, gens):
+        # PresentedModule(R, -2) was a "module" whose is_zero_module() held
+        with pytest.raises(AlgebraError, match="generator count must be a non-negative integer"):
+            PresentedModule(R1, gens)
+        with pytest.raises(AlgebraError, match="generator count must be a non-negative integer"):
+            PresentedModule.from_json({"gens": gens}, R1)
+
+    @pytest.mark.parametrize("grading", [[0.5], [True], ["0"], [1.0]])
+    def test_grading_entries_are_ints(self, R1, grading):
+        with pytest.raises(AlgebraError, match="grading entries must be integers") as info:
+            PresentedModule(R1, 1, (), grading)
+        assert not isinstance(info.value, GradingError)
 
 
 class TestKernelCokernel:

@@ -27,6 +27,12 @@ no function but `HomChain.stage` and `canonical_to_hom` calls
 `hom_module`.  `believes` decides inside the ambient of HOM(J, M): it
 presents no HOM and no canonical map and asks no `is_iso`.
 
+A cokernel is presented only where the quotient module itself is read:
+by `idal_reflect`, `pushout`, `quotient_functor`, `believes` when HOM(J, M)
+has a defining map, and `iso_failure_certificate`, whose first unhit
+generator needs the per-generator test.  Whether a map is onto is asked of
+`is_surjective`, which reads the reduced basis of the image.
+
 idal presents a tensor product only in `Idal.carrier_power` and
 `idal_product`, and neither idal nor glued calls `tensor_map`: the maps out
 of tensor products that the idal law, reflection, the pushout cover check
@@ -459,3 +465,34 @@ def test_tensor_guard_sees_what_it_forbids(tmp_path):
         "    return tensor_map(unit, idg)\n")
     assert callers(sample, "tensor") == ["Idal.carrier_power", "_law_sides"]
     assert callers(sample, "tensor_map") == ["dualizable_check"]
+
+
+# the functions of each module that present a cokernel; every other module
+# presents none
+COKERNEL_CALLERS = {"fpmod": ["iso_failure_certificate", "pushout"],
+                    "idal": ["idal_reflect"],
+                    "localize": ["believes", "quotient_functor"]}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_cokernels_are_presented_only_where_read(path):
+    assert callers(path, "cokernel") == COKERNEL_CALLERS.get(path.stem, [])
+
+
+def test_cokernel_guard_sees_what_it_forbids(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from . import fpmod\n"
+        "from .fpmod import cokernel\n"
+        "def is_iso(phi):\n"
+        "    C, _ = cokernel(phi)\n"
+        "    return C.is_zero_module()\n"
+        "class GluedMap:\n"
+        "    def is_chartwise_surjective(self):\n"
+        "        return fpmod.cokernel(self.c1)[0].is_zero_module()\n"
+        "def _scan_hom_chain(chain, n_max):\n"
+        "    def transition_is_surjective(n):\n"
+        "        return cokernel(chain.transition(n))[0].is_zero_module()\n"
+        "    return transition_is_surjective\n")
+    assert callers(sample, "cokernel") == [
+        "GluedMap.is_chartwise_surjective", "_scan_hom_chain", "is_iso"]
